@@ -20,7 +20,7 @@ from .derive import (
 from .errors import AddTheoError
 from .exprparse import parse_fraction, parse_polynomial
 from .factor import factor, is_irreducible
-from .funcspec import FuncSpec, FunctionClass, OrderData, branch_count, make_spec, order, parse_spec
+from .funcspec import FuncSpec, FunctionClass, OrderData, make_spec, order, parse_spec
 from .laws import (
     DegreeReport,
     KRelation,
@@ -36,7 +36,7 @@ from .laws import (
 )
 from .numeric import EvalConfig, GraphSample, phi_eval, sample_graph, wp_eval, wp_prime_eval
 from .poly import MPoly
-from .resultants import mgcd, resultant, squarefree, squarefree_part, sylvester_resultant
+from .resultants import mgcd, resultant, squarefree, squarefree_part
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "SameTheoremResult",
     "SymmetryReport",
     "base_law",
-    "branch_count",
     "check_rational_expressibility",
     "degree_report",
     "derivative_relation",
@@ -81,7 +80,6 @@ __all__ = [
     "sample_graph",
     "squarefree",
     "squarefree_part",
-    "sylvester_resultant",
     "wp_eval",
     "wp_prime_eval",
 ]

@@ -30,14 +30,7 @@ from .errors import (
 )
 from .exprparse import parse_polynomial
 from .funcspec import FuncSpec, parse_spec
-from .laws import (
-    alpha_complex,
-    degree_report,
-    full_substitution_group,
-    k_relation,
-    multiplier_group,
-    same_theorem,
-)
+from .laws import degree_report, full_substitution_group, k_relation, same_theorem
 from .numeric import EvalConfig, class_tolerance, relative_residual, sample_graph
 
 _PARSE_ERRORS = (ExprSyntaxError, SpecValidationError)

@@ -20,6 +20,7 @@ the ideal of the relations, so every intermediate still vanishes on the graph.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +34,17 @@ from .errors import (
     VerificationError,
 )
 from .funcspec import FuncSpec, FunctionClass, curve_polynomial, order
-from .numeric import EvalConfig, class_tolerance, phi_eval, relative_residual, sample_graph
+from .numeric import (
+    EvalConfig,
+    class_tolerance,
+    guarded,
+    phi_eval,
+    relative_residual,
+    sample,
+    sample_graph,
+    wp_eval,
+    wp_prime_eval,
+)
 from .poly import MPoly, rem_monic
 from .resultants import resultant, squarefree_part
 from .factor import factor
@@ -219,47 +230,51 @@ def eliminate(spec: FuncSpec) -> MPoly:
     return best.restrict(("x", "y", "z")).canonicalize()
 
 
-def select_vanishing_factors(candidates, points, tol):
-    """Factors whose relative residual stays below tol on every point."""
-    out = []
-    for cand in candidates:
-        if all(relative_residual(cand, pt) < tol for pt in points):
-            out.append(cand)
-    return out
+def graph_factor(eliminant: MPoly, draw, tol: float, what: str) -> MPoly:
+    """The unique irreducible factor of eliminant vanishing on sampled points.
+
+    draw(n, k) returns n evaluation points from the caller's k-th sampling
+    stream.  Factors whose relative residual stays below tol on 120 points
+    survive; a tie is broken at tol*1e-2 on 240 points from a second stream.
+    """
+
+    def vanishing(candidates, points, bound):
+        return [f for f in candidates if all(relative_residual(f, pt) < bound for pt in points)]
+
+    survivors = vanishing([f for f, _ in factor(eliminant)], draw(120, 1), tol)
+    if len(survivors) > 1:
+        survivors = vanishing(survivors, draw(240, 2), tol * 1e-2)
+        if len(survivors) != 1:
+            texts = "; ".join(s.to_text() for s in survivors)
+            raise PruningError(f"ambiguous pruning of the {what}: surviving factors [{texts}]")
+    if not survivors:
+        raise PruningError(f"no {what} found (tolerance or sampling window too tight)")
+    return survivors[0]
 
 
-def _graph_points(samples):
-    return [{"x": s.x, "y": s.y, "z": s.z} for s in samples]
+def certify(g: MPoly, points, tol: float, what: str) -> float:
+    """The largest relative residual of g on fresh points; it must stay below tol."""
+    max_res = max(relative_residual(g, pt) for pt in points)
+    if max_res >= tol:
+        raise VerificationError(
+            f"{what} residual {max_res:.3e} exceeds tolerance {tol:.1e}"
+        )
+    return max_res
 
 
 def prune(eliminant: MPoly, spec: FuncSpec, cfg: EvalConfig, verify_samples: int = 200) -> AdditionTheorem:
     """Select the unique irreducible factor vanishing on the graph."""
     if eliminant.is_zero():
         raise PruningError("eliminant is zero")
-    tol = cfg.tol
-    candidates = [f for f, _ in factor(eliminant)]
-    points = _graph_points(sample_graph(spec, 120, cfg, salt=101))
-    survivors = select_vanishing_factors(candidates, points, tol)
-    if len(survivors) > 1:
-        points2 = _graph_points(sample_graph(spec, 240, cfg, salt=102))
-        survivors = select_vanishing_factors(survivors, points2, tol * 1e-2)
-        if len(survivors) != 1:
-            texts = "; ".join(s.to_text() for s in survivors)
-            raise PruningError(f"ambiguous pruning: surviving factors [{texts}]")
-    if not survivors:
-        raise PruningError(
-            "no graph component found (tolerance or sampling window too tight)"
-        )
-    g = survivors[0]
+
+    def draw(n, k):
+        return [{"x": s.x, "y": s.y, "z": s.z} for s in sample_graph(spec, n, cfg, salt=100 + k)]
+
+    g = graph_factor(eliminant, draw, cfg.tol, "graph component")
     xy = (MPoly.var(g.variables, "x") - MPoly.var(g.variables, "y")).canonicalize()
     if g == xy:
         raise PruningError("graph factor collapsed to x - y")
-    fresh = _graph_points(sample_graph(spec, verify_samples, cfg, salt=103))
-    max_res = max(relative_residual(g, pt) for pt in fresh)
-    if max_res >= tol:
-        raise VerificationError(
-            f"derived theorem residual {max_res:.3e} exceeds tolerance {tol:.1e}"
-        )
+    max_res = certify(g, draw(verify_samples, 3), cfg.tol, "derived theorem")
     return AdditionTheorem(
         G=g,
         deg_x=g.degree_in("x"),
@@ -388,59 +403,27 @@ def derivative_relation(spec: FuncSpec, cfg: EvalConfig | None = None) -> MPoly:
     if not final:
         raise DegenerateEliminationError("derivative elimination consumed all relations")
     best = min(final, key=lambda r: r.sort_key()).restrict(("x", "d"))
-    candidates = [f for f, _ in factor(best)]
-    points = _derivative_points(spec, cfg, 40)
-    tol = cfg.tol
-    survivors = select_vanishing_factors(candidates, points, tol)
-    if not survivors:
-        raise PruningError("no derivative-relation factor survived pruning")
-    out = survivors[0]
-    for extra_factor in survivors[1:]:
-        out = out * extra_factor
-    return squarefree_part(out).canonicalize()
 
-
-def _derivative_points(spec: FuncSpec, cfg: EvalConfig, n: int):
-    """Samples (phi(u), phi'(u)); for exp class the normalized derivative."""
-    import cmath
-    import random
-
-    lo, hi = cfg.sample_radius
-    points = []
-    attempts = 0
-    i = 0
-    while len(points) < n:
-        rng = random.Random(f"{cfg.seed}:201:{i}")
-        i += 1
-        attempts += 1
-        if attempts > 100 * n + 1000:
-            raise AddTheoError("derivative sampling kept hitting poles")
-        r = lo + (hi - lo) * rng.random()
-        theta = 2 * cmath.pi * rng.random()
-        u = r * cmath.exp(1j * theta)
-        try:
+    def draw(n, k):
+        def point(u):
             xval = phi_eval(spec, u, cfg)
             dval = _phi_derivative_exact(spec, u, cfg)
-        except AddTheoError:
-            continue
-        if abs(xval) > cfg.pole_guard or abs(dval) > cfg.pole_guard:
-            continue
-        points.append({"x": xval, "d": dval})
-    return points
+            return {"x": xval, "d": dval} if guarded(cfg, xval, dval) else None
+
+        return sample(n, cfg, 200 + k, 1, point)
+
+    # the image of u -> (phi, phi') is one irreducible curve
+    return graph_factor(best, draw, cfg.tol, "derivative-relation factor")
 
 
 def _phi_derivative_exact(spec: FuncSpec, u: complex, cfg: EvalConfig) -> complex:
     """Evaluate the class-wise derivative formula (exp: normalized, mu = 1)."""
-    from .numeric import wp_eval, wp_prime_eval
-
     num, den = spec.numerator, spec.denominator
     if spec.cls is FunctionClass.RATIONAL_OF_U:
         point = {"u": u}
         dn = num.derivative("u").evaluate(point)
         dd = den.derivative("u").evaluate(point)
     elif spec.cls is FunctionClass.RATIONAL_OF_EXP:
-        import cmath
-
         tval = cmath.exp(spec.mu_value * u)
         point = {"t": tval}
         dn = tval * num.derivative("t").evaluate(point)

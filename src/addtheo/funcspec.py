@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ExprSyntaxError, SpecValidationError, AddTheoError
 from .exprparse import parse_fraction
 from .poly import MPoly, divide_exact, rem_monic
-from .resultants import mgcd, resultant
+from .resultants import content_and_primitive, mgcd, resultant
 
 Q = Fraction
 
@@ -58,7 +58,6 @@ def curve_polynomial(g2: Fraction, g3: Fraction, variables=("p", "q")) -> MPoly:
 @dataclass(frozen=True)
 class OrderData:
     nu: int
-    m: int = 1
 
 
 @dataclass(frozen=True)
@@ -238,11 +237,6 @@ def _minimal_uniformizer(num: MPoly, den: MPoly, mu):
 # ----------------------------------------------------------------------
 
 
-def branch_count(spec: FuncSpec) -> int:
-    """All supported descriptions are single valued functions of u."""
-    return 1
-
-
 def order(spec: FuncSpec) -> OrderData:
     """The order nu: how many incongruent arguments map to a generic value.
 
@@ -260,7 +254,7 @@ def order(spec: FuncSpec) -> OrderData:
             f"order mismatch: symbolic {nu} vs numeric {nu_numeric} "
             "(kernel bug or degenerate spec)"
         )
-    return OrderData(nu=nu, m=branch_count(spec))
+    return OrderData(nu=nu)
 
 
 def _elliptic_order(spec: FuncSpec) -> int:
@@ -275,14 +269,7 @@ def _elliptic_order(spec: FuncSpec) -> int:
         curve = curve_polynomial(spec.g2, spec.g3).embed(ring)
         res = resultant(a, curve, "q")
     # discard content independent of the generic value symbol
-    coeffs = [cf for cf in res.coeffs_in("c") if not cf.is_zero()]
-    content = coeffs[0]
-    for cf in coeffs[1:]:
-        if content.is_constant():
-            break
-        content = mgcd(content, cf)
-    if not content.is_constant():
-        res = divide_exact(res, content)
+    _, res = content_and_primitive(res, "c")
     return res.degree_in("p")
 
 

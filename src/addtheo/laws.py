@@ -25,17 +25,16 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .derive import AdditionTheorem, derive_addition_theorem, select_vanishing_factors
-from .errors import AddTheoError, DegreeLawError, PruningError, VerificationError
-from .factor import factor, factor_univariate_q
+from .derive import AdditionTheorem, certify, derive_addition_theorem, graph_factor
+from .errors import AddTheoError, DegreeLawError, PruningError, SamplingError
+from .factor import factor_univariate_q
 from .unipoly import q_divmod as _q_divmod
 from .funcspec import FuncSpec, FunctionClass, curve_polynomial, order
-from .numeric import EvalConfig, class_tolerance, phi_eval, relative_residual
+from .numeric import EvalConfig, class_tolerance, guarded, in_window, phi_eval, sample
 from .poly import MPoly, rem_monic
 from .resultants import resultant
 
@@ -410,37 +409,6 @@ def degree_report(spec: FuncSpec, theorem: AdditionTheorem | None = None) -> Deg
 # ----------------------------------------------------------------------
 
 
-def _constrained_samples(spec: FuncSpec, n: int, cfg: EvalConfig, salt: int):
-    """Quadruples phi(u), phi(v), phi(w), phi(t) with u + v = w + t."""
-    lo, hi = cfg.sample_radius
-    points = []
-    attempts = 0
-    i = 0
-    while len(points) < n:
-        rng = random.Random(f"{cfg.seed}:{salt}:{i}")
-        i += 1
-        attempts += 1
-        if attempts > 200 * n + 2000:
-            raise AddTheoError("constrained sampling kept hitting poles")
-        draws = []
-        for _ in range(3):
-            r = lo + (hi - lo) * rng.random()
-            theta = 2 * cmath.pi * rng.random()
-            draws.append(r * cmath.exp(1j * theta))
-        u, v, w = draws
-        t = u + v - w
-        if not (lo <= abs(t) <= hi):
-            continue
-        try:
-            vals = [phi_eval(spec, arg, cfg) for arg in (u, v, w, t)]
-        except AddTheoError:
-            continue
-        if any(abs(val) > cfg.pole_guard for val in vals):
-            continue
-        points.append({"x1": vals[0], "x2": vals[1], "x3": vals[2], "x4": vals[3]})
-    return points
-
-
 def k_relation(
     theorem: AdditionTheorem,
     spec: FuncSpec,
@@ -463,17 +431,20 @@ def k_relation(
     if eliminant.is_zero():
         raise PruningError("K eliminant vanished identically")
     eliminant = eliminant.restrict(("x4", "x3", "x2", "x1"))
-    candidates = [f for f, _ in factor(eliminant)]
-    points = _constrained_samples(spec, 120, cfg, salt=301)
-    survivors = select_vanishing_factors(candidates, points, cfg.tol)
-    if len(survivors) > 1:
-        points2 = _constrained_samples(spec, 240, cfg, salt=302)
-        survivors = select_vanishing_factors(survivors, points2, cfg.tol * 1e-2)
-        if len(survivors) != 1:
-            raise PruningError("ambiguous pruning of the K-relation")
-    if not survivors:
-        raise PruningError("no K-relation factor vanished on constrained samples")
-    K = survivors[0]
+
+    def draw(n, k):
+        """Quadruples phi(u), phi(v), phi(w), phi(t) with u + v = w + t."""
+
+        def point(u, v, w):
+            t = u + v - w
+            if not in_window(t, cfg):
+                return None
+            vals = [phi_eval(spec, arg, cfg) for arg in (u, v, w, t)]
+            return dict(zip(("x1", "x2", "x3", "x4"), vals)) if guarded(cfg, *vals) else None
+
+        return sample(n, cfg, 300 + k, 3, point)
+
+    K = graph_factor(eliminant, draw, cfg.tol, "K-relation factor")
     degrees = tuple(K.degree_in(n) for n in ("x1", "x2", "x3", "x4"))
     if len(set(degrees)) != 1:
         raise DegreeLawError(f"K degrees differ across variables: {degrees}")
@@ -486,12 +457,7 @@ def k_relation(
             f"(nu={nu}, lambda={lam}); the verified relation has "
             f"{len(K.terms)} terms"
         )
-    fresh = _constrained_samples(spec, verify_samples, cfg, salt=303)
-    max_res = max(relative_residual(K, pt) for pt in fresh)
-    if max_res >= cfg.tol:
-        raise VerificationError(
-            f"K residual {max_res:.3e} exceeds tolerance {cfg.tol:.1e}"
-        )
+    max_res = certify(K, draw(verify_samples, 3), cfg.tol, "K")
     return KRelation(
         K=K,
         degrees=degrees,
@@ -516,27 +482,16 @@ def _alpha_residual(spec_a, spec_b, alpha, cfg, n=20):
     r_hi = hi / max(1.0, mag)
     if r_lo >= r_hi:
         return None
-    worst = 0.0
-    produced = 0
-    i = 0
-    while produced < n and i < 40 * n:
-        rng = random.Random(f"{cfg.seed}:401:{i}")
-        i += 1
-        r = r_lo + (r_hi - r_lo) * rng.random()
-        theta = 2 * cmath.pi * rng.random()
-        u = r * cmath.exp(1j * theta)
-        try:
-            fa = phi_eval(spec_a, alpha * u, cfg)
-            fb = phi_eval(spec_b, u, cfg)
-        except AddTheoError:
-            continue
-        if abs(fa) > cfg.pole_guard or abs(fb) > cfg.pole_guard:
-            continue
-        worst = max(worst, abs(fa - fb))
-        produced += 1
-    if produced < n:
+
+    def point(u):
+        fa = phi_eval(spec_a, alpha * u, cfg)
+        fb = phi_eval(spec_b, u, cfg)
+        return abs(fa - fb) if guarded(cfg, fa, fb) else None
+
+    try:
+        return max(sample(n, cfg, 401, 1, point, radius=(r_lo, r_hi)))
+    except SamplingError:
         return None
-    return worst
 
 
 def _local_order_and_coeff(spec, cfg, eps=0.06):

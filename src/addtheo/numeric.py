@@ -120,52 +120,70 @@ def phi_eval(spec: FuncSpec, u: complex, cfg: EvalConfig) -> complex:
     return spec.numerator.evaluate(point) / den
 
 
-def _draw(rng, cfg: EvalConfig) -> complex:
-    lo, hi = cfg.sample_radius
+def _draw(rng, lo: float, hi: float) -> complex:
     r = lo + (hi - lo) * rng.random()
     theta = 2 * cmath.pi * rng.random()
     return r * cmath.exp(1j * theta)
 
 
-def sample_graph(spec: FuncSpec, n: int, cfg: EvalConfig, salt: int = 0):
-    """Draw n deterministic samples (u, v, phi(u), phi(v), phi(u+v)).
+def in_window(s: complex, cfg: EvalConfig) -> bool:
+    """True when |s| lies in the configured sampling radius window."""
+    lo, hi = cfg.sample_radius
+    return lo <= abs(s) <= hi
 
-    Each index derives its own random stream from (seed, salt, index), so the
-    sample list is independent of evaluation order.  Draws whose sum leaves
-    the radius window, or that land near poles, are rejected and retried; a
-    rejection rate above 99% is reported as an error.
+
+def guarded(cfg: EvalConfig, *values) -> bool:
+    """The pole-guard test: True when every value stays within the guard."""
+    return all(abs(v) <= cfg.pole_guard for v in values)
+
+
+def sample(n: int, cfg: EvalConfig, salt: int, arity: int, point, radius=None):
+    """Draw n deterministic points, each built as point(*draws) from `arity`
+    complex arguments drawn in the radius window (cfg.sample_radius unless
+    `radius` is given).
+
+    Index i draws from its own stream seeded by (seed, salt, i), so the list
+    does not depend on evaluation order.  point rejects a draw by returning
+    None or raising AddTheoError, and the index then draws again from its
+    stream; more than 100*n + 1000 draws in all raise SamplingError.
     """
     if n < 1:
         raise AddTheoError("sample count must be positive")
-    lo, hi = cfg.sample_radius
-    samples = []
-    attempts = 0
+    lo, hi = radius or cfg.sample_radius
+    out = []
     budget = 100 * n + 1000
     for i in range(n):
         rng = random.Random(f"{cfg.seed}:{salt}:{i}")
         while True:
-            attempts += 1
-            if attempts > budget:
+            budget -= 1
+            if budget < 0:
                 raise SamplingError("spec has dense poles in sampling window")
-            u = _draw(rng, cfg)
-            v = _draw(rng, cfg)
-            s = u + v
-            if not (lo <= abs(s) <= hi):
-                continue
-            if abs(u - v) < 1e-3:
-                continue
+            draws = [_draw(rng, lo, hi) for _ in range(arity)]
             try:
-                x = phi_eval(spec, u, cfg)
-                y = phi_eval(spec, v, cfg)
-                z = phi_eval(spec, s, cfg)
+                pt = point(*draws)
             except AddTheoError:
                 continue
-            guard = cfg.pole_guard
-            if abs(x) > guard or abs(y) > guard or abs(z) > guard:
-                continue
-            samples.append(GraphSample(u=u, v=v, x=x, y=y, z=z))
-            break
-    return samples
+            if pt is not None:
+                out.append(pt)
+                break
+    return out
+
+
+def sample_graph(spec: FuncSpec, n: int, cfg: EvalConfig, salt: int = 0):
+    """Draw n deterministic samples (u, v, phi(u), phi(v), phi(u+v)).
+
+    Draws whose sum leaves the radius window, whose arguments nearly
+    coincide, or that land near poles are rejected.
+    """
+
+    def point(u, v):
+        s = u + v
+        if not in_window(s, cfg) or abs(u - v) < 1e-3:
+            return None
+        x, y, z = (phi_eval(spec, arg, cfg) for arg in (u, v, s))
+        return GraphSample(u=u, v=v, x=x, y=y, z=z) if guarded(cfg, x, y, z) else None
+
+    return sample(n, cfg, salt, 2, point)
 
 
 def relative_residual(poly, point) -> float:

@@ -264,13 +264,7 @@ class MPoly:
         """Scale to integer coefficients, content 1, positive leading term."""
         if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no canonical form")
-        den_lcm = 1
-        for c in self.terms.values():
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-        num_gcd = 0
-        for c in self.terms.values():
-            num_gcd = _int_gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-        scale = Q(den_lcm, num_gcd)
+        scale = 1 / self.content()
         if self.terms[self.leading_monomial()] < 0:
             scale = -scale
         return MPoly(

@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction as Q
 
 from addtheo.errors import ExprSyntaxError, SpecValidationError
-from addtheo.funcspec import FunctionClass, branch_count, make_spec, order, parse_spec
+from addtheo.funcspec import FunctionClass, make_spec, order, parse_spec
 from addtheo.poly import MPoly
 
 from conftest import spec_text
@@ -122,9 +122,3 @@ def test_order_moebius_invariance():
             g3=spec.g3,
         )
         assert order(shifted).nu == base
-
-
-def test_branch_count_fixed():
-    assert branch_count(parse_spec("class: rational\nphi: (u^2+1)/u\n")) == 1
-    assert branch_count(parse_spec("class: exp\nphi: t\n")) == 1
-    assert branch_count(parse_spec("class: elliptic\ng2: 4\ng3: 0\nphi: p\n")) == 1

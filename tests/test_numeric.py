@@ -4,8 +4,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from addtheo.errors import AddTheoError
+from addtheo import cli
+from addtheo.derive import derivative_relation
+from addtheo.errors import AddTheoError, SamplingError
 from addtheo.funcspec import parse_spec
+from addtheo.laws import k_relation
 from addtheo.numeric import (
     EvalConfig,
     class_tolerance,
@@ -116,6 +119,21 @@ def test_elliptic_samples_respect_guard():
     spec = parse_spec("class: elliptic\ng2: 4\ng3: 1\nphi: p\n")
     for s in sample_graph(spec, 30, CFG):
         assert max(abs(s.x), abs(s.y), abs(s.z)) <= CFG.pole_guard
+
+
+@pytest.mark.parametrize("sampler", ["sample_graph", "k_relation", "derivative_relation"])
+def test_rejecting_every_draw_raises_sampling_error(sampler, theorems):
+    exp_t = "class: exp\nphi: t\n"
+    spec = parse_spec(exp_t)
+    guard_all = EvalConfig(pole_guard=1e-30)
+    calls = {
+        "sample_graph": lambda: sample_graph(spec, 20, guard_all),
+        "k_relation": lambda: k_relation(theorems(exp_t), spec, guard_all),
+        "derivative_relation": lambda: derivative_relation(spec, guard_all),
+    }
+    with pytest.raises(SamplingError):
+        calls[sampler]()
+    assert SamplingError in cli._DEGENERATE_ERRORS  # "degeneracy", exit 3
 
 
 def test_relative_residual_scales():
