@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .derive import derive_addition_theorem, eliminate, reduce_f_to_g
+from .derive import check_degree_law, derive_addition_theorem, eliminate, prune, reduce_f_to_g
 from .errors import (
     AddTheoError,
     DegenerateEliminationError,
@@ -75,10 +75,10 @@ def _fmt_complex(z: complex) -> str:
 def cmd_derive(args):
     spec = _load_spec(args.spec)
     cfg = _config(spec, args)
+    raw = eliminate(spec)
     if args.trace:
-        raw = eliminate(spec)
         print(f"trace (non-contractual): eliminant = {raw.to_text()}", file=sys.stderr)
-    theorem = derive_addition_theorem(spec, cfg, verify_samples=args.samples)
+    theorem = check_degree_law(prune(raw, spec, cfg, verify_samples=args.samples), spec)
     lines = [theorem.G.to_text()]
     return lines, {"theorem": theorem.to_json_dict()}
 

@@ -16,6 +16,10 @@ the eliminated symbol (ties: fewer terms, then canonical order); every other
 involved relation is first reduced modulo the pivot when that is degree-safe,
 then replaced by its resultant with the pivot.  Both operations stay inside
 the ideal of the relations, so every intermediate still vanishes on the graph.
+On the last symbol only the pivot's cheapest partner (same key) is eliminated,
+and that one result is the raw eliminant: the graph ideal in Q[x, y, z] is
+principal, generated by the irreducible G, so G divides any nonzero eliminant
+(docs/decisions.md section 3).
 """
 
 from __future__ import annotations
@@ -137,18 +141,59 @@ def _tidy(p: MPoly) -> MPoly:
     return p.canonicalize()
 
 
-def fold_eliminate(relations, elim_order):
+def _pivot_key(sym):
+    return lambda r: (r.degree_in(sym), len(r.terms), r.sort_key())
+
+
+def _pivot_eliminant(r, pivot, monic_pivot, sym):
+    """r with sym eliminated against the pivot, or None for a multiple of it."""
+    if monic_pivot is not None:
+        r = rem_monic(r, monic_pivot, sym)
+        if r.is_zero():
+            return None  # a multiple of the pivot adds no constraint
+        res = r if not r.uses(sym) else resultant(r, pivot, sym)
+    else:
+        res = resultant(r, pivot, sym)
+    if res.is_zero():
+        raise DegenerateEliminationError(
+            f"degenerate elimination: common factor eliminating {sym} "
+            f"between [{r.to_text()}] and [{pivot.to_text()}]"
+        )
+    res = _tidy(res)
+    if res.is_constant():
+        raise DegenerateEliminationError(
+            f"elimination of {sym} produced a nonzero constant"
+        )
+    return res
+
+
+def _monic(pivot, sym):
+    """The monic multiple of the pivot in sym, or None when its leading
+    coefficient is not constant (relations are then not reduced first)."""
+    lc = pivot.coeffs_in(sym)[-1]
+    return pivot * (1 / lc.constant_value()) if lc.is_constant() else None
+
+
+def fold_eliminate(relations, elim_order) -> MPoly:
     """Eliminate the listed symbols by iterated resultants with pivoting.
 
-    Returns the surviving relations (free of all eliminated symbols).  Every
-    input must vanish identically on the parametrized graph, which makes each
-    resultant, being in the ideal of its two arguments, vanish there too.
-    When the pivot's leading coefficient in the symbol is constant, relations
-    are first reduced modulo the pivot, which keeps degrees in the remaining
-    symbols from compounding.
+    Returns one eliminant: a non-constant relation free of all eliminated
+    symbols.  Every input must vanish identically on the parametrized graph,
+    which makes each resultant, being in the ideal of its two arguments,
+    vanish there too.  When the pivot's leading coefficient in the symbol is
+    constant, relations are first reduced modulo the pivot, which keeps
+    degrees in the remaining symbols from compounding.
+
+    Every symbol but the last is eliminated from every relation.  On the
+    last symbol the non-constant relations are taken in pivot-key order: a
+    relation already free of the symbol is returned as it is; otherwise the
+    first partner of the pivot that is not a multiple of it is eliminated
+    against the pivot and that one result is returned.  A zero or constant
+    result raises DegenerateEliminationError; no later partner is tried.
     """
+    *steps, last = elim_order
     rels = list(relations)
-    for sym in elim_order:
+    for sym in steps:
         involved = [r for r in rels if r.uses(sym)]
         rest = [r for r in rels if not r.uses(sym)]
         if not involved:
@@ -157,36 +202,15 @@ def fold_eliminate(relations, elim_order):
             # a lone constraint projects away without trace
             rels = rest
             continue
-        pivot = min(
-            involved,
-            key=lambda r: (r.degree_in(sym), len(r.terms), r.sort_key()),
-        )
-        piv_lc = pivot.coeffs_in(sym)[-1]
-        monic_pivot = None
-        if piv_lc.is_constant():
-            monic_pivot = pivot * (1 / piv_lc.constant_value())
+        pivot = min(involved, key=_pivot_key(sym))
+        monic_pivot = _monic(pivot, sym)
         new = []
         for r in involved:
             if r is pivot:
                 continue
-            if monic_pivot is not None:
-                r = rem_monic(r, monic_pivot, sym)
-                if r.is_zero():
-                    continue  # a multiple of the pivot adds no constraint
-                res = r if not r.uses(sym) else resultant(r, pivot, sym)
-            else:
-                res = resultant(r, pivot, sym)
-            if res.is_zero():
-                raise DegenerateEliminationError(
-                    f"degenerate elimination: common factor eliminating {sym} "
-                    f"between [{r.to_text()}] and [{pivot.to_text()}]"
-                )
-            res = _tidy(res)
-            if res.is_constant():
-                raise DegenerateEliminationError(
-                    f"elimination of {sym} produced a nonzero constant"
-                )
-            new.append(res)
+            res = _pivot_eliminant(r, pivot, monic_pivot, sym)
+            if res is not None:
+                new.append(res)
         # drop duplicates, keep deterministic order
         merged = rest + new
         seen = set()
@@ -196,7 +220,16 @@ def fold_eliminate(relations, elim_order):
             if key not in seen:
                 seen.add(key)
                 rels.append(r)
-    return rels
+    rels = sorted((r for r in rels if not r.is_constant()), key=_pivot_key(last))
+    if rels and not rels[0].uses(last):
+        return rels[0]
+    if len(rels) > 1:
+        pivot, monic_pivot = rels[0], _monic(rels[0], last)
+        for r in rels[1:]:
+            res = _pivot_eliminant(r, pivot, monic_pivot, last)
+            if res is not None:
+                return res
+    raise DegenerateEliminationError("elimination consumed every relation")
 
 
 def _value_relations(spec: FuncSpec, ring):
@@ -223,11 +256,7 @@ def eliminate(spec: FuncSpec) -> MPoly:
     relations = _value_relations(spec, ring)
     relations.extend(r.embed(ring) for r in law.relations)
     final = fold_eliminate(relations, _ELIM_ORDER[spec.cls])
-    final = [r for r in final if not r.is_constant()]
-    if not final:
-        raise DegenerateEliminationError("elimination consumed every relation")
-    best = min(final, key=lambda r: r.sort_key())
-    return best.restrict(("x", "y", "z")).canonicalize()
+    return final.restrict(("x", "y", "z")).canonicalize()
 
 
 def graph_factor(eliminant: MPoly, draw, tol: float, what: str) -> MPoly:
@@ -291,8 +320,12 @@ def derive_addition_theorem(spec: FuncSpec, cfg: EvalConfig | None = None, verif
     """Derive, prune, verify, and degree-check the addition theorem."""
     if cfg is None:
         cfg = EvalConfig(tol=class_tolerance(spec))
-    eliminant = eliminate(spec)
-    theorem = prune(eliminant, spec, cfg, verify_samples)
+    return check_degree_law(prune(eliminate(spec), spec, cfg, verify_samples), spec)
+
+
+def check_degree_law(theorem: AdditionTheorem, spec: FuncSpec) -> AdditionTheorem:
+    """The theorem with nu, lambda0 and the predicted degree filled in, once its
+    degree matches the m*nu^2/lambda0 law."""
     from .laws import multiplier_group, predicted_degree
 
     nu = order(spec).nu
@@ -398,11 +431,7 @@ def derivative_relation(spec: FuncSpec, cfg: EvalConfig | None = None) -> MPoly:
         MPoly.var(ring, "x") * dpoly - n,
         MPoly.var(ring, "d") * w_den - w_num,
     ] + extra
-    final = fold_eliminate(relations, elim)
-    final = [r for r in final if not r.is_constant()]
-    if not final:
-        raise DegenerateEliminationError("derivative elimination consumed all relations")
-    best = min(final, key=lambda r: r.sort_key()).restrict(("x", "d"))
+    best = fold_eliminate(relations, elim).restrict(("x", "d"))
 
     def draw(n, k):
         def point(u):

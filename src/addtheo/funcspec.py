@@ -25,12 +25,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ExprSyntaxError, SpecValidationError, AddTheoError
 from .exprparse import parse_fraction
 from .poly import MPoly, divide_exact, rem_monic
-from .resultants import content_and_primitive, mgcd, resultant
+from .resultants import content_and_primitive, mgcd, resultant, squarefree_part
 
 Q = Fraction
 
@@ -240,9 +238,9 @@ def _minimal_uniformizer(num: MPoly, den: MPoly, mu):
 def order(spec: FuncSpec) -> OrderData:
     """The order nu: how many incongruent arguments map to a generic value.
 
-    Computed symbolically per class and cross-checked by counting preimages of
-    a random value numerically; a mismatch raises, since it signals either a
-    kernel bug or a degenerate description.
+    Computed symbolically per class and cross-checked by an exact count of the
+    distinct preimages of a random rational value; a mismatch raises, since it
+    signals either a kernel bug or a degenerate description.
     """
     if spec.cls in (FunctionClass.RATIONAL_OF_U, FunctionClass.RATIONAL_OF_EXP):
         nu = max(spec.numerator.total_degree(), spec.denominator.total_degree())
@@ -274,44 +272,18 @@ def _elliptic_order(spec: FuncSpec) -> int:
 
 
 def _numeric_order(spec: FuncSpec, seed=20260808) -> int:
+    """Exact count of the distinct preimages of a seeded random rational c0."""
     rng = random.Random(seed)
-    c0 = complex(rng.uniform(1.0, 2.0), rng.uniform(0.5, 1.5))
-    if spec.cls in (FunctionClass.RATIONAL_OF_U, FunctionClass.RATIONAL_OF_EXP):
-        name = spec.uniformizer[0]
-        deg = max(spec.numerator.total_degree(), spec.denominator.total_degree())
-        ncoef = [0j] * (deg + 1)
-        for m, coeff in spec.numerator.terms.items():
-            ncoef[m[0]] += complex(coeff)
-        for m, coeff in spec.denominator.terms.items():
-            ncoef[m[0]] -= c0 * complex(coeff)
-        roots = np.roots(ncoef[::-1])
-        count = 0
-        for r in roots:
-            nv = spec.numerator.evaluate({name: r})
-            dv = spec.denominator.evaluate({name: r})
-            if abs(nv - c0 * dv) < 1e-6 * max(1.0, abs(nv), abs(dv)):
-                count += 1
-        return count
-    # elliptic: count curve points (p, q) with phi(p, q) = c0
-    g2, g3 = complex(spec.g2), complex(spec.g3)
-    ring = ("p", "q", "c")
-    a = spec.numerator.embed(ring) - MPoly.var(ring, "c") * spec.denominator.embed(ring)
-    if a.degree_in("q") <= 0:
-        res = a * a
-    else:
-        curve = curve_polynomial(spec.g2, spec.g3).embed(ring)
-        res = resultant(a, curve, "q")
-    coeffs = res.coeffs_in("p")
-    poly = [cf.evaluate({"c": c0, "q": 0.0}) for cf in coeffs]
-    roots = np.roots(poly[::-1])
-    count = 0
-    for pv in roots:
-        f = 4 * pv**3 - g2 * pv - g3
-        qv = f**0.5
-        for sign in (1, -1):
-            nv = spec.numerator.evaluate({"p": pv, "q": sign * qv})
-            dv = spec.denominator.evaluate({"p": pv, "q": sign * qv})
-            if abs(nv - c0 * dv) < 1e-6 * max(1.0, abs(nv), abs(dv)):
-                count += 1
-                break
-    return count
+    c0 = Q(rng.randint(1, 10**6), rng.randint(1, 10**6))
+    a = spec.numerator - c0 * spec.denominator
+    if spec.cls is FunctionClass.ELLIPTIC:
+        if a.degree_in("q") <= 0:
+            # each root p0 carries the two curve points (p0, +-q0)
+            return 2 * _distinct_roots(a, "p")
+        a = resultant(a, curve_polynomial(spec.g2, spec.g3), "q")
+        return _distinct_roots(a, "p")
+    return _distinct_roots(a, spec.uniformizer[0])
+
+
+def _distinct_roots(p: MPoly, name: str) -> int:
+    return 0 if p.is_constant() else squarefree_part(p).degree_in(name)

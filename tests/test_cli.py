@@ -47,6 +47,32 @@ def test_derive_cosh_golden():
     assert proc.stdout == "2*x*y*z - z^2 - y^2 - x^2 + 1\n"
 
 
+def test_derive_trace_eliminates_once(monkeypatch, capsys):
+    import addtheo.cli as cli
+    from addtheo import derive
+
+    calls = []
+    real = derive.eliminate
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(cli, "eliminate", counting)
+    monkeypatch.setattr(derive, "eliminate", counting)
+    assert cli.main(["derive", spec_path("cosh.spec"), "--trace"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == "2*x*y*z - z^2 - y^2 - x^2 + 1\n"
+
+
+def test_derive_trace_stderr_and_identical_stdout():
+    plain = run_cli("derive", spec_path("cosh.spec"))
+    traced = run_cli("derive", spec_path("cosh.spec"), "--trace")
+    assert traced.stdout == plain.stdout
+    assert "trace (non-contractual): eliminant = 4*x^2*y^2*z^2 - " in traced.stderr
+    assert "trace" not in plain.stderr
+
+
 def test_derive_broken_spec_exit_2():
     proc = run_cli("derive", spec_path("broken.spec"), expect_code=2)
     assert "discriminant" in proc.stderr

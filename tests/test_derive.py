@@ -4,15 +4,18 @@ from fractions import Fraction as Q
 
 import pytest
 
+from addtheo import derive
 from addtheo.derive import (
     base_law,
     derivative_relation,
     derive_addition_theorem,
     eliminate,
+    fold_eliminate,
     prune,
     reduce_f_to_g,
 )
 from addtheo.errors import (
+    DegenerateEliminationError,
     DegenerateSpecializationError,
     DegreeLawError,
     PruningError,
@@ -30,6 +33,8 @@ from addtheo.numeric import (
     wp_prime_eval,
 )
 from addtheo.poly import MPoly, divide_exact
+
+from conftest import spec_text
 
 CFG = EvalConfig()
 
@@ -82,6 +87,106 @@ def test_eliminate_cosh_divisible_by_law():
     x, y, z = (MPoly.var(ring, n) for n in ("x", "y", "z"))
     g = (x**2 + y**2 + z**2 - 2 * x * y * z - 1).canonicalize()
     assert divide_exact(eliminant, g) is not None
+
+
+# raw eliminants (before pruning) of bundled specs, as `derive --trace`
+# prints them: the resultant of the last symbol's pivot with its cheapest
+# partner
+RAW_ELIMINANTS = {
+    "cosh.spec": (
+        "4*x^2*y^2*z^2 - 4*x*y*z^3 - 4*x*y^3*z - 4*x^3*y*z + z^4"
+        " + 2*y^2*z^2 + 2*x^2*z^2 + y^4 + 2*x^2*y^2 + x^4 + 4*x*y*z - 2*z^2"
+        " - 2*y^2 - 2*x^2 + 1"
+    ),
+    "mobius.spec": "x*y*z + y*z + x*z - 5*x*y - 8*z + 4*y + 4*x + 4",
+    "wp-generic.spec": (
+        "y^4*z^2 - 4*x*y^3*z^2 + 6*x^2*y^2*z^2 - 4*x^3*y*z^2 + x^4*z^2"
+        " - 2*x*y^4*z + 2*x^2*y^3*z + 2*x^3*y^2*z - 2*x^4*y*z + x^2*y^4"
+        " - 2*x^3*y^3 + x^4*y^2 + 2*y^3*z - 2*x*y^2*z - 2*x^2*y*z + 2*x^3*z"
+        " + 2*x*y^3 - 4*x^2*y^2 + 2*x^3*y + y^2*z - 2*x*y*z + x^2*z + y^3"
+        " - x*y^2 - x^2*y + x^3 + y^2 - 2*x*y + x^2"
+    ),
+    "wp-squared.spec": (
+        "y^8*z^4 - 8*x*y^7*z^4 + 28*x^2*y^6*z^4 - 56*x^3*y^5*z^4"
+        " + 70*x^4*y^4*z^4 - 56*x^5*y^3*z^4 + 28*x^6*y^2*z^4 - 8*x^7*y*z^4"
+        " + x^8*z^4 - 4*x*y^8*z^3 - 108*x^2*y^7*z^3 + 348*x^3*y^6*z^3"
+        " - 236*x^4*y^5*z^3 - 236*x^5*y^4*z^3 + 348*x^6*y^3*z^3"
+        " - 108*x^7*y^2*z^3 - 4*x^8*y*z^3 + 6*x^2*y^8*z^2 - 148*x^3*y^7*z^2"
+        " + 538*x^4*y^6*z^2 - 792*x^5*y^5*z^2 + 538*x^6*y^4*z^2"
+        " - 148*x^7*y^3*z^2 + 6*x^8*y^2*z^2 - 4*x^3*y^8*z + 12*x^4*y^7*z"
+        " - 8*x^5*y^6*z - 8*x^6*y^5*z + 12*x^7*y^4*z - 4*x^8*y^3*z"
+        " + x^4*y^8 - 4*x^5*y^7 + 6*x^6*y^6 - 4*x^7*y^5 + x^8*y^4"
+        " + 112*x*y^7*z^3 - 160*x^2*y^6*z^3 - 368*x^3*y^5*z^3"
+        " + 832*x^4*y^4*z^3 - 368*x^5*y^3*z^3 - 160*x^6*y^2*z^3"
+        " + 112*x^7*y*z^3 + 288*x^2*y^7*z^2 - 864*x^3*y^6*z^2"
+        " + 576*x^4*y^5*z^2 + 576*x^5*y^4*z^2 - 864*x^6*y^3*z^2"
+        " + 288*x^7*y^2*z^2 + 112*x^3*y^7*z - 448*x^4*y^6*z + 672*x^5*y^5*z"
+        " - 448*x^6*y^4*z + 112*x^7*y^3*z - 4*y^7*z^3 - 108*x*y^6*z^3"
+        " + 348*x^2*y^5*z^3 - 236*x^3*y^4*z^3 - 236*x^4*y^3*z^3"
+        " + 348*x^5*y^2*z^3 - 108*x^6*y*z^3 - 4*x^7*z^3 - 124*x*y^7*z^2"
+        " + 72*x^2*y^6*z^2 + 828*x^3*y^5*z^2 - 1552*x^4*y^4*z^2"
+        " + 828*x^5*y^3*z^2 + 72*x^6*y^2*z^2 - 124*x^7*y*z^2"
+        " - 124*x^2*y^7*z + 372*x^3*y^6*z - 248*x^4*y^5*z - 248*x^5*y^4*z"
+        " + 372*x^6*y^3*z - 124*x^7*y^2*z - 4*x^3*y^7 + 16*x^4*y^6"
+        " - 24*x^5*y^5 + 16*x^6*y^4 - 4*x^7*y^3 + 288*x*y^6*z^2"
+        " - 864*x^2*y^5*z^2 + 576*x^3*y^4*z^2 + 576*x^4*y^3*z^2"
+        " - 864*x^5*y^2*z^2 + 288*x^6*y*z^2 + 288*x^2*y^6*z"
+        " - 1152*x^3*y^5*z + 1728*x^4*y^4*z - 1152*x^5*y^3*z"
+        " + 288*x^6*y^2*z + 6*y^6*z^2 - 148*x*y^5*z^2 + 538*x^2*y^4*z^2"
+        " - 792*x^3*y^3*z^2 + 538*x^4*y^2*z^2 - 148*x^5*y*z^2 + 6*x^6*z^2"
+        " - 124*x*y^6*z + 372*x^2*y^5*z - 248*x^3*y^4*z - 248*x^4*y^3*z"
+        " + 372*x^5*y^2*z - 124*x^6*y*z + 6*x^2*y^6 - 24*x^3*y^5"
+        " + 36*x^4*y^4 - 24*x^5*y^3 + 6*x^6*y^2 + 112*x*y^5*z"
+        " - 448*x^2*y^4*z + 672*x^3*y^3*z - 448*x^4*y^2*z + 112*x^5*y*z"
+        " - 4*y^5*z + 12*x*y^4*z - 8*x^2*y^3*z - 8*x^3*y^2*z + 12*x^4*y*z"
+        " - 4*x^5*z - 4*x*y^5 + 16*x^2*y^4 - 24*x^3*y^3 + 16*x^4*y^2"
+        " - 4*x^5*y + y^4 - 4*x*y^3 + 6*x^2*y^2 - 4*x^3*y + x^4"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_ELIMINANTS))
+def test_raw_eliminant_golden(name):
+    assert eliminate(parse_spec(spec_text(name))).to_text() == RAW_ELIMINANTS[name]
+
+
+def _last_step_relations():
+    ring = ("x", "y", "s")
+    x, y, s = (MPoly.var(ring, n) for n in ring)
+    # the pivot's leading coefficient x is not constant, so every partner
+    # needs a resultant
+    return x, y, s, x * s - 1
+
+
+def _count_resultants(monkeypatch):
+    calls = []
+    real = derive.resultant
+
+    def counting(a, b, name):
+        calls.append((a, b, name))
+        return real(a, b, name)
+
+    monkeypatch.setattr(derive, "resultant", counting)
+    return calls, real
+
+
+def test_last_step_computes_only_the_cheapest_resultant(monkeypatch):
+    x, y, s, pivot = _last_step_relations()
+    cheap = s**2 - y
+    costly = s**3 + s - x * y
+    calls, real = _count_resultants(monkeypatch)
+    eliminant = fold_eliminate([costly, pivot, cheap], ("s",))
+    assert calls == [(cheap, pivot, "s")]
+    assert eliminant == real(cheap, pivot, "s").canonicalize()
+
+
+def test_last_step_degenerate_pair_raises_without_fallback(monkeypatch):
+    x, y, s, pivot = _last_step_relations()
+    shared = (x * s - 1) * (s + y)  # the cheapest partner shares the pivot
+    calls, _ = _count_resultants(monkeypatch)
+    with pytest.raises(DegenerateEliminationError, match="common factor eliminating s"):
+        fold_eliminate([s**3 - y, pivot, shared], ("s",))
+    assert len(calls) == 1
 
 
 def test_prune_drops_wrong_branch():

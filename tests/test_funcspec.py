@@ -1,11 +1,15 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from fractions import Fraction as Q
 
 from addtheo.errors import ExprSyntaxError, SpecValidationError
-from addtheo.funcspec import FunctionClass, make_spec, order, parse_spec
+from addtheo.funcspec import FunctionClass, _numeric_order, make_spec, order, parse_spec
 from addtheo.poly import MPoly
 
-from conftest import spec_text
+from conftest import SRC, spec_text
 
 
 def test_parse_exp_clears_inner_fraction():
@@ -122,3 +126,35 @@ def test_order_moebius_invariance():
             g3=spec.g3,
         )
         assert order(shifted).nu == base
+
+
+BUNDLED_NU = {
+    "cos.spec": 2,
+    "cosh.spec": 2,
+    "exp-t.spec": 1,
+    "mobius.spec": 1,
+    "rational-u.spec": 1,
+    "rational-u2.spec": 2,
+    "rational-u3.spec": 3,
+    "wp-generic.spec": 2,
+    "wp-lemniscatic.spec": 2,
+    "wp-prime.spec": 3,
+    "wp-squared.spec": 4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_NU))
+def test_preimage_count_matches_order(name):
+    spec = parse_spec(spec_text(name))
+    assert _numeric_order(spec) == order(spec).nu == BUNDLED_NU[name]
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, addtheo.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
