@@ -142,7 +142,7 @@ def _tidy(p: MPoly) -> MPoly:
 
 
 def _pivot_key(sym):
-    return lambda r: (r.degree_in(sym), len(r.terms), r.sort_key())
+    return lambda r: (r.degree_in(sym), len(r), r.sort_key())
 
 
 def _pivot_eliminant(r, pivot, monic_pivot, sym):

@@ -51,3 +51,7 @@ class DegreeLawError(AddTheoError):
 
 class SamplingError(AddTheoError):
     """The sampling window rejected almost every draw."""
+
+
+class MonomialOverflowError(AddTheoError):
+    """A monomial's total degree does not fit its packed field."""

@@ -397,35 +397,6 @@ def _point_candidates(names, rng):
         i += 1
 
 
-def _others_degree(p: MPoly, main_idx: int) -> int:
-    if p.is_zero():
-        return -1
-    return max(sum(m) - m[main_idx] for m in p.terms)
-
-
-def _mul_trunc(a: MPoly, b: MPoly, main_idx: int, bound: int) -> MPoly:
-    """Product with terms of others-degree > bound dropped."""
-    res = {}
-    for m1, c1 in a.terms.items():
-        d1 = sum(m1) - m1[main_idx]
-        if d1 > bound:
-            continue
-        for m2, c2 in b.terms.items():
-            if d1 + sum(m2) - m2[main_idx] > bound:
-                continue
-            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-            s = res.get(m)
-            if s is None:
-                res[m] = c1 * c2
-            else:
-                s = s + c1 * c2
-                if s:
-                    res[m] = s
-                else:
-                    del res[m]
-    return MPoly(a.variables, res, _clean=False)
-
-
 def factor(p: MPoly, seed=_FACTOR_SEED):
     """Complete factorization into canonical irreducibles over Q.
 
@@ -465,15 +436,14 @@ def _factor_squarefree(g: MPoly, seed=_FACTOR_SEED):
             _uni_to_mpoly(f, g.variables, name).canonicalize() for f in factors
         ]
     main = occ[-1]
-    main_idx = g.variables.index(main)
     others = occ[:-1]
-    rng = random.Random(f"{seed}:multivar:{len(g.terms)}")
+    rng = random.Random(f"{seed}:multivar:{len(g)}")
 
     for attempt in range(24):
         work, undo_shear = _shear_to_constant_lc(g, main, others, attempt)
         if work is None:
             continue
-        found = _try_factor_monic(work, main, main_idx, others, rng, seed)
+        found = _try_factor_monic(work, main, others, rng, seed)
         if found is None:
             continue
         result = []
@@ -510,7 +480,7 @@ def _shear_to_constant_lc(g: MPoly, main, others, attempt):
     return work, undo
 
 
-def _try_factor_monic(work: MPoly, main, main_idx, others, rng, seed):
+def _try_factor_monic(work: MPoly, main, others, rng, seed):
     """Factor a polynomial whose main-variable leading coefficient is
     constant.  Returns non-constant factors of `work`, or None to retry."""
     n = work.degree_in(main)
@@ -529,20 +499,21 @@ def _try_factor_monic(work: MPoly, main, main_idx, others, rng, seed):
         shift = {w: MPoly.var(work.variables, w) + point[w] for w in others}
         unshift = {w: MPoly.var(work.variables, w) - point[w] for w in others}
         shifted = monic.substitute(shift)
-        prec = _others_degree(shifted, main_idx)
-        lifted = _lift_factors(shifted, base_factors, main, main_idx, prec)
+        prec = shifted.others_degree(main)
+        lifted = _lift_factors(shifted, base_factors, main, prec)
         if lifted is None:
             continue
-        combos = _recombine_multivar(shifted, lifted, main_idx, prec)
+        combos = _recombine_multivar(shifted, lifted, main, prec)
         if combos is None:
             continue
         return [f.substitute(unshift) for f in combos]
     return None
 
 
-def _lift_factors(shifted: MPoly, base_factors, main, main_idx, prec):
+def _lift_factors(shifted: MPoly, base_factors, main, prec):
     """Hensel lift monic univariate factors to truncated series factors."""
     variables = shifted.variables
+    main_idx = variables.index(main)
     monics = []
     for f in base_factors:
         inv = Q(1) / Q(f[-1])
@@ -561,10 +532,10 @@ def _lift_factors(shifted: MPoly, base_factors, main, main_idx, prec):
     for level in range(1, prec + 1):
         prod = MPoly.const(variables, 1)
         for f in lifted:
-            prod = _mul_trunc(prod, f, main_idx, level)
+            prod = prod.mul_trunc(f, main, level)
         err = shifted - prod
         groups = {}
-        for m, c in err.terms.items():
+        for m, c in err.items():
             d = sum(m) - m[main_idx]
             if d != level:
                 continue
@@ -581,11 +552,11 @@ def _lift_factors(shifted: MPoly, base_factors, main, main_idx, prec):
                     if c:
                         mono = key[:main_idx] + (deg,) + key[main_idx + 1 :]
                         add[mono] = c
-                lifted[i] = lifted[i] + MPoly(variables, add, _clean=False)
+                lifted[i] = lifted[i] + MPoly(variables, add)
     return lifted
 
 
-def _recombine_multivar(shifted: MPoly, lifted, main_idx, prec):
+def _recombine_multivar(shifted: MPoly, lifted, main, prec):
     out = []
     remaining = shifted
     idxs = list(range(len(lifted)))
@@ -595,7 +566,7 @@ def _recombine_multivar(shifted: MPoly, lifted, main_idx, prec):
         for subset in itertools.combinations(idxs, size):
             cand = MPoly.const(shifted.variables, 1)
             for i in subset:
-                cand = _mul_trunc(cand, lifted[i], main_idx, prec)
+                cand = cand.mul_trunc(lifted[i], main, prec)
             quo = divide_exact(remaining, cand)
             if quo is not None:
                 out.append(cand)

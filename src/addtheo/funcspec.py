@@ -218,7 +218,7 @@ def _minimal_uniformizer(num: MPoly, den: MPoly, mu):
     """Rewrite t^k as t when every exponent is a multiple of k > 1."""
     exps = set()
     for poly in (num, den):
-        for mono in poly.terms:
+        for mono, _ in poly.items():
             exps.add(mono[0])
     k = 0
     for e in exps:
@@ -226,7 +226,7 @@ def _minimal_uniformizer(num: MPoly, den: MPoly, mu):
     if k <= 1:
         return num, den, mu
     def shrink(p):
-        return MPoly(p.variables, {(m[0] // k,): c for m, c in p.terms.items()})
+        return MPoly(p.variables, {(m[0] // k,): c for m, c in p.items()})
     return shrink(num), shrink(den), (mu[0] * k, mu[1] * k)
 
 
@@ -272,16 +272,26 @@ def _elliptic_order(spec: FuncSpec) -> int:
 
 
 def _numeric_order(spec: FuncSpec, seed=20260808) -> int:
-    """Exact count of the distinct preimages of a seeded random rational c0."""
+    """Exact count of the distinct preimages of a seeded random rational c0.
+
+    On the curve, a common zero of N and D is a root of N - c*D for every c
+    but no preimage (phi is 0/0 there), so its p-coordinate is divided out
+    through the gcd with the resultant at a second seeded value c1.
+    """
     rng = random.Random(seed)
-    c0 = Q(rng.randint(1, 10**6), rng.randint(1, 10**6))
+    c0, c1 = (Q(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(2))
     a = spec.numerator - c0 * spec.denominator
     if spec.cls is FunctionClass.ELLIPTIC:
         if a.degree_in("q") <= 0:
             # each root p0 carries the two curve points (p0, +-q0)
             return 2 * _distinct_roots(a, "p")
-        a = resultant(a, curve_polynomial(spec.g2, spec.g3), "q")
-        return _distinct_roots(a, "p")
+        curve = curve_polynomial(spec.g2, spec.g3)
+        a = resultant(a, curve, "q")
+        if a.is_constant():
+            return 0
+        roots = squarefree_part(a)
+        shared = mgcd(roots, resultant(spec.numerator - c1 * spec.denominator, curve, "q"))
+        return roots.degree_in("p") - shared.degree_in("p")
     return _distinct_roots(a, spec.uniformizer[0])
 
 

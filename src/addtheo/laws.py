@@ -161,7 +161,7 @@ class SameTheoremResult:
 def _exponent_diff_gcd(spec: FuncSpec) -> int:
     exps = []
     for poly in (spec.numerator, spec.denominator):
-        exps.extend(m[0] for m in poly.terms)
+        exps.extend(m[0] for m, _ in poly.items())
     base = exps[0]
     g = 0
     for e in exps[1:]:
@@ -174,8 +174,8 @@ def _exp_inversion_invariant(num: MPoly, den: MPoly) -> bool:
     ring = num.variables
     t = MPoly.var(ring, "t")
     dn, dd = num.total_degree(), den.total_degree()
-    rev_n = MPoly(ring, {(dn - m[0],): c for m, c in num.terms.items()})
-    rev_d = MPoly(ring, {(dd - m[0],): c for m, c in den.terms.items()})
+    rev_n = MPoly(ring, {(dn - m[0],): c for m, c in num.items()})
+    rev_d = MPoly(ring, {(dd - m[0],): c for m, c in den.items()})
     lhs = num * rev_d
     rhs = rev_n * den
     if dd >= dn:
@@ -188,7 +188,7 @@ def _exp_inversion_invariant(num: MPoly, den: MPoly) -> bool:
 def _elliptic_weight_gcd(spec: FuncSpec) -> int:
     weights = []
     for poly in (spec.numerator, spec.denominator):
-        for m in poly.terms:
+        for m, _ in poly.items():
             weights.append(2 * m[0] + 3 * m[1])
     base = weights[0]
     g = 0
@@ -267,10 +267,10 @@ def _exp_twisted_inversion(spec: FuncSpec, c_order: int) -> bool:
     dn = num.degree_in("t")
     dd = den.degree_in("t")
     tw_n = MPoly.zero(ring)
-    for m, coeff in spec.numerator.terms.items():
+    for m, coeff in spec.numerator.items():
         tw_n = tw_n + coeff * c ** m[0] * t ** (dn - m[0])
     tw_d = MPoly.zero(ring)
-    for m, coeff in spec.denominator.terms.items():
+    for m, coeff in spec.denominator.items():
         tw_d = tw_d + coeff * c ** m[0] * t ** (dd - m[0])
     lhs = num * tw_d
     rhs = tw_n * den
@@ -336,13 +336,13 @@ def _elliptic_substitution_invariant(spec: FuncSpec, k: int, j: int, minpoly) ->
         base = P - e  # p'' denominator; q'' uses its square
         exps = set()
         for poly in (spec.numerator, spec.denominator):
-            for m in poly.terms:
+            for m, _ in poly.items():
                 exps.add(m[0] + 2 * m[1])
         L = max(exps)
 
         def hat(src):
             acc = MPoly.zero(ring)
-            for m, coeff in src.terms.items():
+            for m, coeff in src.items():
                 a, b = m[0], m[1]
                 term = coeff * a1**a * a2**b * base ** (L - a - 2 * b)
                 acc = acc + term
@@ -463,7 +463,7 @@ def k_relation(
         raise DegreeLawError(
             f"K degrees {degrees} do not match m*nu^3/lambda = {expected} "
             f"(nu={nu}, lambda={lam}); the selected relation has "
-            f"{len(K.terms)} terms"
+            f"{len(K)} terms"
         )
     max_res = certify(K, draw(verify_samples, 3), cfg.tol, "K")
     return KRelation(

@@ -1,31 +1,41 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is a map from exponent tuples to nonzero Fractions over a fixed,
-ordered tuple of variable names.  The term order everywhere is graded
-lexicographic with the later-listed variable greater: terms are compared by
-total degree first, ties broken by the exponent of the last variable, then the
-second to last, and so on.  Canonical form means integer coefficients with
-content one and a positive leading coefficient under that order.
+A polynomial over a fixed, ordered tuple of variable names is a dict from
+packed monomials to nonzero ``int`` coefficients plus one positive ``int``
+common denominator ``den``, kept normalised so that ``gcd(den, all
+coefficients) == 1``: every integral polynomial has ``den == 1``, and equal
+polynomials have equal dicts.
 
+A monomial packs into one int of ``FIELD_BITS``-bit fields: the total degree
+in the top field, then the exponent of the last variable down to that of the
+first in the lowest.  The term order everywhere is graded lexicographic with
+the later-listed variable greater (total degree first, ties broken by the
+exponent of the last variable, then the second to last, and so on), which is
+plain int order on packed monomials; the monomial of a product is the sum of
+the two ints.  No exponent exceeds the total degree, so a product is safe when
+its total degree stays below ``2**FIELD_BITS``; one that would not raises
+``MonomialOverflowError`` instead of carrying into the next field.
+``docs/decisions.md`` §4 gives the layout and the exact-division argument.
+
+Outside this module a polynomial is read through ``items()``, which yields
+``(exponent tuple, Fraction)`` pairs, and ``len()``.  Canonical form means
+integer coefficients with content one and a positive leading coefficient.
 Values are immutable once built; every operation returns a new polynomial.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd, lcm
 
-from .errors import ZeroPolynomialError
+from .errors import MonomialOverflowError, ZeroPolynomialError
 
 Q = Fraction
 
-
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
+FIELD_BITS = 16
+_MASK = (1 << FIELD_BITS) - 1
+_DEGREE_LIMIT = 1 << FIELD_BITS
 
 
 def grlex_key(mono):
@@ -33,30 +43,80 @@ def grlex_key(mono):
     return (sum(mono), mono[::-1])
 
 
-class MPoly:
-    __slots__ = ("variables", "terms")
+def _check_degree(degree):
+    if degree >= _DEGREE_LIMIT:
+        raise MonomialOverflowError(
+            f"total degree {degree} does not fit a {FIELD_BITS}-bit monomial field"
+        )
 
-    def __init__(self, variables, terms=None, _clean=True):
+
+def _pack(mono) -> int:
+    key = sum(mono)
+    _check_degree(key)
+    for e in reversed(mono):
+        key = (key << FIELD_BITS) | e
+    return key
+
+
+def _unpack(key, n):
+    return tuple((key >> s) & _MASK for s in range(0, n * FIELD_BITS, FIELD_BITS))
+
+
+def _var_key(n, i) -> int:
+    """Packed monomial of the i-th of n variables."""
+    return (1 << (n * FIELD_BITS)) | (1 << (i * FIELD_BITS))
+
+
+def _ratio(value):
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    raise TypeError(f"coefficient must be rational, got {type(value).__name__}")
+
+
+def _normalise(terms, den):
+    """Divide packed terms over den by gcd(den, coefficients)."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {m: c // g for m, c in terms.items()}
+    return terms, den
+
+
+def _guard_product(n, a, b):
+    """Raise unless the product of two nonempty packed term dicts fits."""
+    top = n * FIELD_BITS
+    _check_degree((max(a) >> top) + (max(b) >> top))
+
+
+class MPoly:
+    __slots__ = ("variables", "terms", "den")
+
+    def __init__(self, variables, terms=None):
+        """Build from a dict {exponent tuple: int or Fraction}."""
         self.variables = tuple(variables)
-        if terms is None:
-            self.terms = {}
-        elif _clean:
-            nvars = len(self.variables)
-            clean = {}
-            for mono, coeff in terms.items():
-                mono = tuple(mono)
-                if len(mono) != nvars:
-                    raise ValueError("exponent tuple does not match variables")
-                if any(e < 0 for e in mono):
-                    raise ValueError("negative exponent")
-                coeff = _as_fraction(coeff)
-                if coeff:
-                    clean[mono] = clean.get(mono, Q(0)) + coeff
-                    if not clean[mono]:
-                        del clean[mono]
-            self.terms = clean
-        else:
-            self.terms = terms
+        n = len(self.variables)
+        given = []
+        for mono, coeff in (terms or {}).items():
+            mono = tuple(mono)
+            if len(mono) != n:
+                raise ValueError("exponent tuple does not match variables")
+            if any(e < 0 for e in mono):
+                raise ValueError("negative exponent")
+            given.append((_pack(mono), _ratio(coeff)))
+        den = lcm(*(d for _, (_, d) in given))
+        packed = {}
+        for key, (num, d) in given:
+            packed[key] = packed.get(key, 0) + num * (den // d)
+        self.terms, self.den = _normalise({m: c for m, c in packed.items() if c}, den)
+
+    @classmethod
+    def _new(cls, variables, terms, den=1) -> "MPoly":
+        """Wrap packed terms over den, dividing out gcd(den, coefficients)."""
+        p = object.__new__(cls)
+        p.variables = variables
+        p.terms, p.den = _normalise(terms, den)
+        return p
 
     # ------------------------------------------------------------------
     # constructors
@@ -64,90 +124,108 @@ class MPoly:
 
     @classmethod
     def zero(cls, variables) -> "MPoly":
-        return cls(variables, {}, _clean=False)
+        return cls._new(tuple(variables), {})
 
     @classmethod
     def const(cls, variables, value) -> "MPoly":
-        value = _as_fraction(value)
-        variables = tuple(variables)
-        if not value:
-            return cls.zero(variables)
-        mono = (0,) * len(variables)
-        return cls(variables, {mono: value}, _clean=False)
+        num, den = _ratio(value)
+        return cls._new(tuple(variables), {0: num} if num else {}, den if num else 1)
 
     @classmethod
     def var(cls, variables, name) -> "MPoly":
         variables = tuple(variables)
-        idx = variables.index(name)
-        mono = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {mono: Q(1)}, _clean=False)
+        return cls._new(variables, {_var_key(len(variables), variables.index(name)): 1})
 
     # ------------------------------------------------------------------
     # predicates and views
     # ------------------------------------------------------------------
 
+    def _shift(self, name) -> int:
+        return self.variables.index(name) * FIELD_BITS
+
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Q(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return Q(self.terms[0], self.den)
 
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(self.terms) >> (len(self.variables) * FIELD_BITS)
 
     def degree_in(self, name) -> int:
         if not self.terms:
             return -1
-        idx = self.variables.index(name)
-        return max(m[idx] for m in self.terms)
+        s = self._shift(name)
+        return max((m >> s) & _MASK for m in self.terms)
+
+    def others_degree(self, name) -> int:
+        """Largest total degree in the variables other than `name`."""
+        if not self.terms:
+            return -1
+        top, s = len(self.variables) * FIELD_BITS, self._shift(name)
+        return max((m >> top) - ((m >> s) & _MASK) for m in self.terms)
 
     def uses(self, name) -> bool:
-        idx = self.variables.index(name)
-        return any(m[idx] for m in self.terms)
+        s = self._shift(name)
+        return any((m >> s) & _MASK for m in self.terms)
 
     def used_variables(self):
-        used = [False] * len(self.variables)
+        occurring = 0
         for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used[i] = True
-        return tuple(v for v, u in zip(self.variables, used) if u)
+            occurring |= m
+        return tuple(
+            v for i, v in enumerate(self.variables)
+            if (occurring >> (i * FIELD_BITS)) & _MASK
+        )
 
     def leading_monomial(self):
         if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        return max(self.terms, key=grlex_key)
+        return _unpack(max(self.terms), len(self.variables))
 
     def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
+        if not self.terms:
+            raise ZeroPolynomialError("zero polynomial has no leading term")
+        return Q(self.terms[max(self.terms)], self.den)
+
+    def items(self):
+        """The terms as (exponent tuple, Fraction coefficient) pairs."""
+        n, den = len(self.variables), self.den
+        for m, c in self.terms.items():
+            yield _unpack(m, n), Q(c, den)
+
+    def __len__(self):
+        return len(self.terms)
 
     def sort_key(self):
         """Deterministic total-order key on polynomials (for tie breaks)."""
-        items = sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
-        return (
-            self.total_degree(),
-            len(self.terms),
-            tuple((m, c.numerator, c.denominator) for m, c in items),
-        )
+        n, den = len(self.variables), self.den
+        out = []
+        for m in sorted(self.terms):
+            c = self.terms[m]
+            g = gcd(c, den)
+            out.append((_unpack(m, n), c // g, den // g))
+        return (self.total_degree(), len(self.terms), tuple(out))
 
     def __eq__(self, other):
         return (
             isinstance(other, MPoly)
             and self.variables == other.variables
+            and self.den == other.den
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self.den, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -167,68 +245,90 @@ class MPoly:
                 f"variable mismatch: {self.variables} vs {other.variables}"
             )
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign*other for sign in (1, -1)."""
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(self.variables, other)
         self._check_same_ring(other)
-        res = dict(self.terms)
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, sign * (den // other.den)
+        res = dict(self.terms) if ka == 1 else {m: c * ka for m, c in self.terms.items()}
+        get = res.get
         for m, c in other.terms.items():
-            s = res.get(m)
-            if s is None:
-                res[m] = c
+            s = get(m, 0) + c * kb
+            if s:
+                res[m] = s
             else:
-                s = s + c
-                if s:
-                    res[m] = s
-                else:
-                    del res[m]
-        return MPoly(self.variables, res, _clean=False)
+                del res[m]
+        return MPoly._new(self.variables, res, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(
-            self.variables, {m: -c for m, c in self.terms.items()}, _clean=False
-        )
+        return MPoly._new(self.variables, {m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(self.variables, other)
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
+            num, den = _ratio(other)
+            if not num:
                 return MPoly.zero(self.variables)
-            return MPoly(
-                self.variables,
-                {m: k * c for m, k in self.terms.items()},
-                _clean=False,
-            )
+            terms = self.terms if num == 1 else {m: k * num for m, k in self.terms.items()}
+            return MPoly._new(self.variables, terms, self.den * den)
         self._check_same_ring(other)
         a, b = self.terms, other.terms
+        if not a or not b:
+            return MPoly.zero(self.variables)
         if len(a) < len(b):
             a, b = b, a
+        _guard_product(len(self.variables), a, b)
+        b = list(b.items())
         res = {}
+        get = res.get
         for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                s = res.get(m)
-                if s is None:
-                    res[m] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        res[m] = s
-                    else:
-                        del res[m]
-        return MPoly(self.variables, res, _clean=False)
+            for m2, c2 in b:
+                m = m1 + m2
+                res[m] = get(m, 0) + c1 * c2
+        return MPoly._new(
+            self.variables, {m: c for m, c in res.items() if c}, self.den * other.den
+        )
 
     __rmul__ = __mul__
+
+    def mul_trunc(self, other, name, bound) -> "MPoly":
+        """Product with the terms whose others_degree(name) exceeds bound
+        dropped; the Hensel lift in `factor` works modulo that degree."""
+        self._check_same_ring(other)
+        top, s = len(self.variables) * FIELD_BITS, self._shift(name)
+
+        def low(terms):
+            out = [(m, c, (m >> top) - ((m >> s) & _MASK)) for m, c in terms.items()]
+            return sorted((t for t in out if t[2] <= bound), key=lambda t: t[2])
+
+        a, b = low(self.terms), low(other.terms)
+        if not a or not b:
+            return MPoly.zero(self.variables)
+        _guard_product(len(self.variables), self.terms, other.terms)
+        res = {}
+        get = res.get
+        for m1, c1, d1 in a:
+            room = bound - d1
+            for m2, c2, d2 in b:
+                if d2 > room:
+                    break
+                m = m1 + m2
+                res[m] = get(m, 0) + c1 * c2
+        return MPoly._new(
+            self.variables, {m: c for m, c in res.items() if c}, self.den * other.den
+        )
 
     def __pow__(self, n: int):
         if n < 0:
@@ -243,18 +343,14 @@ class MPoly:
         return result
 
     def derivative(self, name) -> "MPoly":
-        idx = self.variables.index(name)
+        s = self._shift(name)
+        step = _var_key(len(self.variables), self.variables.index(name))
         res = {}
         for m, c in self.terms.items():
-            e = m[idx]
+            e = (m >> s) & _MASK
             if e:
-                mm = m[:idx] + (e - 1,) + m[idx + 1 :]
-                nc = c * e
-                s = res.get(mm)
-                res[mm] = nc if s is None else s + nc
-                if not res[mm]:
-                    del res[mm]
-        return MPoly(self.variables, res, _clean=False)
+                res[m - step] = c * e
+        return MPoly._new(self.variables, res, self.den)
 
     # ------------------------------------------------------------------
     # canonical form and printing
@@ -264,38 +360,27 @@ class MPoly:
         """Scale to integer coefficients, content 1, positive leading term."""
         if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no canonical form")
-        scale = 1 / self.content()
-        if self.terms[self.leading_monomial()] < 0:
-            scale = -scale
-        return MPoly(
-            self.variables,
-            {m: c * scale for m, c in self.terms.items()},
-            _clean=False,
-        )
+        g = gcd(*self.terms.values())
+        if self.terms[max(self.terms)] < 0:
+            g = -g
+        if g == 1 and self.den == 1:
+            return self
+        return MPoly._new(self.variables, {m: c // g for m, c in self.terms.items()})
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer, content 1."""
         if not self.terms:
             return Q(0)
-        den_lcm = 1
-        for c in self.terms.values():
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-        num_gcd = 0
-        for c in self.terms.values():
-            num_gcd = _int_gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-        return Q(num_gcd, den_lcm)
+        return Q(gcd(*self.terms.values()), self.den)
 
     def primitive(self) -> "MPoly":
         """self divided by its rational content (sign left untouched)."""
-        c = self.content()
-        if not c:
+        if not self.terms:
             return self
-        inv = 1 / c
-        return MPoly(
-            self.variables,
-            {m: k * inv for m, k in self.terms.items()},
-            _clean=False,
-        )
+        g = gcd(*self.terms.values())
+        if g == 1 and self.den == 1:
+            return self
+        return MPoly._new(self.variables, {m: c // g for m, c in self.terms.items()})
 
     def to_text(self) -> str:
         """Render in the canonical text form.
@@ -305,21 +390,22 @@ class MPoly:
         """
         if not self.terms:
             return "0"
-        name_order = sorted(range(len(self.variables)), key=lambda i: self.variables[i])
+        fields = sorted((v, i * FIELD_BITS) for i, v in enumerate(self.variables))
         parts = []
-        for mono in sorted(self.terms, key=grlex_key, reverse=True):
+        for mono in sorted(self.terms, reverse=True):
             coeff = self.terms[mono]
             body = []
-            for i in name_order:
-                e = mono[i]
+            for v, s in fields:
+                e = (mono >> s) & _MASK
                 if e == 1:
-                    body.append(self.variables[i])
+                    body.append(v)
                 elif e >= 2:
-                    body.append(f"{self.variables[i]}^{e}")
+                    body.append(f"{v}^{e}")
             mag = abs(coeff)
-            if mag != 1 or not body:
-                c = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-                body.insert(0, c)
+            g = gcd(mag, self.den)
+            num, den = mag // g, self.den // g
+            if num != 1 or den != 1 or not body:
+                body.insert(0, str(num) if den == 1 else f"{num}/{den}")
             term = "*".join(body)
             if not parts:
                 parts.append(term if coeff > 0 else f"-{term}")
@@ -331,51 +417,43 @@ class MPoly:
     # structural transforms
     # ------------------------------------------------------------------
 
+    def _remap(self, variables) -> "MPoly":
+        """The same terms over another variable tuple, moving each field by
+        name; variables missing from the target must not occur."""
+        top, new_top = len(self.variables) * FIELD_BITS, len(variables) * FIELD_BITS
+        moves = [
+            (i * FIELD_BITS, variables.index(v) * FIELD_BITS)
+            for i, v in enumerate(self.variables)
+            if v in variables
+        ]
+        res = {}
+        for m, c in self.terms.items():
+            key = (m >> top) << new_top
+            for src, dst in moves:
+                key |= ((m >> src) & _MASK) << dst
+            res[key] = c
+        return MPoly._new(variables, res, self.den)
+
     def embed(self, variables) -> "MPoly":
         """Re-express over a larger (or reordered) variable tuple, by name."""
         variables = tuple(variables)
-        pos = {v: i for i, v in enumerate(variables)}
-        mapping = []
         for v in self.variables:
-            if v not in pos:
+            if v not in variables:
                 raise ValueError(f"variable {v} missing from target ring")
-            mapping.append(pos[v])
-        res = {}
-        n = len(variables)
-        for m, c in self.terms.items():
-            mm = [0] * n
-            for src, e in enumerate(m):
-                if e:
-                    mm[mapping[src]] = e
-            res[tuple(mm)] = c
-        return MPoly(variables, res, _clean=False)
+        return self._remap(variables)
 
     def restrict(self, variables) -> "MPoly":
         """Drop unused variables; error if a dropped variable occurs."""
         variables = tuple(variables)
-        keep = []
-        for i, v in enumerate(self.variables):
-            if v in variables:
-                keep.append(i)
-            elif any(m[i] for m in self.terms):
+        used = self.used_variables()
+        for v in self.variables:
+            if v not in variables and v in used:
                 raise ValueError(f"variable {v} still occurs")
-        reordered = MPoly(variables, {}, _clean=False)
-        res = {}
-        pos = {v: j for j, v in enumerate(variables)}
-        for m, c in self.terms.items():
-            mm = [0] * len(variables)
-            for i in keep:
-                if m[i]:
-                    mm[pos[self.variables[i]]] = m[i]
-            res[tuple(mm)] = c
-        reordered.terms.update(res)
-        return reordered
+        return self._remap(variables)
 
     def rename(self, mapping) -> "MPoly":
-        return MPoly(
-            tuple(mapping.get(v, v) for v in self.variables),
-            dict(self.terms),
-            _clean=False,
+        return MPoly._new(
+            tuple(mapping.get(v, v) for v in self.variables), self.terms, self.den
         )
 
     def substitute(self, assignment) -> "MPoly":
@@ -396,22 +474,27 @@ class MPoly:
         values = {}
         for name, val in assignment.items():
             values[name] = val if isinstance(val, MPoly) else MPoly.const(target, val)
-        base = {}
         for v in self.variables:
             if v not in values:
                 values[v] = MPoly.var(target, v)
-        result = MPoly.zero(target)
         pow_cache = {}
+        acc, den = {}, 1  # the running sum is acc/den
         for m, c in self.terms.items():
-            term = MPoly.const(target, c)
-            for i, e in enumerate(m):
+            prod = MPoly.const(target, 1)
+            for i, v in enumerate(self.variables):
+                e = (m >> (i * FIELD_BITS)) & _MASK
                 if e:
-                    key = (self.variables[i], e)
-                    if key not in pow_cache:
-                        pow_cache[key] = values[self.variables[i]] ** e
-                    term = term * pow_cache[key]
-            result = result + term
-        return result
+                    pw = pow_cache.get((v, e))
+                    if pw is None:
+                        pw = pow_cache[v, e] = values[v] ** e
+                    prod = prod * pw
+            if den % prod.den:
+                k = lcm(den, prod.den) // den
+                acc, den = {t: a * k for t, a in acc.items()}, den * k
+            k = c * (den // prod.den)
+            for t, pc in prod.terms.items():
+                acc[t] = acc.get(t, 0) + pc * k
+        return MPoly._new(target, {t: a for t, a in acc.items() if a}, den * self.den)
 
     # ------------------------------------------------------------------
     # univariate views
@@ -419,31 +502,37 @@ class MPoly:
 
     def coeffs_in(self, name):
         """Coefficients of powers of `name`, low to high, as MPoly values."""
-        idx = self.variables.index(name)
         deg = self.degree_in(name)
         if deg < 0:
             return []
-        buckets = [dict() for _ in range(deg + 1)]
+        s = self._shift(name)
+        step = _var_key(len(self.variables), self.variables.index(name))
+        buckets = [{} for _ in range(deg + 1)]
         for m, c in self.terms.items():
-            e = m[idx]
-            mm = m[:idx] + (0,) + m[idx + 1 :]
-            buckets[e][mm] = c
-        return [MPoly(self.variables, b, _clean=False) for b in buckets]
+            e = (m >> s) & _MASK
+            buckets[e][m - e * step] = c
+        return [MPoly._new(self.variables, b, self.den) for b in buckets]
 
     @classmethod
     def from_coeffs(cls, variables, name, coeffs) -> "MPoly":
         variables = tuple(variables)
-        idx = variables.index(name)
+        n, idx = len(variables), variables.index(name)
+        s, step = idx * FIELD_BITS, _var_key(n, idx)
+        polys = [
+            c if isinstance(c, MPoly) else cls.const(variables, c) for c in coeffs
+        ]
+        den = lcm(*(p.den for p in polys))
         res = {}
-        for e, coeff in enumerate(coeffs):
-            if isinstance(coeff, (int, Fraction)):
-                coeff = cls.const(variables, coeff)
-            for m, c in coeff.terms.items():
-                if m[idx]:
+        for e, p in enumerate(polys):
+            if not p.terms:
+                continue
+            _check_degree((max(p.terms) >> (n * FIELD_BITS)) + e)
+            k, offset = den // p.den, e * step
+            for m, c in p.terms.items():
+                if (m >> s) & _MASK:
                     raise ValueError("coefficient already involves the main variable")
-                mm = m[:idx] + (e,) + m[idx + 1 :]
-                res[mm] = c
-        return cls(variables, res, _clean=False)
+                res[m + offset] = c * k
+        return cls._new(variables, res, den)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -451,14 +540,18 @@ class MPoly:
 
     def evaluate(self, point) -> complex:
         """Evaluate at a complex point, summing in descending term order."""
-        for i, v in enumerate(self.variables):
-            if v not in point and any(m[i] for m in self.terms):
+        used = self.used_variables()
+        for v in self.variables:
+            if v not in point and v in used:
                 raise KeyError(f"no value assigned to variable {v}")
+        n, den = len(self.variables), self.den
         powers = {}
         total = 0j
-        for m in sorted(self.terms, key=grlex_key, reverse=True):
-            val = complex(self.terms[m])
-            for i, e in enumerate(m):
+        for m in sorted(self.terms, reverse=True):
+            # int / int is correctly rounded, as float(Fraction) is
+            val = complex(self.terms[m] / den)
+            for i in range(n):
+                e = (m >> (i * FIELD_BITS)) & _MASK
                 if e:
                     key = (i, e)
                     if key not in powers:
@@ -472,11 +565,14 @@ class MPoly:
 
         Used to turn raw residuals into relative ones.
         """
+        n, den = len(self.variables), self.den
         best = 0.0
         powers = {}
         for m, c in self.terms.items():
-            val = abs(float(c.numerator) / float(c.denominator))
-            for i, e in enumerate(m):
+            g = gcd(c, den)
+            val = abs(float(c // g) / float(den // g))
+            for i in range(n):
+                e = (m >> (i * FIELD_BITS)) & _MASK
                 if e:
                     key = (i, e)
                     if key not in powers:
@@ -493,36 +589,61 @@ class MPoly:
 
 
 def divide_exact(p: MPoly, q: MPoly):
-    """Return p/q when the division is exact, else None."""
+    """Return p/q when the division is exact, else None.
+
+    Write p = P/dp and q = cq*Qt/dq with P, Qt integral and Qt primitive.  By
+    Gauss's lemma Qt divides P in Q[vars] only if the quotient is integral,
+    so each step of dividing P by Qt is an exact integer divmod, and a
+    nonzero remainder (or a monomial that does not divide) means q does not
+    divide p.  Then p/q = (P/Qt) * dq/(dp*cq).
+    """
     p._check_same_ring(q)
     if q.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero():
         return MPoly.zero(p.variables)
-    qlm = q.leading_monomial()
-    qlc = q.terms[qlm]
-    quot = {}
+    cq = gcd(*q.terms.values())
+    qt = q.terms if cq == 1 else {m: c // cq for m, c in q.terms.items()}
+    qlm = max(qt)
+    qlc = qt[qlm]
+    # offsets of the other terms from the leading monomial: the product
+    # monomial (lm - qlm) + m2 is lm + (m2 - qlm), one int add
+    rest = [(m - qlm, c) for m, c in qt.items() if m != qlm]
+    needs = [
+        (s, (qlm >> s) & _MASK)
+        for s in range(0, len(p.variables) * FIELD_BITS, FIELD_BITS)
+        if (qlm >> s) & _MASK
+    ]
     rem = dict(p.terms)
-    while rem:
-        lm = max(rem, key=grlex_key)
-        diff = tuple(a - b for a, b in zip(lm, qlm))
-        if any(d < 0 for d in diff):
+    heap = [-m for m in rem]
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        lm = -heapq.heappop(heap)
+        c = rem.pop(lm, None)
+        if c is None:
+            continue  # cancelled, or a repeated heap entry
+        if any((lm >> s) & _MASK < e for s, e in needs):
             return None
-        c = rem[lm] / qlc
-        quot[diff] = c
-        for m2, c2 in q.terms.items():
-            m = tuple(a + b for a, b in zip(diff, m2))
-            s = rem.get(m, None)
-            val = c * c2
+        k, r = divmod(c, qlc)
+        if r:
+            return None
+        quot[lm - qlm] = k
+        for offset, c2 in rest:
+            m = lm + offset
+            s = rem.get(m)
             if s is None:
-                rem[m] = -val
+                rem[m] = -k * c2
+                heapq.heappush(heap, -m)
             else:
-                s = s - val
+                s -= k * c2
                 if s:
                     rem[m] = s
                 else:
                     del rem[m]
-    return MPoly(p.variables, quot)
+    if q.den != 1:
+        quot = {m: c * q.den for m, c in quot.items()}
+    return MPoly._new(p.variables, quot, p.den * cq)
 
 
 def pseudo_rem(p: MPoly, q: MPoly, name: str) -> MPoly:
@@ -539,18 +660,13 @@ def pseudo_rem(p: MPoly, q: MPoly, name: str) -> MPoly:
     qc = q.coeffs_in(name)
     lq = qc[-1]
     rem = p.coeffs_in(name)
-    steps = dp - dq + 1
     for k in range(dp, dq - 1, -1):
-        top = rem[k]
+        # the top coefficient cancels exactly: lq*top - top*lq
+        top = rem.pop()
         rem = [c * lq for c in rem]
-        steps -= 1
         if not top.is_zero():
-            for j in range(dq + 1):
+            for j in range(dq):
                 rem[k - dq + j] = rem[k - dq + j] - top * qc[j]
-        rem.pop()
-    if steps > 0:
-        scale = lq**steps
-        rem = [c * scale for c in rem]
     while rem and rem[-1].is_zero():
         rem.pop()
     if not rem:
@@ -562,9 +678,7 @@ def rem_monic(p: MPoly, modulus: MPoly, name: str) -> MPoly:
     """Remainder of p modulo a polynomial monic in the named variable."""
     d = modulus.degree_in(name)
     mc = modulus.coeffs_in(name)
-    if mc[-1].is_constant() and mc[-1].constant_value() == 1:
-        pass
-    else:
+    if not (mc[-1].is_constant() and mc[-1].constant_value() == 1):
         raise ValueError(f"modulus is not monic in {name}")
     rem = p.coeffs_in(name)
     while len(rem) > d:

@@ -24,24 +24,15 @@ Q = Fraction
 def _strip_trivial(p: MPoly, name: str):
     """Pull out the rational content and any common monomial in the other
     variables.  Returns (rational, monomial exponent tuple, stripped poly)."""
-    rat = p.content()
     idx = p.variables.index(name)
-    mins = None
-    for m in p.terms:
-        if mins is None:
-            mins = list(m)
-        else:
-            mins = [min(a, b) for a, b in zip(mins, m)]
+    mins = [min(col) for col in zip(*(m for m, _ in p.items()))]
     mins[idx] = 0
-    inv = 1 / rat
-    stripped = {
-        tuple(e - d for e, d in zip(m, mins)): c * inv for m, c in p.terms.items()
-    }
-    return rat, tuple(mins), MPoly(p.variables, stripped, _clean=False)
+    mono = MPoly(p.variables, {tuple(mins): 1})
+    return p.content(), tuple(mins), divide_exact(p.primitive(), mono)
 
 
 def _mono_pow(variables, mono, k) -> MPoly:
-    return MPoly(variables, {tuple(e * k for e in mono): Q(1)}, _clean=False)
+    return MPoly(variables, {tuple(e * k for e in mono): 1})
 
 
 def resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
@@ -184,7 +175,7 @@ def _uni_image(p: MPoly, point, name):
     """Exact univariate image of p with the other variables at the point."""
     idx = p.variables.index(name)
     out = [Q(0)] * (p.degree_in(name) + 1)
-    for mono, coeff in p.terms.items():
+    for mono, coeff in p.items():
         val = coeff
         for i, e in enumerate(mono):
             if e and i != idx:

@@ -1,4 +1,5 @@
 import cmath
+import json
 import random
 from fractions import Fraction as Q
 
@@ -34,7 +35,7 @@ from addtheo.numeric import (
 )
 from addtheo.poly import MPoly, divide_exact
 
-from conftest import spec_text
+from conftest import ROOT, spec_text
 
 CFG = EvalConfig()
 
@@ -352,3 +353,25 @@ def test_derivative_relation_finite_difference():
                 continue
             assert relative_residual(rel, {"x": xval, "d": dval}) < 1e-5
             checked += 1
+
+
+# G of every valid bundled spec and of the three factor-heavy inline specs,
+# as recorded in the benchmark's golden file (read, never written here)
+GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+GOLDEN_G_SPECS = [
+    "cos", "cosh", "exp-t", "mobius", "rational-u", "rational-u2", "rational-u3",
+    "wp-generic", "wp-lemniscatic", "wp-prime", "wp-squared",
+    "rational: (u^2+1)/(u^2+3)", "exp: (t^3+1)/t", "rational: u^3+u",
+]
+
+
+def _golden_spec_text(name):
+    if ":" not in name:
+        return spec_text(f"{name}.spec")
+    cls, phi = name.split(":", 1)
+    return f"class: {cls.strip()}\nphi: {phi.strip()}\n"
+
+
+@pytest.mark.parametrize("name", GOLDEN_G_SPECS)
+def test_derived_g_matches_golden(theorems, name):
+    assert theorems(_golden_spec_text(name)).G.to_text() == GOLDEN["derive"][name]

@@ -158,3 +158,10 @@ def test_cli_import_leaves_numpy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_common_zero_of_numerator_and_denominator_is_not_a_preimage():
+    # N = p + q and D = p - 1 both vanish at the curve point (1, -1); phi has
+    # simple poles at O and (1, 1) only, so its order is 2
+    spec = parse_spec("class: elliptic\ng2: 1\ng3: 2\nphi: (p+q)/(p-1)\n")
+    assert _numeric_order(spec) == order(spec).nu == 2

@@ -4,8 +4,8 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from addtheo.errors import ZeroPolynomialError
-from addtheo.poly import MPoly, divide_exact, grlex_key, pseudo_rem, rem_monic
+from addtheo.errors import MonomialOverflowError, ZeroPolynomialError
+from addtheo.poly import FIELD_BITS, MPoly, divide_exact, grlex_key, pseudo_rem, rem_monic
 
 V = ("x", "y", "z")
 
@@ -119,3 +119,175 @@ def test_embed_restrict_rename():
     assert big.restrict(("x", "y")) == MPoly.var(("x", "y"), "x") * MPoly.var(("x", "y"), "y") + 1
     renamed = p.rename({"x": "a"})
     assert renamed.variables == ("a", "y", "z")
+
+
+# ----------------------------------------------------------------------
+# kernel properties: every operation agrees with exact Fraction evaluation
+# ----------------------------------------------------------------------
+
+rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 5))
+points = st.fixed_dictionaries({v: rationals for v in V})
+term_dicts = st.dictionaries(
+    st.tuples(*[st.integers(0, 3) for _ in V]), rationals, min_size=1, max_size=5
+)
+
+
+def exact(terms, point):
+    """Exact value of a {exponent tuple: coefficient} dict at a point."""
+    total = Q(0)
+    for mono, c in terms.items():
+        term = Q(c)
+        for v, e in zip(V, mono):
+            term *= point[v] ** e
+        total += term
+    return total
+
+
+def ev(p, point):
+    return exact(dict(p.items()), point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_dicts)
+def test_items_round_trip(terms):
+    expected = {m: Q(c) for m, c in terms.items() if c}
+    p = MPoly(V, terms)
+    assert dict(p.items()) == expected
+    assert len(p) == len(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_dicts, term_dicts, points, st.integers(0, 3))
+def test_ring_operations_match_exact_values(tp, tq, point, n):
+    p, q = MPoly(V, tp), MPoly(V, tq)
+    a, b = exact(tp, point), exact(tq, point)
+    assert ev(p + q, point) == a + b
+    assert ev(p - q, point) == a - b
+    assert ev(p * q, point) == a * b
+    assert ev(p**n, point) == a**n
+    assert ev(Q(2, 3) * p - 1, point) == Q(2, 3) * a - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_dicts, points, st.sampled_from(V))
+def test_derivative_matches_exact_values(tp, point, name):
+    i = V.index(name)
+    formal = {}
+    for mono, c in tp.items():
+        if mono[i]:
+            dm = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
+            formal[dm] = formal.get(dm, 0) + Q(c) * mono[i]
+    assert ev(MPoly(V, tp).derivative(name), point) == exact(formal, point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_dicts, term_dicts, points)
+def test_divide_exact_matches_exact_values(tp, tq, point):
+    p, q = MPoly(V, tp), MPoly(V, tq)
+    if q.is_zero():
+        return
+    quot = divide_exact(p * q, q)
+    assert quot == p
+    assert ev(quot, point) * ev(q, point) == ev(p * q, point)
+    if not q.is_constant():
+        # p*q + 1 is a multiple of q only when q divides 1
+        assert divide_exact(p * q + 1, q) is None
+
+
+def test_divide_exact_rejects_an_inexact_leading_coefficient():
+    x, y, _ = xyz()
+    # every monomial divides, but 3*y^2 over 2*y leaves a rational quotient
+    # term that does not cancel the x*y term: (3y^2 + xy)/(2y + x) is no
+    # polynomial
+    assert divide_exact(3 * y**2 + x * y, 2 * y + x) is None
+    assert divide_exact(3 * y**2 + x * y, MPoly.const(V, 2)) == Q(3, 2) * y**2 + Q(1, 2) * x * y
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_dicts, term_dicts, points, st.sampled_from(V))
+def test_pseudo_rem_matches_exact_values(tp, tq, point, name):
+    p, q = MPoly(V, tp), MPoly(V, tq)
+    dq = q.degree_in(name)
+    if dq < 1:
+        return
+    r = pseudo_rem(p, q, name)
+    assert r.degree_in(name) < dq
+    if p.degree_in(name) < dq:
+        assert r == p
+        return
+    scale = q.coeffs_in(name)[-1] ** (p.degree_in(name) - dq + 1)
+    quot = divide_exact(scale * p - r, q)
+    assert quot is not None
+    assert ev(scale, point) * ev(p, point) - ev(r, point) == ev(q, point) * ev(quot, point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_dicts, st.lists(rationals, min_size=1, max_size=3), points, st.sampled_from(V))
+def test_rem_monic_matches_exact_values(tp, lower, point, name):
+    p = MPoly(V, tp)
+    modulus = MPoly.from_coeffs(V, name, lower + [1])
+    r = rem_monic(p, modulus, name)
+    assert r.degree_in(name) < len(lower)
+    quot = divide_exact(p - r, modulus)
+    assert quot is not None
+    assert ev(p, point) - ev(r, point) == ev(modulus, point) * ev(quot, point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_dicts, points, st.sampled_from(V))
+def test_coeffs_in_from_coeffs_match_exact_values(tp, point, name):
+    p = MPoly(V, tp)
+    coeffs = p.coeffs_in(name)
+    assert all(not c.uses(name) for c in coeffs)
+    assert sum(ev(c, point) * point[name] ** k for k, c in enumerate(coeffs)) == ev(p, point)
+    assert MPoly.from_coeffs(V, name, coeffs) == p
+
+
+# to_text() and sort_key() of these polynomials are recorded literals; they
+# fix the printed form and the tie-break order of every derivation
+FIXED = [
+    ({(0, 0, 0): Q(1)}, "1", (0, 1, (((0, 0, 0), 1, 1),))),
+    ({(0, 0, 0): Q(-3, 4)}, "-3/4", (0, 1, (((0, 0, 0), -3, 4),))),
+    (
+        {(2, 0, 0): Q(1, 2), (0, 1, 1): Q(-3), (0, 0, 0): Q(7, 3)},
+        "-3*y*z + 1/2*x^2 + 7/3",
+        (2, 3, (((0, 0, 0), 7, 3), ((2, 0, 0), 1, 2), ((0, 1, 1), -3, 1))),
+    ),
+    (
+        {(1, 1, 1): 2, (0, 0, 2): -1, (0, 2, 0): -1, (2, 0, 0): -1, (0, 0, 0): 1},
+        "2*x*y*z - z^2 - y^2 - x^2 + 1",
+        (3, 5, (((0, 0, 0), 1, 1), ((2, 0, 0), -1, 1), ((0, 2, 0), -1, 1),
+                ((0, 0, 2), -1, 1), ((1, 1, 1), 2, 1))),
+    ),
+    (
+        {(3, 0, 1): Q(-5, 6), (1, 2, 0): Q(5, 4), (0, 0, 4): Q(10, 4)},
+        "5/2*z^4 - 5/6*x^3*z + 5/4*x*y^2",
+        (4, 3, (((1, 2, 0), 5, 4), ((3, 0, 1), -5, 6), ((0, 0, 4), 5, 2))),
+    ),
+    ({(1, 0, 0): 1, (0, 0, 1): -1}, "-z + x", (1, 2, (((1, 0, 0), 1, 1), ((0, 0, 1), -1, 1)))),
+]
+
+
+@pytest.mark.parametrize("terms,text,key", FIXED)
+def test_text_and_sort_key_literals(terms, text, key):
+    p = MPoly(V, terms)
+    assert p.to_text() == text
+    assert p.sort_key() == key
+
+
+def test_equal_polynomials_share_one_representation():
+    x, y, _ = xyz()
+    half = MPoly.const(V, Q(1, 2))
+    assert (half * x) * 2 == x
+    assert hash((half * x) * 2) == hash(x)
+    assert (half * x + half * y) - half * y == half * x
+
+
+def test_degree_overflow_raises_typed_error():
+    x = MPoly.var(V, "x")
+    half = x ** (2 ** (FIELD_BITS - 1))
+    assert half.total_degree() == 2 ** (FIELD_BITS - 1)
+    with pytest.raises(MonomialOverflowError):
+        half * half
+    with pytest.raises(MonomialOverflowError):
+        MPoly(V, {(2**FIELD_BITS, 0, 0): 1})
