@@ -23,14 +23,13 @@ from fractions import Fraction
 
 from .errors import AddTheoError
 from .poly import MPoly, divide_exact
-from .resultants import squarefree
+from .resultants import mgcd, squarefree
 from .unipoly import (
     q_divmod as _q_divmod,
     q_gcdext as _q_gcdext,
     q_mul as _q_mul,
     q_rem as _q_rem,
     q_scale as _q_scale,
-    q_trim as _q_trim,
 )
 
 Q = Fraction
@@ -381,12 +380,6 @@ def _uni_to_mpoly(coeffs, variables, name):
     return MPoly.from_coeffs(variables, name, [Q(c) for c in coeffs])
 
 
-def _is_squarefree_uni(coeffs):
-    d = _q_trim([i * c for i, c in enumerate(coeffs)][1:])
-    g, _, _ = _q_gcdext(coeffs, d)
-    return len(g) == 1
-
-
 def _point_candidates(names, rng):
     """Deterministic stream of small, diverse specialization points."""
     yield {n: Q(0) for n in names}
@@ -491,8 +484,8 @@ def _try_factor_monic(work: MPoly, main, others, rng, seed):
         coeffs = _uni_coeffs(image, main)
         if len(coeffs) - 1 != n:
             continue
-        if not _is_squarefree_uni(coeffs):
-            continue
+        if not mgcd(image, image.derivative(main)).is_constant():
+            continue  # the image is not square-free
         base_factors = factor_univariate_q(coeffs, seed)
         if len(base_factors) == 1:
             return [work]

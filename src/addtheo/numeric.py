@@ -199,8 +199,3 @@ def class_tolerance(spec: FuncSpec, override=None) -> float:
     if override is not None:
         return override
     return 1e-6 if spec.cls is FunctionClass.ELLIPTIC else 1e-9
-
-
-def phi_derivative_numeric(spec: FuncSpec, u: complex, cfg: EvalConfig, h: float = 1e-5) -> complex:
-    """Central finite difference, for independent derivative checks."""
-    return (phi_eval(spec, u + h, cfg) - phi_eval(spec, u - h, cfg)) / (2 * h)

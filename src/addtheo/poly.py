@@ -38,11 +38,6 @@ _MASK = (1 << FIELD_BITS) - 1
 _DEGREE_LIMIT = 1 << FIELD_BITS
 
 
-def grlex_key(mono):
-    """Sort key implementing graded lex with the later variable greater."""
-    return (sum(mono), mono[::-1])
-
-
 def _check_degree(degree):
     if degree >= _DEGREE_LIMIT:
         raise MonomialOverflowError(
@@ -90,7 +85,7 @@ def _guard_product(n, a, b):
 
 
 class MPoly:
-    __slots__ = ("variables", "terms", "den")
+    __slots__ = ("variables", "terms", "den", "_plan")
 
     def __init__(self, variables, terms=None):
         """Build from a dict {exponent tuple: int or Fraction}."""
@@ -382,6 +377,12 @@ class MPoly:
             return self
         return MPoly._new(self.variables, {m: c // g for m, c in self.terms.items()})
 
+    def max_norm(self) -> Fraction:
+        """Largest absolute value of a coefficient."""
+        if not self.terms:
+            return Q(0)
+        return Q(max(map(abs, self.terms.values())), self.den)
+
     def to_text(self) -> str:
         """Render in the canonical text form.
 
@@ -496,6 +497,21 @@ class MPoly:
                 acc[t] = acc.get(t, 0) + pc * k
         return MPoly._new(target, {t: a for t, a in acc.items() if a}, den * self.den)
 
+    def specialize(self, name, value: int) -> "MPoly":
+        """self with an integer substituted for one variable, in the same ring."""
+        s = self._shift(name)
+        step = _var_key(len(self.variables), self.variables.index(name))
+        powers = [1]
+        res = {}
+        get = res.get
+        for m, c in self.terms.items():
+            e = (m >> s) & _MASK
+            while len(powers) <= e:
+                powers.append(powers[-1] * value)
+            k = m - e * step
+            res[k] = get(k, 0) + c * powers[e]
+        return MPoly._new(self.variables, {m: c for m, c in res.items() if c}, self.den)
+
     # ------------------------------------------------------------------
     # univariate views
     # ------------------------------------------------------------------
@@ -538,25 +554,46 @@ class MPoly:
     # evaluation
     # ------------------------------------------------------------------
 
-    def evaluate(self, point) -> complex:
-        """Evaluate at a complex point, summing in descending term order."""
-        used = self.used_variables()
-        for v in self.variables:
-            if v not in point and v in used:
-                raise KeyError(f"no value assigned to variable {v}")
+    def _evaluation_plan(self):
+        """The terms in descending order, unpacked once per polynomial.
+
+        Returns (used variables, powers, rows): powers lists the distinct
+        (variable index, exponent) pairs, and each row is (complex
+        coefficient, coefficient magnitude, indices into powers in variable
+        order).
+        """
+        try:
+            return self._plan
+        except AttributeError:
+            pass
         n, den = len(self.variables), self.den
-        powers = {}
-        total = 0j
+        slots = {}
+        rows = []
         for m in sorted(self.terms, reverse=True):
-            # int / int is correctly rounded, as float(Fraction) is
-            val = complex(self.terms[m] / den)
+            c = self.terms[m]
+            g = gcd(c, den)
+            fields = []
             for i in range(n):
                 e = (m >> (i * FIELD_BITS)) & _MASK
                 if e:
-                    key = (i, e)
-                    if key not in powers:
-                        powers[key] = complex(point[self.variables[i]]) ** e
-                    val *= powers[key]
+                    fields.append(slots.setdefault((i, e), len(slots)))
+            # int / int is correctly rounded, as float(Fraction) is
+            rows.append((complex(c / den), abs(float(c // g) / float(den // g)), fields))
+        self._plan = (self.used_variables(), list(slots), rows)
+        return self._plan
+
+    def evaluate(self, point) -> complex:
+        """Evaluate at a complex point, summing in descending term order."""
+        used, powers, rows = self._evaluation_plan()
+        for v in used:
+            if v not in point:
+                raise KeyError(f"no value assigned to variable {v}")
+        names = self.variables
+        pw = [complex(point[names[i]]) ** e for i, e in powers]
+        total = 0j
+        for val, _, fields in rows:
+            for k in fields:
+                val *= pw[k]
             total += val
         return total
 
@@ -565,19 +602,13 @@ class MPoly:
 
         Used to turn raw residuals into relative ones.
         """
-        n, den = len(self.variables), self.den
+        _, powers, rows = self._evaluation_plan()
+        names = self.variables
+        pw = [abs(complex(point[names[i]])) ** e for i, e in powers]
         best = 0.0
-        powers = {}
-        for m, c in self.terms.items():
-            g = gcd(c, den)
-            val = abs(float(c // g) / float(den // g))
-            for i in range(n):
-                e = (m >> (i * FIELD_BITS)) & _MASK
-                if e:
-                    key = (i, e)
-                    if key not in powers:
-                        powers[key] = abs(complex(point[self.variables[i]])) ** e
-                    val *= powers[key]
+        for _, val, fields in rows:
+            for k in fields:
+                val *= pw[k]
             if val > best:
                 best = val
         return best

@@ -1,24 +1,20 @@
 """Resultants, multivariate gcd, and square-free decomposition.
 
-The resultant and the gcd both use the subresultant polynomial remainder
-sequence, which keeps every intermediate division exact over the polynomial
-ring and controls coefficient growth.  A Sylvester-determinant evaluation
-(fraction-free Bareiss elimination) is provided as an independent cross-check
-for small degrees.  The gcd first tries to certify coprimality from exact
-univariate images at random rational points, which settles the common case
-without any remainder sequence at all.
+The resultant uses the subresultant polynomial remainder sequence, which
+keeps every intermediate division exact over the polynomial ring and controls
+coefficient growth.  The gcd is the heuristic integer gcd GCDHEU at nested
+integer points: one int gcd of two values, expanded back into a candidate
+that exact division certifies (docs/decisions.md section 5).  The remainder
+sequence is its fallback when no try certifies.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from math import gcd
 
 from .errors import AddTheoError, ZeroPolynomialError
 from .poly import MPoly, divide_exact, pseudo_rem
-from .unipoly import q_gcd, q_trim
-
-Q = Fraction
 
 
 def _strip_trivial(p: MPoly, name: str):
@@ -104,59 +100,6 @@ def _subresultant_res(A: MPoly, B: MPoly, name: str) -> MPoly:
     return final * sign
 
 
-def sylvester_matrix(p: MPoly, q: MPoly, name: str):
-    """Sylvester matrix of p, q in the named variable (entries are MPoly)."""
-    dp = p.degree_in(name)
-    dq = q.degree_in(name)
-    if dp < 1 or dq < 1:
-        raise AddTheoError("sylvester matrix needs positive degrees")
-    zero = MPoly.zero(p.variables)
-    pc = p.coeffs_in(name)[::-1]
-    qc = q.coeffs_in(name)[::-1]
-    n = dp + dq
-    rows = []
-    for i in range(dq):
-        rows.append([zero] * i + pc + [zero] * (n - dp - 1 - i))
-    for i in range(dp):
-        rows.append([zero] * i + qc + [zero] * (n - dq - 1 - i))
-    return rows
-
-
-def bareiss_det(matrix):
-    """Fraction-free determinant of a square matrix of MPoly entries."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    if n == 0:
-        raise ValueError("empty matrix")
-    variables = m[0][0].variables
-    one = MPoly.const(variables, 1)
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if not m[r][k].is_zero()), None)
-        if pivot_row is None:
-            return MPoly.zero(variables)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                quotient = divide_exact(num, prev)
-                if quotient is None:
-                    raise AddTheoError("inexact division in Bareiss elimination")
-                m[i][j] = quotient
-            m[i][k] = MPoly.zero(variables)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def sylvester_resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
-    """Resultant evaluated as the Sylvester determinant (cross-check oracle)."""
-    return bareiss_det(sylvester_matrix(p, q, name))
-
-
 # ----------------------------------------------------------------------
 # gcd
 # ----------------------------------------------------------------------
@@ -171,37 +114,97 @@ def _main_variable(p: MPoly, q: MPoly):
     return None
 
 
-def _uni_image(p: MPoly, point, name):
-    """Exact univariate image of p with the other variables at the point."""
-    idx = p.variables.index(name)
-    out = [Q(0)] * (p.degree_in(name) + 1)
-    for mono, coeff in p.items():
-        val = coeff
-        for i, e in enumerate(mono):
-            if e and i != idx:
-                val *= point[p.variables[i]] ** e
-        out[mono[idx]] += val
-    return q_trim(out)
+def mgcd(p: MPoly, q: MPoly) -> MPoly:
+    """Canonical greatest common divisor over the rationals."""
+    if p.is_zero() and q.is_zero():
+        raise ZeroPolynomialError("gcd(0, 0) is undefined")
+    if p.is_zero():
+        return q.canonicalize()
+    if q.is_zero():
+        return p.canonicalize()
+    p._check_same_ring(q)
+    if p.is_constant() or q.is_constant():
+        return MPoly.const(p.variables, 1)
+    a, b = p.primitive(), q.primitive()
+    g = _heuristic_gcd(a, b)
+    if g is None:
+        g = _prs_gcd(a, b)
+    return g.canonicalize()
 
 
-def _certified_coprime(a: MPoly, b: MPoly, name: str) -> bool:
-    """True when exact degree-preserving univariate images are coprime,
-    which certifies that the primitive parts share no factor."""
-    other = [
-        v for v in a.variables if v != name and (a.uses(v) or b.uses(v))
-    ]
-    if not other:
-        return False
-    rng = random.Random(0xA1FA)
-    for _ in range(4):
-        point = {v: Q(rng.randint(-9, 9)) for v in other}
-        ia = _uni_image(a, point, name)
-        ib = _uni_image(b, point, name)
-        if len(ia) - 1 != a.degree_in(name) or len(ib) - 1 != b.degree_in(name):
+_HEU_TRIES = 6
+_HEU_SEED = 0xC66
+
+
+def _heuristic_gcd(a: MPoly, b: MPoly):
+    """Gcd of two integral primitive polynomials by GCDHEU at nested integer
+    points, or None when no try is certified (docs/decisions.md section 5).
+
+    The used variables are substituted one at a time; each point is at least
+    2*B + 2, where B is the largest coefficient of either image so far.  The
+    integer gcd of the two values is expanded back into a candidate by
+    symmetric digits, and its primitive part is the gcd when it divides both
+    inputs."""
+    names = [v for v in a.variables if a.uses(v) or b.uses(v)]
+    limits = {v: min(a.degree_in(v), b.degree_in(v)) for v in names}
+    rng = random.Random(_HEU_SEED)
+    for attempt in range(_HEU_TRIES):
+        fa, fb, points = a, b, []
+        for v in names:
+            base = 2 * int(max(fa.max_norm(), fb.max_norm())) + 2
+            # each try grows the points by Char, Geddes & Gonnet's step
+            xi = base * 73794**attempt // 27011**attempt + rng.randrange(base)
+            fa, fb = fa.specialize(v, xi), fb.specialize(v, xi)
+            points.append(xi)
+        gamma = gcd(int(fa.constant_value()), int(fb.constant_value()))
+        cand = _from_digits(gamma, names, points, limits, a.variables)
+        if cand is None:
             continue
-        if len(q_gcd(ia, ib)) == 1:
-            return True
-    return False
+        h = cand.primitive()
+        if h.is_constant():
+            return h
+        if divide_exact(a, h) is not None and divide_exact(b, h) is not None:
+            return h
+    return None
+
+
+def _from_digits(value, names, points, limits, variables):
+    """The polynomial whose nested symmetric digits are value, the last
+    variable first, or None when a degree would exceed its limit."""
+    if not names:
+        return MPoly.const(variables, value)
+    name, xi = names[-1], points[-1]
+    digits = []
+    while value:
+        if len(digits) > limits[name]:
+            return None
+        value, d = divmod(value, xi)
+        if 2 * d > xi:
+            d -= xi
+            value += 1
+        digits.append(d)
+    coeffs = []
+    for d in digits:
+        c = _from_digits(d, names[:-1], points[:-1], limits, variables)
+        if c is None:
+            return None
+        coeffs.append(c)
+    return MPoly.from_coeffs(variables, name, coeffs)
+
+
+def _prs_gcd(p: MPoly, q: MPoly) -> MPoly:
+    """The fallback of mgcd: contents in the main variable by recursion, and
+    the subresultant remainder sequence on the primitive parts."""
+    name = _main_variable(p, q)
+    cont_p, pp_p = content_and_primitive(p, name)
+    cont_q, pp_q = content_and_primitive(q, name)
+    cont = mgcd(cont_p, cont_q)
+    a, b = pp_p, pp_q
+    if a.degree_in(name) < b.degree_in(name):
+        a, b = b, a
+    if b.degree_in(name) == 0:
+        return cont
+    return cont * _prs_gcd_primitive(a, b, name)
 
 
 def _prs_gcd_primitive(a: MPoly, b: MPoly, name: str) -> MPoly:
@@ -227,31 +230,6 @@ def _prs_gcd_primitive(a: MPoly, b: MPoly, name: str) -> MPoly:
             h = divide_exact(g**delta, h ** (delta - 1))
             if h is None:
                 raise AddTheoError("inexact division in gcd remainder sequence")
-
-
-def mgcd(p: MPoly, q: MPoly) -> MPoly:
-    """Canonical greatest common divisor over the rationals."""
-    if p.is_zero() and q.is_zero():
-        raise ZeroPolynomialError("gcd(0, 0) is undefined")
-    if p.is_zero():
-        return q.canonicalize()
-    if q.is_zero():
-        return p.canonicalize()
-    p._check_same_ring(q)
-    if p.is_constant() or q.is_constant():
-        return MPoly.const(p.variables, 1)
-    name = _main_variable(p, q)
-    cont_p, pp_p = content_and_primitive(p, name)
-    cont_q, pp_q = content_and_primitive(q, name)
-    cont = mgcd(cont_p, cont_q)
-    a, b = pp_p, pp_q
-    if a.degree_in(name) < b.degree_in(name):
-        a, b = b, a
-    if b.degree_in(name) == 0 or _certified_coprime(a, b, name):
-        g = MPoly.const(p.variables, 1)
-    else:
-        g = _prs_gcd_primitive(a, b, name)
-    return (cont * g).canonicalize()
 
 
 def content_and_primitive(p: MPoly, name: str):

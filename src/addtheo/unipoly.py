@@ -59,16 +59,6 @@ def q_rem(a, b):
     return q_divmod(a, b)[1]
 
 
-def q_gcd(a, b):
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, q_rem(a, b)
-    if a:
-        inv = 1 / a[-1]
-        a = q_scale(a, inv)
-    return a
-
-
 def q_gcdext(a, b):
     """Extended Euclid: (g, s, t) with s*a + t*b = g, g monic."""
     r0, r1 = a[:], b[:]

@@ -1,0 +1,164 @@
+"""Independent oracles that the tests check the package against.
+
+None of this is used by the package itself: the Sylvester determinant is the
+resultant cross-check, the subresultant remainder sequence with its own
+content recursion is the gcd oracle, the term-by-term float evaluation is
+the reference for MPoly.evaluate and term_magnitude, and the grlex sort key
+and the finite difference of phi are the references for the term order and
+for derivatives.
+"""
+
+from addtheo.errors import AddTheoError
+from addtheo.numeric import phi_eval
+from addtheo.poly import MPoly, divide_exact, pseudo_rem
+
+
+def grlex_key(mono):
+    """Sort key implementing graded lex with the later variable greater."""
+    return (sum(mono), mono[::-1])
+
+
+def phi_derivative_numeric(spec, u: complex, cfg, h: float = 1e-5) -> complex:
+    """Central finite difference, for independent derivative checks."""
+    return (phi_eval(spec, u + h, cfg) - phi_eval(spec, u - h, cfg)) / (2 * h)
+
+
+def evaluate_reference(p: MPoly, point) -> complex:
+    """MPoly.evaluate term by term: descending grlex order, each coefficient
+    as a correctly rounded float, powers multiplied in variable order."""
+    total = 0j
+    for mono, c in sorted(p.items(), key=lambda t: grlex_key(t[0]), reverse=True):
+        val = complex(c.numerator / c.denominator)
+        for v, e in zip(p.variables, mono):
+            if e:
+                val *= complex(point[v]) ** e
+        total += val
+    return total
+
+
+def term_magnitude_reference(p: MPoly, point) -> float:
+    """MPoly.term_magnitude term by term, from the reduced coefficients."""
+    best = 0.0
+    for mono, c in p.items():
+        val = abs(float(c.numerator) / float(c.denominator))
+        for v, e in zip(p.variables, mono):
+            if e:
+                val *= abs(complex(point[v])) ** e
+        best = max(best, val)
+    return best
+
+
+# ----------------------------------------------------------------------
+# resultant oracle
+# ----------------------------------------------------------------------
+
+
+def sylvester_matrix(p: MPoly, q: MPoly, name: str):
+    """Sylvester matrix of p, q in the named variable (entries are MPoly)."""
+    dp = p.degree_in(name)
+    dq = q.degree_in(name)
+    if dp < 1 or dq < 1:
+        raise AddTheoError("sylvester matrix needs positive degrees")
+    zero = MPoly.zero(p.variables)
+    pc = p.coeffs_in(name)[::-1]
+    qc = q.coeffs_in(name)[::-1]
+    n = dp + dq
+    rows = []
+    for i in range(dq):
+        rows.append([zero] * i + pc + [zero] * (n - dp - 1 - i))
+    for i in range(dp):
+        rows.append([zero] * i + qc + [zero] * (n - dq - 1 - i))
+    return rows
+
+
+def bareiss_det(matrix):
+    """Fraction-free determinant of a square matrix of MPoly entries."""
+    m = [row[:] for row in matrix]
+    n = len(m)
+    if n == 0:
+        raise ValueError("empty matrix")
+    variables = m[0][0].variables
+    one = MPoly.const(variables, 1)
+    sign = 1
+    prev = one
+    for k in range(n - 1):
+        pivot_row = next((r for r in range(k, n) if not m[r][k].is_zero()), None)
+        if pivot_row is None:
+            return MPoly.zero(variables)
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                quotient = divide_exact(num, prev)
+                if quotient is None:
+                    raise AddTheoError("inexact division in Bareiss elimination")
+                m[i][j] = quotient
+            m[i][k] = MPoly.zero(variables)
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+def sylvester_resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
+    """Resultant evaluated as the Sylvester determinant (cross-check oracle)."""
+    return bareiss_det(sylvester_matrix(p, q, name))
+
+
+# ----------------------------------------------------------------------
+# gcd oracle
+# ----------------------------------------------------------------------
+
+
+def prs_gcd(p: MPoly, q: MPoly) -> MPoly:
+    """Canonical gcd over the rationals by content recursion in the main
+    variable and the subresultant remainder sequence, without mgcd."""
+    if p.is_zero():
+        return q.canonicalize()
+    if q.is_zero():
+        return p.canonicalize()
+    if p.is_constant() or q.is_constant():
+        return MPoly.const(p.variables, 1)
+    name = next(v for v in reversed(p.variables) if p.uses(v) or q.uses(v))
+    cont_p, a = _content_and_primitive(p, name)
+    cont_q, b = _content_and_primitive(q, name)
+    cont = prs_gcd(cont_p, cont_q)
+    if a.degree_in(name) < b.degree_in(name):
+        a, b = b, a
+    if b.degree_in(name) == 0:
+        return cont
+    return (cont * _prs_gcd_primitive(a, b, name)).canonicalize()
+
+
+def _content_and_primitive(p: MPoly, name: str):
+    cont = MPoly.zero(p.variables)
+    for c in p.coeffs_in(name):
+        if not c.is_zero():
+            cont = prs_gcd(cont, c)
+    return cont, divide_exact(p, cont)
+
+
+def _prs_gcd_primitive(a: MPoly, b: MPoly, name: str) -> MPoly:
+    """Gcd of two polynomials primitive in the main variable, via the
+    subresultant remainder sequence (deg a >= deg b >= 1 on entry)."""
+    variables = a.variables
+    one = MPoly.const(variables, 1)
+    g = h = one
+    while True:
+        delta = a.degree_in(name) - b.degree_in(name)
+        r = pseudo_rem(a, b, name)
+        if r.is_zero():
+            _, out = _content_and_primitive(b, name)
+            return out
+        if r.degree_in(name) == 0:
+            return one
+        a = b
+        b = divide_exact(r, g * h**delta)
+        if b is None:
+            raise AddTheoError("inexact division in gcd remainder sequence")
+        g = a.coeffs_in(name)[-1]
+        if delta > 0:
+            h = divide_exact(g**delta, h ** (delta - 1))
+            if h is None:
+                raise AddTheoError("inexact division in gcd remainder sequence")

@@ -18,6 +18,7 @@ import pytest
 
 from conftest import SPECS, spec_path, spec_text
 from test_cli import run_cli
+from oracles import phi_derivative_numeric
 
 from addtheo.exprparse import parse_polynomial
 from addtheo.factor import is_irreducible
@@ -34,7 +35,6 @@ from addtheo.laws import (
 from addtheo.numeric import (
     EvalConfig,
     phi_eval,
-    phi_derivative_numeric,
     relative_residual,
     sample_graph,
     wp_eval,

@@ -27,7 +27,6 @@ from addtheo.numeric import (
     EvalConfig,
     class_tolerance,
     phi_eval,
-    phi_derivative_numeric,
     relative_residual,
     sample_graph,
     wp_eval,
@@ -36,6 +35,7 @@ from addtheo.numeric import (
 from addtheo.poly import MPoly, divide_exact
 
 from conftest import ROOT, spec_text
+from oracles import phi_derivative_numeric
 
 CFG = EvalConfig()
 

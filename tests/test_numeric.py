@@ -13,12 +13,12 @@ from addtheo.numeric import (
     EvalConfig,
     class_tolerance,
     phi_eval,
-    phi_derivative_numeric,
     relative_residual,
     sample_graph,
     wp_eval,
     wp_prime_eval,
 )
+from oracles import phi_derivative_numeric
 
 CFG = EvalConfig()
 

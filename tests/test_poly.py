@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from addtheo.errors import MonomialOverflowError, ZeroPolynomialError
-from addtheo.poly import FIELD_BITS, MPoly, divide_exact, grlex_key, pseudo_rem, rem_monic
+from addtheo.poly import FIELD_BITS, MPoly, divide_exact, pseudo_rem, rem_monic
+from oracles import evaluate_reference, grlex_key, term_magnitude_reference
 
 V = ("x", "y", "z")
 
@@ -291,3 +292,19 @@ def test_degree_overflow_raises_typed_error():
         half * half
     with pytest.raises(MonomialOverflowError):
         MPoly(V, {(2**FIELD_BITS, 0, 0): 1})
+
+
+complex_points = st.fixed_dictionaries(
+    {v: st.complex_numbers(min_magnitude=0.05, max_magnitude=4, allow_nan=False) for v in V}
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_dicts, st.lists(complex_points, min_size=1, max_size=4))
+def test_float_evaluation_is_bit_identical_to_the_term_loop(terms, pts):
+    # one polynomial, several points: the evaluation plan is built once and
+    # reused, and every value must equal the term-by-term loop exactly
+    p = MPoly(V, terms)
+    for pt in pts:
+        assert p.evaluate(pt) == evaluate_reference(p, pt)
+        assert p.term_magnitude(pt) == term_magnitude_reference(p, pt)

@@ -10,8 +10,8 @@ from addtheo.resultants import (
     resultant,
     squarefree,
     squarefree_part,
-    sylvester_resultant,
 )
+from oracles import sylvester_resultant
 
 
 def test_resultant_linear_elimination():
