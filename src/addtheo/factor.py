@@ -22,15 +22,8 @@ import random
 from fractions import Fraction
 
 from .errors import AddTheoError
-from .poly import MPoly, divide_exact
+from .poly import MPoly, divide_exact, rem_monic
 from .resultants import mgcd, squarefree
-from .unipoly import (
-    q_divmod as _q_divmod,
-    q_gcdext as _q_gcdext,
-    q_mul as _q_mul,
-    q_rem as _q_rem,
-    q_scale as _q_scale,
-)
 
 Q = Fraction
 
@@ -222,7 +215,7 @@ def _hensel_lift(f, factors, p, bound):
         for j, gj in enumerate(factors):
             if j != i:
                 others = _p_rem(_p_mul(others, gj, p), gi, p)
-        g, s, _ = _pp_gcdext(others, gi, p)
+        g, s = _pp_gcdext(others, gi, p)
         if len(g) != 1:
             raise AddTheoError("modular factors are not coprime")
         inv_g = pow(g[0], p - 2, p)
@@ -258,7 +251,7 @@ def _pp_gcdext(a, b, p):
         quo, rem = _p_divmod(r0, r1, p)
         r0, r1 = r1, rem
         s0, s1 = s1, _p_sub(s0, _p_mul(quo, s1, p), p)
-    return r0, s0, None
+    return r0, s0
 
 
 def _z_mul(a, b):
@@ -270,6 +263,20 @@ def _z_mul(a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def _z_divexact(a, b):
+    """a / b for int lists when the quotient is integral, else None."""
+    a = a[:]
+    quo = [0] * max(0, len(a) - len(b) + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(a[k + len(b) - 1], b[-1])
+        if r:
+            return None
+        quo[k] = c
+        for j, y in enumerate(b):
+            a[k + j] -= c * y
+    return None if any(a) else quo
 
 
 def _z_sub(a, b):
@@ -344,10 +351,12 @@ def _recombine(f, lifted, modulus):
             cand = _z_primitive(_p_trim(cand) or [1])
             if len(cand) - 1 < 1:
                 continue
-            quo, rem = _q_divmod([Q(c) for c in remaining], [Q(c) for c in cand])
-            if not rem and all(c.denominator == 1 for c in quo):
+            # cand is primitive, so by Gauss's lemma it divides remaining
+            # over Q exactly when the quotient is integral
+            quo = _z_divexact(remaining, cand)
+            if quo is not None:
                 out.append(cand)
-                remaining = _z_primitive([int(c) for c in quo])
+                remaining = _z_primitive(quo)
                 idxs = [i for i in idxs if i not in subset]
                 found = True
                 break
@@ -374,10 +383,6 @@ def _uni_coeffs(p: MPoly, name: str):
             raise AddTheoError("polynomial is not univariate")
         out.append(c.constant_value())
     return out
-
-
-def _uni_to_mpoly(coeffs, variables, name):
-    return MPoly.from_coeffs(variables, name, [Q(c) for c in coeffs])
 
 
 def _point_candidates(names, rng):
@@ -426,7 +431,7 @@ def _factor_squarefree(g: MPoly, seed=_FACTOR_SEED):
         name = occ[0]
         factors = factor_univariate_q(_uni_coeffs(g, name), seed)
         return [
-            _uni_to_mpoly(f, g.variables, name).canonicalize() for f in factors
+            MPoly.from_coeffs(g.variables, name, f).canonicalize() for f in factors
         ]
     main = occ[-1]
     others = occ[:-1]
@@ -504,49 +509,49 @@ def _try_factor_monic(work: MPoly, main, others, rng, seed):
 
 
 def _lift_factors(shifted: MPoly, base_factors, main, prec):
-    """Hensel lift monic univariate factors to truncated series factors."""
+    """Hensel lift monic univariate factors to truncated series factors.
+
+    Lower levels of the product already agree with `shifted`, so the
+    truncated difference is exactly the error at `level`.  Multiplying by
+    sigma_i and reducing mod the monic g_i act coefficient by coefficient on
+    the other variables, so one remainder per factor lifts a whole level.
+    """
     variables = shifted.variables
-    main_idx = variables.index(main)
-    monics = []
-    for f in base_factors:
-        inv = Q(1) / Q(f[-1])
-        monics.append([Q(c) * inv for c in f])
+    one = MPoly.const(variables, 1)
+    monics = [MPoly.from_coeffs(variables, main, f) * Q(1, f[-1]) for f in base_factors]
     sigmas = []
     for i, gi in enumerate(monics):
-        others_prod = [Q(1)]
+        others_prod = one
         for j, gj in enumerate(monics):
             if j != i:
-                others_prod = _q_rem(_q_mul(others_prod, gj), gi)
-        g, s, _ = _q_gcdext(others_prod, gi)
-        if len(g) != 1:
+                others_prod = rem_monic(others_prod * gj, gi, main)
+        sigma = _inverse_mod(others_prod, gi, main)
+        if sigma is None:
             return None
-        sigmas.append(_q_rem(_q_scale(s, 1 / g[0]), gi))
-    lifted = [_uni_to_mpoly(m, variables, main) for m in monics]
+        sigmas.append(sigma)
+    lifted = list(monics)
     for level in range(1, prec + 1):
-        prod = MPoly.const(variables, 1)
+        prod = one
         for f in lifted:
             prod = prod.mul_trunc(f, main, level)
-        err = shifted - prod
-        groups = {}
-        for m, c in err.items():
-            d = sum(m) - m[main_idx]
-            if d != level:
-                continue
-            key = m[:main_idx] + (0,) + m[main_idx + 1 :]
-            groups.setdefault(key, {})[m[main_idx]] = c
-        for key, bucket in groups.items():
-            e = [bucket.get(k, Q(0)) for k in range(max(bucket) + 1)]
-            for i, gi in enumerate(monics):
-                delta = _q_rem(_q_mul(e, sigmas[i]), gi)
-                if not delta:
-                    continue
-                add = {}
-                for deg, c in enumerate(delta):
-                    if c:
-                        mono = key[:main_idx] + (deg,) + key[main_idx + 1 :]
-                        add[mono] = c
-                lifted[i] = lifted[i] + MPoly(variables, add)
+        err = shifted.mul_trunc(one, main, level) - prod
+        for i, gi in enumerate(monics):
+            lifted[i] = lifted[i] + rem_monic(err * sigmas[i], gi, main)
     return lifted
+
+
+def _inverse_mod(a: MPoly, m: MPoly, main):
+    """s with s*a = 1 mod m, for m monic and univariate in main, by extended
+    Euclid; None when a and m are not coprime."""
+    r0, r1 = m, a
+    s0, s1 = MPoly.zero(m.variables), MPoly.const(m.variables, 1)
+    while not r1.is_zero():
+        inv = 1 / r1.leading_coefficient()
+        r1, s1 = r1 * inv, s1 * inv
+        rem = rem_monic(r0, r1, main)
+        quo = divide_exact(r0 - rem, r1)
+        r0, r1, s0, s1 = r1, rem, s1, s0 - quo * s1
+    return s0 if r0.is_constant() else None
 
 
 def _recombine_multivar(shifted: MPoly, lifted, main, prec):

@@ -32,10 +32,9 @@ from functools import lru_cache
 from .derive import AdditionTheorem, certify, derive_addition_theorem, graph_factor
 from .errors import AddTheoError, DegreeLawError, PruningError, SamplingError
 from .factor import factor_univariate_q
-from .unipoly import q_divmod as _q_divmod
 from .funcspec import FuncSpec, FunctionClass, curve_polynomial, order
 from .numeric import EvalConfig, class_tolerance, guarded, in_window, phi_eval, sample
-from .poly import MPoly, rem_monic
+from .poly import MPoly, divide_exact, rem_monic
 from .resultants import resultant
 
 Q = Fraction
@@ -61,20 +60,17 @@ def _unity_group(g: int):
 
 
 @lru_cache(maxsize=32)
-def _cyclotomic(n: int):
-    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
-    poly = [Q(-1)] + [Q(0)] * (n - 1) + [Q(1)]
+def _cyclotomic(n: int) -> MPoly:
+    """The n-th cyclotomic polynomial, in the one variable w."""
+    poly = MPoly.var(("w",), "w") ** n - 1
     for d in range(1, n):
         if n % d == 0:
-            quo, rem = _q_divmod(poly, list(_cyclotomic(d)))
-            if rem:
-                raise AddTheoError("cyclotomic division failed")
-            poly = quo
-    return tuple(poly)
+            poly = divide_exact(poly, _cyclotomic(d))
+    return poly
 
 
 def _cyclotomic_mpoly(n: int, ring, name) -> MPoly:
-    return MPoly.from_coeffs(ring, name, list(_cyclotomic(n)))
+    return _cyclotomic(n).rename({"w": name}).embed(ring)
 
 
 @dataclass(frozen=True)

@@ -182,11 +182,6 @@ class MPoly:
             if (occurring >> (i * FIELD_BITS)) & _MASK
         )
 
-    def leading_monomial(self):
-        if not self.terms:
-            raise ZeroPolynomialError("zero polynomial has no leading term")
-        return _unpack(max(self.terms), len(self.variables))
-
     def leading_coefficient(self) -> Fraction:
         if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from addtheo.errors import AddTheoError
-from addtheo.factor import factor, factor_univariate_q, is_irreducible
+from addtheo.factor import _lift_factors, factor, factor_univariate_q, is_irreducible
 from addtheo.poly import MPoly
 
 RING = ("x", "y", "z")
@@ -95,3 +95,31 @@ def test_quadrivariate():
     for f, m in fs:
         prod = prod * f**m
     assert prod.canonicalize() == ((a * b - c * d) * (a * b + c * d - 1)).canonicalize()
+
+
+def test_exact_factor_set_with_repeated_factor():
+    # the image made monic in the main variable has non-integral
+    # coefficients, so the lift works over Q, not Z
+    x, y, z = xyz()
+    gens = [2 * x - 3 * y + 1, 3 * x**2 + y * z - 2, 5 * x + z**2]
+    p = gens[0] * gens[1] ** 2 * gens[2]
+    expected = [(g.canonicalize(), m) for g, m in zip(gens, [1, 2, 1])]
+    expected.sort(key=lambda fm: fm[0].sort_key())
+    assert factor(p) == expected
+
+
+def test_univariate_false_candidates_rejected():
+    # x^4 + 1 splits mod every prime, so every proper candidate must fail
+    # the exact division
+    assert factor_univariate_q([Q(1), Q(0), Q(0), Q(0), Q(1)]) == [[1, 0, 0, 0, 1]]
+
+
+def test_lift_recovers_the_true_factors():
+    # images at the origin: z^2 + 1 and z; the quadratic one needs a
+    # cofactor from a full extended Euclid step
+    x, y, z = xyz()
+    f1 = z**2 + Q(1, 2) * y * z + x + 1
+    f2 = z + Q(3, 2) * x - y
+    shifted = f1 * f2
+    prec = shifted.others_degree("z")
+    assert _lift_factors(shifted, [[1, 0, 1], [0, 1]], "z", prec) == [f1, f2]

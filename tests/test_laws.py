@@ -95,6 +95,17 @@ def test_lambda0_class_constraints():
         assert order(spec).nu % lam0 == 0
 
 
+def test_cyclotomic_products():
+    w = MPoly.var(("w",), "w")
+    for n in range(1, 13):
+        prod = MPoly.const(("w",), 1)
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = prod * laws._cyclotomic(d)
+        assert prod == w**n - 1
+    assert laws._cyclotomic(12) == w**4 - w**2 + 1
+
+
 def test_predicted_degree():
     assert predicted_degree(1, 1, 1) == 1
     assert predicted_degree(1, 2, 2) == 2
