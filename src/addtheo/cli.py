@@ -3,15 +3,14 @@
 Subcommands: derive, verify, degrees, symmetry, krel, reduce-f, same.
 Text mode prints one canonical polynomial text line per polynomial so shell
 pipelines can diff outputs; --json prints the full run report.  Exit codes:
-0 ok, 1 verification or pruning failure, 2 parse or validation error,
-3 degeneracy.  Fixed seed and inputs give byte-identical stdout; timing goes
-to stderr only.
+0 ok, 1 verification or pruning failure, 2 parse or validation error (an
+unreadable input file included), 3 degeneracy.  Fixed seed and inputs give
+byte-identical stdout; timing goes to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from fractions import Fraction
@@ -41,9 +40,19 @@ _DEGENERATE_ERRORS = (
 )
 
 
+def _read_input(path) -> str:
+    """The text of an input file; an unreadable one is a validation error."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise SpecValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise SpecValidationError(f"cannot read {path}: not UTF-8 text") from None
+
+
 def _load_spec(path) -> FuncSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_spec(handle.read())
+    return parse_spec(_read_input(path))
 
 
 def _config(spec, args) -> EvalConfig:
@@ -160,9 +169,7 @@ def cmd_krel(args):
 
 
 def cmd_reduce_f(args):
-    with open(args.f, "r", encoding="utf-8") as handle:
-        text = handle.read().strip()
-    F = parse_polynomial(text, ("X", "Y", "Z"))
+    F = parse_polynomial(_read_input(args.f).strip(), ("X", "Y", "Z"))
     rel = reduce_f_to_g(F, Fraction(args.x0), Fraction(args.y0))
     return [rel.to_text()], {"relation": rel.to_text()}
 
@@ -283,6 +290,8 @@ def main(argv=None) -> int:
         status, code, message = "verification-failed", 1, str(exc)
     elapsed_ms = int(1000 * (time.monotonic() - started))
     if getattr(args, "json", False):
+        import json  # only a report needs it; see docs/decisions.md section 6
+
         print(json.dumps(_report(args, status, result, message), sort_keys=True, indent=2))
     else:
         if lines:

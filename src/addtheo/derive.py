@@ -25,9 +25,8 @@ principal, generated by the irreducible G, so G divides any nonzero eliminant
 from __future__ import annotations
 
 import cmath
-import dataclasses
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     AddTheoError,
@@ -68,15 +67,13 @@ _ELIM_ORDER = {
 }
 
 
-@dataclass(frozen=True)
-class BaseLaw:
+class BaseLaw(NamedTuple):
     cls: FunctionClass
     variables: tuple
     relations: tuple
 
 
-@dataclass(frozen=True)
-class AdditionTheorem:
+class _TheoremFields(NamedTuple):
     G: MPoly
     deg_x: int
     deg_y: int
@@ -89,12 +86,21 @@ class AdditionTheorem:
     lambda0: int | None = None
     predicted_degree: int | None = None
 
-    def __post_init__(self):
+
+class AdditionTheorem(_TheoremFields):
+    """A derived G with its evidence; equal degrees are checked on
+    construction (`_replace` skips the check)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.deg_x == self.deg_y == self.deg_z):
             raise DegreeLawError(
                 f"addition theorem degrees differ: "
                 f"({self.deg_x}, {self.deg_y}, {self.deg_z})"
             )
+        return self
 
     def to_json_dict(self):
         return {
@@ -336,9 +342,7 @@ def check_degree_law(theorem: AdditionTheorem, spec: FuncSpec) -> AdditionTheore
             f"derived degree {theorem.deg_z} does not match the degree law "
             f"m*nu^2/lambda0 = {predicted} (nu={nu}, lambda0={lambda0})"
         )
-    return dataclasses.replace(
-        theorem, nu=nu, lambda0=lambda0, predicted_degree=predicted
-    )
+    return theorem._replace(nu=nu, lambda0=lambda0, predicted_degree=predicted)
 
 
 # ----------------------------------------------------------------------

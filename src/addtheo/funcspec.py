@@ -22,8 +22,8 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ExprSyntaxError, SpecValidationError, AddTheoError
 from .exprparse import parse_fraction
@@ -53,13 +53,11 @@ def curve_polynomial(g2: Fraction, g3: Fraction, variables=("p", "q")) -> MPoly:
     return q**2 - 4 * p**3 + g2 * p + g3
 
 
-@dataclass(frozen=True)
-class OrderData:
+class OrderData(NamedTuple):
     nu: int
 
 
-@dataclass(frozen=True)
-class FuncSpec:
+class FuncSpec(NamedTuple):
     cls: FunctionClass
     numerator: MPoly
     denominator: MPoly

@@ -23,11 +23,10 @@ m*nu^3/lambda for the four-variable K-relation (docs/decisions.md, section 2).
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .derive import AdditionTheorem, certify, derive_addition_theorem, graph_factor
 from .errors import AddTheoError, DegreeLawError, PruningError, SamplingError
@@ -73,8 +72,7 @@ def _cyclotomic_mpoly(n: int, ring, name) -> MPoly:
     return _cyclotomic(n).rename({"w": name}).embed(ring)
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     multipliers: tuple
     lambda0: int
     group_alphas: tuple | None = None
@@ -93,8 +91,7 @@ class SymmetryReport:
         }
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     m: int
     nu: int
     lambda0: int
@@ -111,8 +108,7 @@ class DegreeReport:
         }
 
 
-@dataclass(frozen=True)
-class KRelation:
+class KRelation(NamedTuple):
     K: MPoly
     degrees: tuple
     lam: int
@@ -131,8 +127,7 @@ class KRelation:
         }
 
 
-@dataclass(frozen=True)
-class SameTheoremResult:
+class SameTheoremResult(NamedTuple):
     same: bool
     alpha: complex | None = None
     residual: float | None = None
@@ -355,8 +350,7 @@ def full_substitution_group(spec: FuncSpec) -> SymmetryReport:
     base = multiplier_group(spec)
     if spec.cls is FunctionClass.RATIONAL_OF_U:
         # a nonconstant rational function admits no translation symmetry
-        return dataclasses.replace(
-            base,
+        return base._replace(
             group_alphas=base.multipliers,
             lam=max(k for k, _ in base.multipliers),
             beta_search="none (translation-free class)",
@@ -369,8 +363,7 @@ def full_substitution_group(spec: FuncSpec) -> SymmetryReport:
         )
         alphas = ((1, 0), (2, 1)) if inverted else ((1, 0),)
         lam = 2 if inverted else 1
-        return dataclasses.replace(
-            base,
+        return base._replace(
             group_alphas=alphas,
             lam=lam,
             beta_search="roots of unity of order dividing the exponent gcd",
@@ -390,9 +383,7 @@ def full_substitution_group(spec: FuncSpec) -> SymmetryReport:
             f"substitution search returned lambda = {lam} not divisible by "
             f"lambda0 = {base.lambda0}"
         )
-    return dataclasses.replace(
-        base, group_alphas=alphas, lam=lam, beta_search="2-division"
-    )
+    return base._replace(group_alphas=alphas, lam=lam, beta_search="2-division")
 
 
 # ----------------------------------------------------------------------

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import AddTheoError, SamplingError
 from .funcspec import FuncSpec, FunctionClass
@@ -28,15 +28,22 @@ from .funcspec import FuncSpec, FunctionClass
 Q = Fraction
 
 
-@dataclass(frozen=True)
-class EvalConfig:
+class _EvalFields(NamedTuple):
     series_terms: int = 30
     tol: float = 1e-9
     seed: int = 0
     sample_radius: tuple = (0.05, 0.25)
     pole_guard: float = 1e6
 
-    def __post_init__(self):
+
+class EvalConfig(_EvalFields):
+    """The evaluation settings, range-checked on construction (`_replace`
+    skips the checks)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.series_terms < 10:
             raise AddTheoError("series_terms must be at least 10")
         if not (0 < self.tol < 1):
@@ -44,10 +51,10 @@ class EvalConfig:
         lo, hi = self.sample_radius
         if not (0 < lo < hi <= 0.5):
             raise AddTheoError("sample_radius must satisfy 0 < lo < hi <= 0.5")
+        return self
 
 
-@dataclass(frozen=True)
-class GraphSample:
+class GraphSample(NamedTuple):
     u: complex
     v: complex
     x: complex

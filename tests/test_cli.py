@@ -172,6 +172,30 @@ def test_parse_error_exit_2(tmp_path):
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_spec_exit_2(tmp_path, kind):
+    path = {
+        "missing": tmp_path / "nonexist.spec",
+        "directory": tmp_path,
+        "not-utf8": tmp_path / "bytes.spec",
+    }[kind]
+    if kind == "not-utf8":
+        path.write_bytes(bytes(range(128, 228)))
+    proc = run_cli("derive", str(path), expect_code=2)
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors and str(path) in errors[0]
+    proc = run_cli("derive", str(path), "--json", expect_code=2)
+    report = validate_report(proc.stdout)
+    assert report["status"] == "parse-error"
+    assert str(path) in report["message"]
+
+
+def test_reduce_f_missing_file_exit_2(tmp_path):
+    missing = tmp_path / "nonexist.txt"
+    proc = run_cli("reduce-f", str(missing), "--x0", "1", "--y0", "1", expect_code=2)
+    assert proc.stderr.startswith(f"error: cannot read {missing}")
+
+
 def test_json_error_report_validates(tmp_path):
     proc = run_cli("derive", spec_path("broken.spec"), "--json", expect_code=2)
     report = validate_report(proc.stdout)

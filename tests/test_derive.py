@@ -317,6 +317,32 @@ def test_degree_law_guard_is_enforced():
     assert theorem.predicted_degree == theorem.deg_z == 2
 
 
+def test_theorem_with_unequal_degrees_is_rejected():
+    g = parse_polynomial("x*y - z", ("x", "y", "z"))
+    with pytest.raises(DegreeLawError, match="addition theorem degrees differ"):
+        derive.AdditionTheorem(g, 2, 2, 1, parse_spec(COSH), 0.0, 1, 0)
+
+
+def test_records_are_read_only(theorems):
+    theorem = theorems(COSH)
+    for record, field in ((theorem.spec, "numerator"), (CFG, "tol"), (theorem, "G")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
+def test_degree_law_check_fills_in_the_law():
+    spec = parse_spec(COSH)
+    bare = prune(eliminate(spec), spec, CFG, verify_samples=50)
+    assert (bare.nu, bare.lambda0, bare.predicted_degree) == (None, None, None)
+    checked = derive.check_degree_law(bare, spec)
+    assert type(checked) is derive.AdditionTheorem
+    assert checked.G == bare.G
+    assert (checked.deg_x, checked.deg_y, checked.deg_z) == (2, 2, 2)
+    assert (checked.max_residual, checked.samples, checked.seed) == (
+        bare.max_residual, 50, 0)
+    assert (checked.nu, checked.lambda0, checked.predicted_degree) == (2, 2, 2)
+
+
 def test_reduce_f_examples():
     F = parse_polynomial("Z - X*Y", ("X", "Y", "Z"))
     assert reduce_f_to_g(F, 1, 1).to_text() == "z1*z2 - z3"

@@ -149,11 +149,15 @@ def test_preimage_count_matches_order(name):
     assert _numeric_order(spec) == order(spec).nu == BUNDLED_NU[name]
 
 
-def test_cli_import_leaves_numpy_out():
+# every CLI process pays for what `import addtheo.cli` loads: no runtime
+# dependency, no dataclasses (which pulls in inspect, ast, dis and tokenize),
+# and json only when a --json report is printed
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect", "json"])
+def test_cli_import_leaves_module_out(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, addtheo.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, addtheo.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import random
 
@@ -193,7 +192,7 @@ def test_k_relation_elliptic_true_shape(theorems, monkeypatch):
     monkeypatch.setattr(
         laws,
         "full_substitution_group",
-        lambda s: dataclasses.replace(real(s), lam=1),
+        lambda s: real(s)._replace(lam=1),
     )
     with pytest.raises(DegreeLawError, match=r"do not match m\*nu\^3/lambda = 8"):
         k_relation(theorem, spec, cfg)

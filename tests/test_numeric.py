@@ -167,3 +167,13 @@ def test_config_validation():
         EvalConfig(sample_radius=(0.3, 0.2))
     with pytest.raises(AddTheoError):
         EvalConfig(tol=2.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"series_terms": 9}, "series_terms must be at least 10"),
+    ({"tol": 0.0}, r"tol must lie in \(0, 1\)"),
+    ({"sample_radius": (0.1, 0.6)}, "sample_radius must satisfy 0 < lo < hi <= 0.5"),
+], ids=["series_terms", "tol", "sample_radius"])
+def test_config_range_checks_name_the_setting(kwargs, message):
+    with pytest.raises(AddTheoError, match=message):
+        EvalConfig(**kwargs)
