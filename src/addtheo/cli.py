@@ -4,8 +4,9 @@ Subcommands: derive, verify, degrees, symmetry, krel, reduce-f, same.
 Text mode prints one canonical polynomial text line per polynomial so shell
 pipelines can diff outputs; --json prints the full run report.  Exit codes:
 0 ok, 1 verification or pruning failure, 2 parse or validation error (an
-unreadable input file included), 3 degeneracy.  Fixed seed and inputs give
-byte-identical stdout; timing goes to stderr only.
+unreadable input file or an option value out of range included), 3
+degeneracy.  Fixed seed and inputs give byte-identical stdout; timing goes to
+stderr only.
 """
 
 from __future__ import annotations
@@ -49,6 +50,24 @@ def _read_input(path) -> str:
         raise SpecValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise SpecValidationError(f"cannot read {path}: not UTF-8 text") from None
+
+
+def _rational(text, option) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SpecValidationError(f"{option} must be a rational, got {text!r}") from None
+
+
+def _check_options(args):
+    """Reject option values that no command accepts, before any computation."""
+    if args.samples < 1:
+        raise SpecValidationError(f"--samples must be positive, got {args.samples}")
+    if args.tol is not None and not 0 < args.tol < 1:
+        raise SpecValidationError(f"--tol must lie in (0, 1), got {args.tol}")
+    if args.command == "reduce-f":
+        args.x0 = _rational(args.x0, "--x0")
+        args.y0 = _rational(args.y0, "--y0")
 
 
 def _load_spec(path) -> FuncSpec:
@@ -100,7 +119,9 @@ def cmd_verify(args):
         with open(text, "r", encoding="utf-8") as handle:
             text = handle.read().strip()
     except OSError:
-        pass
+        pass  # not a file: inline text
+    except UnicodeDecodeError:
+        raise SpecValidationError(f"cannot read {text}: not UTF-8 text") from None
     g = parse_polynomial(text, ("x", "y", "z")).canonicalize()
     samples = sample_graph(spec, args.samples, cfg, salt=7)
     worst = None
@@ -170,7 +191,7 @@ def cmd_krel(args):
 
 def cmd_reduce_f(args):
     F = parse_polynomial(_read_input(args.f).strip(), ("X", "Y", "Z"))
-    rel = reduce_f_to_g(F, Fraction(args.x0), Fraction(args.y0))
+    rel = reduce_f_to_g(F, args.x0, args.y0)
     return [rel.to_text()], {"relation": rel.to_text()}
 
 
@@ -277,6 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        _check_options(args)
         lines, result = args.func(args)
         status, code, message = "ok", 0, None
     except _PARSE_ERRORS as exc:

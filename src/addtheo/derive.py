@@ -4,10 +4,11 @@ The pipeline builds the class base law (the functional equation of the
 uniformizer at u, v, u+v), adjoins the value relations x*D - N at the three
 slots, and eliminates the uniformizer symbols by iterated resultants in a
 fixed, documented order.  The raw eliminant usually carries extraneous
-factors; numeric pruning on fresh graph samples selects the unique irreducible
-factor that vanishes on the graph, exact division having already certified it
-divides the eliminant.  A final degree cross-check against the m*nu^2/lambda0
-law guards the selection.
+factors; pruning keeps the unique irreducible factor that vanishes exactly at
+graph points mod a large prime (docs/decisions.md section 7), exact division
+having already certified that it divides the eliminant.  Complex graph samples
+then certify it and give the reported residual, and a final degree
+cross-check against the m*nu^2/lambda0 law guards the selection.
 
 Elimination order (part of the contract, chosen to keep intermediate degrees
 low): rational u3, u2, u1; exponential t3, t2, t1; elliptic q3, q2, q1, p3,
@@ -24,7 +25,6 @@ principal, generated by the irreducible G, so G divides any nonzero eliminant
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -38,15 +38,13 @@ from .errors import (
 )
 from .funcspec import FuncSpec, FunctionClass, curve_polynomial, order
 from .numeric import (
+    PRIMES,
     EvalConfig,
     class_tolerance,
-    guarded,
-    phi_eval,
+    graph_points_mod,
     relative_residual,
-    sample,
     sample_graph,
-    wp_eval,
-    wp_prime_eval,
+    sample_mod,
 )
 from .poly import MPoly, rem_monic
 from .resultants import resultant, squarefree_part
@@ -265,26 +263,28 @@ def eliminate(spec: FuncSpec) -> MPoly:
     return final.restrict(("x", "y", "z")).canonicalize()
 
 
-def graph_factor(eliminant: MPoly, draw, tol: float, what: str) -> MPoly:
-    """The unique irreducible factor of eliminant vanishing on sampled points.
+def graph_factor(eliminant: MPoly, names, points, what: str) -> MPoly:
+    """The unique irreducible factor of eliminant vanishing on the graph.
 
-    draw(n, k) returns n evaluation points from the caller's k-th sampling
-    stream.  Factors whose relative residual stays below tol on 120 points
-    survive; a tie is broken at tol*1e-2 on 240 points from a second stream.
+    points(prime) returns exact points mod prime as value tuples in `names`
+    order, or None for a prime that is bad for the spec.  A factor survives
+    a prime when it vanishes mod prime at every point; the primes of
+    numeric.PRIMES are tried in turn until exactly one factor survives.
     """
-
-    def vanishing(candidates, points, bound):
-        return [f for f in candidates if all(relative_residual(f, pt) < bound for pt in points)]
-
-    survivors = vanishing([f for f, _ in factor(eliminant)], draw(120, 1), tol)
-    if len(survivors) > 1:
-        survivors = vanishing(survivors, draw(240, 2), tol * 1e-2)
-        if len(survivors) != 1:
-            texts = "; ".join(s.to_text() for s in survivors)
-            raise PruningError(f"ambiguous pruning of the {what}: surviving factors [{texts}]")
+    candidates = [f for f, _ in factor(eliminant)]
+    survivors = []
+    for prime in PRIMES:
+        pts = points(prime)
+        if pts is None:
+            continue
+        pts = [dict(zip(names, pt)) for pt in pts]
+        survivors = [f for f in candidates if not any(f.evaluate_mod(pt, prime) for pt in pts)]
+        if len(survivors) == 1:
+            return survivors[0]
     if not survivors:
-        raise PruningError(f"no {what} found (tolerance or sampling window too tight)")
-    return survivors[0]
+        raise PruningError(f"no {what} found")
+    texts = "; ".join(s.to_text() for s in survivors)
+    raise PruningError(f"ambiguous pruning of the {what}: surviving factors [{texts}]")
 
 
 def certify(g: MPoly, points, tol: float, what: str) -> float:
@@ -302,14 +302,16 @@ def prune(eliminant: MPoly, spec: FuncSpec, cfg: EvalConfig, verify_samples: int
     if eliminant.is_zero():
         raise PruningError("eliminant is zero")
 
-    def draw(n, k):
-        return [{"x": s.x, "y": s.y, "z": s.z} for s in sample_graph(spec, n, cfg, salt=100 + k)]
-
-    g = graph_factor(eliminant, draw, cfg.tol, "graph component")
+    g = graph_factor(
+        eliminant, ("x", "y", "z"),
+        lambda prime: graph_points_mod(spec, cfg, 101, prime), "graph component",
+    )
     xy = (MPoly.var(g.variables, "x") - MPoly.var(g.variables, "y")).canonicalize()
     if g == xy:
         raise PruningError("graph factor collapsed to x - y")
-    max_res = certify(g, draw(verify_samples, 3), cfg.tol, "derived theorem")
+    samples = sample_graph(spec, verify_samples, cfg, salt=103)
+    points = [{"x": s.x, "y": s.y, "z": s.z} for s in samples]
+    max_res = certify(g, points, cfg.tol, "derived theorem")
     return AdditionTheorem(
         G=g,
         deg_x=g.degree_in("x"),
@@ -400,9 +402,11 @@ def derivative_relation(spec: FuncSpec, cfg: EvalConfig | None = None) -> MPoly:
     For the exponential class the derivative is taken along the normalized
     generator t d/dt (the relation for mu = 1; for general mu substitute
     d -> mu*d).  For the elliptic class it uses p' = q, q' = 6p^2 - g2/2.
+    The factor is selected on exact points (phi, phi') mod p; cfg supplies
+    only the seed.
     """
     if cfg is None:
-        cfg = EvalConfig(tol=class_tolerance(spec))
+        cfg = EvalConfig()
     num, den = spec.numerator, spec.denominator
     if spec.cls is FunctionClass.RATIONAL_OF_U:
         ring = ("x", "d", "u")
@@ -437,39 +441,11 @@ def derivative_relation(spec: FuncSpec, cfg: EvalConfig | None = None) -> MPoly:
     ] + extra
     best = fold_eliminate(relations, elim).restrict(("x", "d"))
 
-    def draw(n, k):
-        def point(u):
-            xval = phi_eval(spec, u, cfg)
-            dval = _phi_derivative_exact(spec, u, cfg)
-            return {"x": xval, "d": dval} if guarded(cfg, xval, dval) else None
-
-        return sample(n, cfg, 200 + k, 1, point)
+    def point(f, a):
+        return f.phi(a), f.dphi(a)
 
     # the image of u -> (phi, phi') is one irreducible curve
-    return graph_factor(best, draw, cfg.tol, "derivative-relation factor")
-
-
-def _phi_derivative_exact(spec: FuncSpec, u: complex, cfg: EvalConfig) -> complex:
-    """Evaluate the class-wise derivative formula (exp: normalized, mu = 1)."""
-    num, den = spec.numerator, spec.denominator
-    if spec.cls is FunctionClass.RATIONAL_OF_U:
-        point = {"u": u}
-        dn = num.derivative("u").evaluate(point)
-        dd = den.derivative("u").evaluate(point)
-    elif spec.cls is FunctionClass.RATIONAL_OF_EXP:
-        tval = cmath.exp(spec.mu_value * u)
-        point = {"t": tval}
-        dn = tval * num.derivative("t").evaluate(point)
-        dd = tval * den.derivative("t").evaluate(point)
-    else:
-        pval = wp_eval(spec.g2, spec.g3, u, cfg)
-        qval = wp_prime_eval(spec.g2, spec.g3, u, cfg)
-        point = {"p": pval, "q": qval}
-        qprime = 6 * pval * pval - complex(spec.g2) / 2
-        dn = num.derivative("p").evaluate(point) * qval + num.derivative("q").evaluate(point) * qprime
-        dd = den.derivative("p").evaluate(point) * qval + den.derivative("q").evaluate(point) * qprime
-    nval = num.evaluate(point)
-    dval = den.evaluate(point)
-    if abs(dval) < 1e-12:
-        raise AddTheoError("derivative evaluated too close to a pole")
-    return (dn * dval - nval * dd) / (dval * dval)
+    return graph_factor(
+        best, ("x", "d"),
+        lambda prime: sample_mod(spec, cfg, 201, 1, point, prime), "derivative-relation factor",
+    )

@@ -32,7 +32,16 @@ from .derive import AdditionTheorem, certify, derive_addition_theorem, graph_fac
 from .errors import AddTheoError, DegreeLawError, PruningError, SamplingError
 from .factor import factor_univariate_q
 from .funcspec import FuncSpec, FunctionClass, curve_polynomial, order
-from .numeric import EvalConfig, class_tolerance, guarded, in_window, phi_eval, sample
+from .numeric import (
+    EXACT_POINTS,
+    EvalConfig,
+    class_tolerance,
+    guarded,
+    in_window,
+    phi_eval,
+    sample,
+    sample_mod,
+)
 from .poly import MPoly, divide_exact, rem_monic
 from .resultants import resultant
 
@@ -406,6 +415,16 @@ def degree_report(spec: FuncSpec, theorem: AdditionTheorem | None = None) -> Deg
 # ----------------------------------------------------------------------
 
 
+def k_points_mod(spec: FuncSpec, cfg: EvalConfig, salt: int, prime: int, n: int = EXACT_POINTS):
+    """Exact quadruples phi(a), phi(b), phi(c), phi(a + b - c) mod prime, or
+    None when prime is bad for spec."""
+
+    def point(f, a, b, c):
+        return tuple(f.phi(v) for v in (a, b, c, f.add(f.add(a, b), f.neg(c))))
+
+    return sample_mod(spec, cfg, salt, 3, point, prime, n)
+
+
 def k_relation(
     theorem: AdditionTheorem,
     spec: FuncSpec,
@@ -427,19 +446,18 @@ def k_relation(
         raise PruningError("K eliminant vanished identically")
     eliminant = eliminant.restrict(("x4", "x3", "x2", "x1"))
 
-    def draw(n, k):
+    def point(u, v, w):
         """Quadruples phi(u), phi(v), phi(w), phi(t) with u + v = w + t."""
+        t = u + v - w
+        if not in_window(t, cfg):
+            return None
+        vals = [phi_eval(spec, arg, cfg) for arg in (u, v, w, t)]
+        return dict(zip(("x1", "x2", "x3", "x4"), vals)) if guarded(cfg, *vals) else None
 
-        def point(u, v, w):
-            t = u + v - w
-            if not in_window(t, cfg):
-                return None
-            vals = [phi_eval(spec, arg, cfg) for arg in (u, v, w, t)]
-            return dict(zip(("x1", "x2", "x3", "x4"), vals)) if guarded(cfg, *vals) else None
-
-        return sample(n, cfg, 300 + k, 3, point)
-
-    K = graph_factor(eliminant, draw, cfg.tol, "K-relation factor")
+    K = graph_factor(
+        eliminant, ("x1", "x2", "x3", "x4"),
+        lambda prime: k_points_mod(spec, cfg, 301, prime), "K-relation factor",
+    )
     degrees = tuple(K.degree_in(n) for n in ("x1", "x2", "x3", "x4"))
     if len(set(degrees)) != 1:
         raise DegreeLawError(f"K degrees differ across variables: {degrees}")
@@ -452,7 +470,7 @@ def k_relation(
             f"(nu={nu}, lambda={lam}); the selected relation has "
             f"{len(K)} terms"
         )
-    max_res = certify(K, draw(verify_samples, 3), cfg.tol, "K")
+    max_res = certify(K, sample(verify_samples, cfg, 303, 3, point), cfg.tol, "K")
     return KRelation(
         K=K,
         degrees=degrees,

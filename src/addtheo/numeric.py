@@ -7,11 +7,17 @@ origin,
     c_2 = g2/20,  c_3 = g3/28,
     c_k = 3 / ((2k+1)(k-3)) * sum_{m=2}^{k-2} c_m c_{k-m}   for k >= 4,
 
-truncated at a configurable number of terms.  Sampling is restricted to a
-radius window where the truncation error is far below the identity tolerances,
-so no period computation is ever needed.  All randomness is derived from an
-explicit seed, per sample index, so runs are reproducible and could be
-parallelized without changing results.
+truncated at a configurable number of terms, with wp and wp' summed in one
+pass.  Sampling is restricted to a radius window where the truncation error is
+far below the identity tolerances, so no period computation is ever needed.
+All randomness is derived from an explicit seed, per sample index, so runs are
+reproducible and could be parallelized without changing results.
+
+The same sampler draws exact points mod a prime (`Residues`, `sample_mod`):
+there the uniformizer is an element of Z/p or a point of the curve over Z/p,
+u + v is the group law, and phi is evaluated exactly.  Factor selection uses
+these points; complex points only certify and report residuals
+(docs/decisions.md sections 1 and 7).
 """
 
 from __future__ import annotations
@@ -63,15 +69,21 @@ class GraphSample(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _wp_coefficients(g2: Fraction, g3: Fraction, terms: int):
-    """Exact Laurent coefficients c_2 .. c_terms."""
+def _wp_table(g2, g3, terms: int):
+    """(c_k, (2k-2)*c_k) as complex pairs for k = 2 .. terms, from the exact
+    Laurent coefficients."""
+    g2, g3 = Q(g2), Q(g3)
     c = {2: g2 / 20, 3: g3 / 28}
     for k in range(4, terms + 1):
         acc = Q(0)
         for m in range(2, k - 1):
             acc += c[m] * c[k - m]
         c[k] = acc * Q(3, (2 * k + 1) * (k - 3))
-    return tuple(complex(c[k]) for k in range(2, terms + 1))
+    table = []
+    for k in range(2, terms + 1):
+        ck = complex(c[k])
+        table.append((ck, (2 * k - 2) * ck))
+    return tuple(table)
 
 
 def _check_range(u: complex, cfg: EvalConfig):
@@ -85,29 +97,30 @@ def _check_range(u: complex, cfg: EvalConfig):
         )
 
 
+def wp_pair(g2, g3, u: complex, cfg: EvalConfig):
+    """(wp(u), wp'(u)) for invariants (g2, g3) from one pass over the
+    truncated Laurent series and its termwise derivative."""
+    _check_range(u, cfg)
+    u2 = u * u
+    wp = 1 / u2
+    dwp = -2 / (u * u * u)
+    upow, dpow = u2, u
+    for c, dc in _wp_table(g2, g3, cfg.series_terms):
+        wp += c * upow
+        upow *= u2
+        dwp += dc * dpow
+        dpow *= u2
+    return wp, dwp
+
+
 def wp_eval(g2, g3, u: complex, cfg: EvalConfig) -> complex:
     """Weierstrass wp(u) for invariants (g2, g3), truncated Laurent series."""
-    _check_range(u, cfg)
-    coeffs = _wp_coefficients(Q(g2), Q(g3), cfg.series_terms)
-    u2 = u * u
-    total = 1 / u2
-    upow = u2
-    for c in coeffs:
-        total += c * upow
-        upow *= u2
-    return total
+    return wp_pair(g2, g3, u, cfg)[0]
 
 
 def wp_prime_eval(g2, g3, u: complex, cfg: EvalConfig) -> complex:
     """Termwise derivative of the wp series."""
-    _check_range(u, cfg)
-    coeffs = _wp_coefficients(Q(g2), Q(g3), cfg.series_terms)
-    total = -2 / (u * u * u)
-    upow = u
-    for k, c in enumerate(coeffs, start=2):
-        total += (2 * k - 2) * c * upow
-        upow *= u * u
-    return total
+    return wp_pair(g2, g3, u, cfg)[1]
 
 
 def phi_eval(spec: FuncSpec, u: complex, cfg: EvalConfig) -> complex:
@@ -117,10 +130,8 @@ def phi_eval(spec: FuncSpec, u: complex, cfg: EvalConfig) -> complex:
     elif spec.cls is FunctionClass.RATIONAL_OF_EXP:
         point = {"t": cmath.exp(spec.mu_value * u)}
     else:
-        point = {
-            "p": wp_eval(spec.g2, spec.g3, u, cfg),
-            "q": wp_prime_eval(spec.g2, spec.g3, u, cfg),
-        }
+        pval, qval = wp_pair(spec.g2, spec.g3, u, cfg)
+        point = {"p": pval, "q": qval}
     den = spec.denominator.evaluate(point)
     if abs(den) < 1e-12:
         raise AddTheoError("phi evaluated too close to a pole")
@@ -144,19 +155,26 @@ def guarded(cfg: EvalConfig, *values) -> bool:
     return all(abs(v) <= cfg.pole_guard for v in values)
 
 
-def sample(n: int, cfg: EvalConfig, salt: int, arity: int, point, radius=None):
+def sample(n: int, cfg: EvalConfig, salt: int, arity: int, point, radius=None, draw=None):
     """Draw n deterministic points, each built as point(*draws) from `arity`
-    complex arguments drawn in the radius window (cfg.sample_radius unless
-    `radius` is given).
+    arguments.  An argument is draw(rng) when draw is given, else a complex
+    number in the radius window (cfg.sample_radius unless `radius` is given).
 
     Index i draws from its own stream seeded by (seed, salt, i), so the list
-    does not depend on evaluation order.  point rejects a draw by returning
-    None or raising AddTheoError, and the index then draws again from its
-    stream; more than 100*n + 1000 draws in all raise SamplingError.
+    does not depend on evaluation order.  draw or point rejects a draw by
+    raising AddTheoError, or point by returning None, and the index then
+    draws again from its stream; more than 100*n + 1000 draws in all raise
+    SamplingError.
     """
     if n < 1:
         raise AddTheoError("sample count must be positive")
-    lo, hi = radius or cfg.sample_radius
+    if draw is None:
+        lo, hi = radius or cfg.sample_radius
+
+        def draw(rng):
+            # _draw is looked up per call, so perfbench's tracer sees each one
+            return _draw(rng, lo, hi)
+
     out = []
     budget = 100 * n + 1000
     for i in range(n):
@@ -165,9 +183,8 @@ def sample(n: int, cfg: EvalConfig, salt: int, arity: int, point, radius=None):
             budget -= 1
             if budget < 0:
                 raise SamplingError("spec has dense poles in sampling window")
-            draws = [_draw(rng, lo, hi) for _ in range(arity)]
             try:
-                pt = point(*draws)
+                pt = point(*[draw(rng) for _ in range(arity)])
             except AddTheoError:
                 continue
             if pt is not None:
@@ -195,9 +212,8 @@ def sample_graph(spec: FuncSpec, n: int, cfg: EvalConfig, salt: int = 0):
 
 def relative_residual(poly, point) -> float:
     """|poly(point)| scaled by the largest single-term contribution."""
-    value = abs(poly.evaluate(point))
-    scale = poly.term_magnitude(point)
-    return value / max(scale, 1e-300)
+    value, scale = poly.evaluate_with_magnitude(point)
+    return abs(value) / max(scale, 1e-300)
 
 
 def class_tolerance(spec: FuncSpec, override=None) -> float:
@@ -206,3 +222,136 @@ def class_tolerance(spec: FuncSpec, override=None) -> float:
     if override is not None:
         return override
     return 1e-6 if spec.cls is FunctionClass.ELLIPTIC else 1e-9
+
+
+# ----------------------------------------------------------------------
+# exact points mod p (docs/decisions.md section 7)
+# ----------------------------------------------------------------------
+
+# Mersenne primes, tried in this order; each is 3 mod 4, so a square root
+# mod p is one pow
+PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+# points per prime; a wrong factor vanishes at one with probability about deg/p
+EXACT_POINTS = 8
+
+
+def bad_prime(spec: FuncSpec, prime: int) -> bool:
+    """True when phi, g2 or g3 has no reduction mod prime: the prime divides
+    a coefficient denominator, every coefficient of phi's numerator or
+    denominator, or the discriminant g2^3 - 27*g3^2."""
+    values = [spec.numerator.content(), spec.denominator.content()]
+    if spec.cls is FunctionClass.ELLIPTIC:
+        g2, g3 = Q(spec.g2), Q(spec.g3)
+        values += [Q(1, g2.denominator), Q(1, g3.denominator), g2**3 - 27 * g3**2]
+    return any(v.numerator % prime == 0 or v.denominator % prime == 0 for v in values)
+
+
+class Residues:
+    """phi's class over Z/p: uniformizer draws, the group law, phi and phi'.
+
+    A uniformizer value is u (rational class), t != 0 (exp class; u + v
+    becomes t1*t2), or a point (p, q) of q^2 = 4p^3 - g2*p - g3 (elliptic
+    class; u + v is the chord law in the sign convention of derive.base_law).
+    A value that does not exist mod p (a pole of phi, a chord through equal
+    p-coordinates, a p-coordinate with no curve point over it) raises
+    AddTheoError, so that sample draws again.
+    """
+
+    def __init__(self, spec: FuncSpec, prime: int):
+        self.spec, self.mod = spec, prime
+        if spec.cls is FunctionClass.ELLIPTIC:
+            self.g2, self.g3 = (
+                Q(g).numerator * pow(Q(g).denominator, -1, prime) % prime
+                for g in (spec.g2, spec.g3)
+            )
+
+    def draw(self, rng):
+        mod, cls = self.mod, self.spec.cls
+        if cls is FunctionClass.RATIONAL_OF_U:
+            return rng.randrange(mod)
+        if cls is FunctionClass.RATIONAL_OF_EXP:
+            return rng.randrange(1, mod)
+        p = rng.randrange(mod)
+        rhs = (4 * p * p * p - self.g2 * p - self.g3) % mod
+        q = pow(rhs, (mod + 1) // 4, mod)
+        if q * q % mod != rhs:
+            raise AddTheoError("no curve point over this p-coordinate")
+        return p, (-q % mod if rng.random() < 0.5 else q)
+
+    def add(self, a, b):
+        mod, cls = self.mod, self.spec.cls
+        if cls is FunctionClass.RATIONAL_OF_U:
+            return (a + b) % mod
+        if cls is FunctionClass.RATIONAL_OF_EXP:
+            return a * b % mod
+        (p1, q1), (p2, q2) = a, b
+        if p1 == p2:
+            raise AddTheoError("chord through equal p-coordinates")
+        lam = (q2 - q1) * pow(p2 - p1, -1, mod) % mod
+        p3 = (lam * lam * pow(4, -1, mod) - p1 - p2) % mod
+        return p3, -(q1 + lam * (p3 - p1)) % mod
+
+    def neg(self, a):
+        cls = self.spec.cls
+        if cls is FunctionClass.RATIONAL_OF_U:
+            return -a % self.mod
+        if cls is FunctionClass.RATIONAL_OF_EXP:
+            return pow(a, -1, self.mod)
+        return a[0], -a[1] % self.mod
+
+    def _point(self, a):
+        if self.spec.cls is FunctionClass.ELLIPTIC:
+            return {"p": a[0], "q": a[1]}
+        return {self.spec.uniformizer[0]: a}
+
+    def _phi(self, a):
+        """(point, phi(a), 1/D(a)) mod p."""
+        point, mod = self._point(a), self.mod
+        d = self.spec.denominator.evaluate_mod(point, mod)
+        if not d:
+            raise AddTheoError("pole of phi mod p")
+        inv = pow(d, -1, mod)
+        return point, self.spec.numerator.evaluate_mod(point, mod) * inv % mod, inv
+
+    def phi(self, a) -> int:
+        return self._phi(a)[1]
+
+    def dphi(self, a) -> int:
+        """The formal derivative (N'D - ND')/D^2 = (N' - phi*D')/D of phi,
+        with ' meaning d/du, t*d/dt (exp, the mu = 1 normalization), or the
+        chain rule with p' = q, q' = 6p^2 - g2/2 (elliptic)."""
+        spec, mod = self.spec, self.mod
+        point, x, inv = self._phi(a)
+        if spec.cls is FunctionClass.RATIONAL_OF_U:
+            chain = (("u", 1),)
+        elif spec.cls is FunctionClass.RATIONAL_OF_EXP:
+            chain = (("t", a),)
+        else:
+            p, q = a
+            chain = (("p", q), ("q", 6 * p * p - self.g2 * pow(2, -1, mod)))
+
+        def d(f):
+            return sum(f.derivative(v).evaluate_mod(point, mod) * w for v, w in chain)
+
+        return (d(spec.numerator) - x * d(spec.denominator)) * inv % mod
+
+
+def sample_mod(
+    spec: FuncSpec, cfg: EvalConfig, salt: int, arity: int, point, prime: int, n: int = EXACT_POINTS
+):
+    """n exact points mod prime, each point(residues, *values) from `arity`
+    uniformizer values drawn through sample's per-index streams; None when
+    prime is bad for spec."""
+    if bad_prime(spec, prime):
+        return None
+    field = Residues(spec, prime)
+    return sample(n, cfg, salt, arity, lambda *values: point(field, *values), draw=field.draw)
+
+
+def graph_points_mod(spec: FuncSpec, cfg: EvalConfig, salt: int, prime: int, n: int = EXACT_POINTS):
+    """Exact graph points (phi(a), phi(b), phi(a + b)) mod prime, or None."""
+
+    def point(f, a, b):
+        return f.phi(a), f.phi(b), f.phi(f.add(a, b))
+
+    return sample_mod(spec, cfg, salt, 2, point, prime, n)

@@ -552,8 +552,8 @@ class MPoly:
     def _evaluation_plan(self):
         """The terms in descending order, unpacked once per polynomial.
 
-        Returns (used variables, powers, rows): powers lists the distinct
-        (variable index, exponent) pairs, and each row is (complex
+        Returns (powers, rows): powers lists the distinct (variable index,
+        exponent) pairs, and each row is (int coefficient over den, complex
         coefficient, coefficient magnitude, indices into powers in variable
         order).
         """
@@ -573,40 +573,56 @@ class MPoly:
                 if e:
                     fields.append(slots.setdefault((i, e), len(slots)))
             # int / int is correctly rounded, as float(Fraction) is
-            rows.append((complex(c / den), abs(float(c // g) / float(den // g)), fields))
-        self._plan = (self.used_variables(), list(slots), rows)
+            rows.append((c, complex(c / den), abs(float(c // g) / float(den // g)), fields))
+        self._plan = (list(slots), rows)
         return self._plan
 
     def evaluate(self, point) -> complex:
-        """Evaluate at a complex point, summing in descending term order."""
-        used, powers, rows = self._evaluation_plan()
-        for v in used:
-            if v not in point:
-                raise KeyError(f"no value assigned to variable {v}")
+        """Evaluate at a complex point, summing in descending term order; a
+        variable missing from the point raises KeyError."""
+        powers, rows = self._evaluation_plan()
         names = self.variables
         pw = [complex(point[names[i]]) ** e for i, e in powers]
         total = 0j
-        for val, _, fields in rows:
+        for _, val, _, fields in rows:
             for k in fields:
                 val *= pw[k]
             total += val
         return total
 
-    def term_magnitude(self, point) -> float:
-        """Largest absolute single-term contribution at the point.
-
-        Used to turn raw residuals into relative ones.
-        """
-        _, powers, rows = self._evaluation_plan()
+    def evaluate_with_magnitude(self, point):
+        """(evaluate(point), largest absolute single-term contribution), from
+        one walk of the terms; the magnitude turns residuals into relative
+        ones."""
+        powers, rows = self._evaluation_plan()
         names = self.variables
-        pw = [abs(complex(point[names[i]])) ** e for i, e in powers]
-        best = 0.0
-        for _, val, fields in rows:
+        pw, pa = [], []
+        for i, e in powers:
+            a = complex(point[names[i]])
+            pw.append(a**e)
+            pa.append(abs(a) ** e)
+        total, best = 0j, 0.0
+        for _, val, mag, fields in rows:
             for k in fields:
                 val *= pw[k]
-            if val > best:
-                best = val
-        return best
+                mag *= pa[k]
+            total += val
+            if mag > best:
+                best = mag
+        return total, best
+
+    def evaluate_mod(self, point, prime) -> int:
+        """Evaluate at a point of int values modulo a prime that does not
+        divide den; zero means that self vanishes there mod prime."""
+        powers, rows = self._evaluation_plan()
+        names = self.variables
+        pw = [pow(point[names[i]], e, prime) for i, e in powers]
+        total = 0
+        for c, _, _, fields in rows:
+            for k in fields:
+                c = c * pw[k] % prime
+            total += c
+        return total * pow(self.den, -1, prime) % prime
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,9 @@
 None of this is used by the package itself: the Sylvester determinant is the
 resultant cross-check, the subresultant remainder sequence with its own
 content recursion is the gcd oracle, the term-by-term float evaluation is
-the reference for MPoly.evaluate and term_magnitude, and the grlex sort key
-and the finite difference of phi are the references for the term order and
-for derivatives.
+the reference for MPoly.evaluate and evaluate_with_magnitude, and the grlex
+sort key and the finite difference of phi are the references for the term
+order and for derivatives.
 """
 
 from addtheo.errors import AddTheoError
@@ -37,7 +37,8 @@ def evaluate_reference(p: MPoly, point) -> complex:
 
 
 def term_magnitude_reference(p: MPoly, point) -> float:
-    """MPoly.term_magnitude term by term, from the reduced coefficients."""
+    """The magnitude of MPoly.evaluate_with_magnitude term by term, from the
+    reduced coefficients."""
     best = 0.0
     for mono, c in p.items():
         val = abs(float(c.numerator) / float(c.denominator))

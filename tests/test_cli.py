@@ -207,3 +207,73 @@ def test_timing_on_stderr_only():
     proc = run_cli("derive", spec_path("exp-t.spec"))
     assert "elapsed_ms" not in proc.stdout
     assert "elapsed_ms=" in proc.stderr
+
+
+def test_verify_g_file_not_utf8_exit_2(tmp_path):
+    g_file = tmp_path / "g.bin"
+    g_file.write_bytes(bytes(range(128, 228)))
+    proc = run_cli("verify", spec_path("cos.spec"), "--g", str(g_file), expect_code=2)
+    assert proc.stderr.startswith(f"error: cannot read {g_file}")
+    proc = run_cli("verify", spec_path("cos.spec"), "--g", str(g_file), "--json", expect_code=2)
+    report = validate_report(proc.stdout)
+    assert report["status"] == "parse-error"
+    assert str(g_file) in report["message"]
+
+
+@pytest.mark.parametrize("args, option", [
+    (("reduce-f", "F", "--x0", "abc", "--y0", "1"), "--x0"),
+    (("reduce-f", "F", "--x0", "1", "--y0", "1/0"), "--y0"),
+    (("derive", "cos", "--samples", "0"), "--samples"),
+    (("derive", "cos", "--samples", "-3"), "--samples"),
+    (("krel", "cos", "--samples", "-3"), "--samples"),
+    (("verify", "cos", "--g", "x", "--tol", "0"), "--tol"),
+    (("derive", "cos", "--tol", "1.5"), "--tol"),
+], ids=["x0-text", "y0-zero-denominator", "samples-0", "samples-negative",
+        "krel-samples-negative", "tol-0", "tol-above-1"])
+def test_bad_option_values_exit_2_before_computing(tmp_path, args, option):
+    f = tmp_path / "f.txt"
+    f.write_text("Z - X*Y\n")
+    argv = [str(f) if a == "F" else spec_path("cos.spec") if a == "cos" else a for a in args]
+    proc = run_cli(*argv, "--json", expect_code=2)
+    report = validate_report(proc.stdout)
+    assert report["status"] == "parse-error"
+    assert report["message"].startswith(option)
+    assert "result" not in report
+
+
+def test_bad_sample_count_stops_before_elimination(monkeypatch, capsys):
+    import addtheo.cli as cli
+
+    def never(spec):
+        raise AssertionError("eliminated before the options were checked")
+
+    monkeypatch.setattr(cli, "eliminate", never)
+    assert cli.main(["derive", spec_path("cos.spec"), "--samples", "-3"]) == 2
+    assert "error: --samples must be positive" in capsys.readouterr().err
+
+
+# max_residual in --json is computed on the complex certification points and
+# is an output contract (docs/decisions.md section 1): these exact reprs at
+# seed 0 fail if any change to sampling or evaluation moves a bit
+MAX_RESIDUAL_REPRS = [
+    (("derive", "cos"), "theorem", "3.320793718163463e-16"),
+    (("derive", "exp-t"), "theorem", "5.843405001871635e-16"),
+    (("derive", "wp-prime"), "theorem", "9.211938382485828e-16"),
+    (("krel", "wp-generic"), "k_relation", "1.6273562967363023e-15"),
+    (("verify", "wp-squared"), None, "1.5156110519284296e-15"),
+]
+
+
+@pytest.mark.parametrize("command, key, expected", MAX_RESIDUAL_REPRS,
+                         ids=[" ".join(c) for c, _, _ in MAX_RESIDUAL_REPRS])
+def test_max_residual_is_bit_identical(capsys, command, key, expected):
+    import addtheo.cli as cli
+
+    verb, name = command
+    argv = [verb, spec_path(f"{name}.spec"), "--json", "--seed", "0"]
+    if verb == "verify":
+        golden = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+        argv += ["--g", golden["derive"][name]]
+    assert cli.main(argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert repr((result[key] if key else result)["max_residual"]) == expected

@@ -16,6 +16,7 @@ from addtheo.derive import (
     reduce_f_to_g,
 )
 from addtheo.errors import (
+    AddTheoError,
     DegenerateEliminationError,
     DegenerateSpecializationError,
     DegreeLawError,
@@ -23,9 +24,13 @@ from addtheo.errors import (
 )
 from addtheo.exprparse import parse_polynomial
 from addtheo.funcspec import FunctionClass, parse_spec
+from addtheo.factor import factor
 from addtheo.numeric import (
+    PRIMES,
     EvalConfig,
+    bad_prime,
     class_tolerance,
+    graph_points_mod,
     phi_eval,
     relative_residual,
     sample_graph,
@@ -401,3 +406,94 @@ def _golden_spec_text(name):
 @pytest.mark.parametrize("name", GOLDEN_G_SPECS)
 def test_derived_g_matches_golden(theorems, name):
     assert theorems(_golden_spec_text(name)).G.to_text() == GOLDEN["derive"][name]
+
+
+# ----------------------------------------------------------------------
+# exact selection mod p (docs/decisions.md section 7)
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", GOLDEN_G_SPECS)
+def test_golden_g_vanishes_at_exact_graph_points(name):
+    spec = parse_spec(_golden_spec_text(name))
+    g = parse_polynomial(GOLDEN["derive"][name], ("x", "y", "z"))
+    prime = PRIMES[0]
+    points = graph_points_mod(spec, CFG, 101, prime, n=50)
+    assert len(set(points)) == 50
+    for x, y, z in points:
+        assert g.evaluate_mod({"x": x, "y": y, "z": z}, prime) == 0
+
+
+@pytest.mark.parametrize("name", ["wp-generic", "wp-lemniscatic", "wp-prime", "wp-squared"])
+def test_spurious_factors_fail_at_the_selection_points(name):
+    # these are the golden specs whose eliminant has a factor besides G
+    spec = parse_spec(_golden_spec_text(name))
+    g = parse_polynomial(GOLDEN["derive"][name], ("x", "y", "z"))
+    prime = PRIMES[0]
+    selection = [dict(zip("xyz", pt)) for pt in graph_points_mod(spec, CFG, 101, prime)]
+    spurious = [f for f, _ in factor(eliminate(spec)) if f != g]
+    assert spurious
+    for f in spurious:
+        assert any(f.evaluate_mod(pt, prime) for pt in selection)
+
+
+def test_bad_first_prime_falls_back_to_the_next(monkeypatch):
+    # phi's denominator is the constant 2^61 - 1, the first prime of the tuple
+    spec = parse_spec(f"class: rational\nphi: u^2 + u/{PRIMES[0]}\n")
+    assert bad_prime(spec, PRIMES[0]) and not bad_prime(spec, PRIMES[1])
+    tried = []
+    real = derive.graph_points_mod
+
+    def spy(spec, cfg, salt, prime):
+        points = real(spec, cfg, salt, prime)
+        tried.append((prime, points is None))
+        return points
+
+    monkeypatch.setattr(derive, "graph_points_mod", spy)
+    theorem = derive_addition_theorem(spec)
+    assert tried == [(PRIMES[0], True), (PRIMES[1], False)]
+    assert theorem.deg_z == theorem.predicted_degree == 4
+
+
+@pytest.mark.parametrize("text", [
+    "class: rational\nphi: (u+1)/(u^2+2)\n",
+    "class: exp\nphi: (t^2+1)/(t-3)\n",
+    "class: elliptic\ng2: 4\ng3: 0\nphi: q\n",
+    "class: elliptic\ng2: 4\ng3: 1\nphi: (p+q)/(p-2)\n",
+])
+def test_exact_derivative_relation_matches_finite_differences(text):
+    # the relation is selected on exact (phi, phi') points mod p; the finite
+    # difference of the complex phi is an independent check of it
+    spec = parse_spec(text)
+    rel = derivative_relation(spec)
+    rng = random.Random(29)
+    checked = 0
+    while checked < 10:
+        u = (0.06 + 0.15 * rng.random()) * cmath.exp(2j * cmath.pi * rng.random())
+        try:
+            xval = phi_eval(spec, u, CFG)
+            dval = phi_derivative_numeric(spec, u, CFG)
+        except AddTheoError:
+            continue
+        assert relative_residual(rel, {"x": xval, "d": dval}) < 1e-5
+        checked += 1
+
+
+def test_graph_factor_tries_the_next_prime_then_reports_ambiguity():
+    ring = ("x", "y", "z")
+    x, y, z = (MPoly.var(ring, n) for n in ring)
+    first, second = x - y, x + y - 2 * z
+    eliminant = first * second
+    # both factors vanish at (1, 1, 1); only the first at (2, 2, 5)
+    tried = []
+
+    def points(prime):
+        tried.append(prime)
+        return [(1, 1, 1)] if prime == PRIMES[0] else [(1, 1, 1), (2, 2, 5)]
+
+    assert derive.graph_factor(eliminant, ring, points, "test factor") == first.canonicalize()
+    assert tried == list(PRIMES[:2])
+    with pytest.raises(PruningError, match=r"ambiguous pruning of the test factor: surviving"):
+        derive.graph_factor(eliminant, ring, lambda prime: [(1, 1, 1)], "test factor")
+    with pytest.raises(PruningError, match="^no test factor found$"):
+        derive.graph_factor(eliminant, ring, lambda prime: None, "test factor")

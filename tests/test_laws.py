@@ -12,14 +12,17 @@ from addtheo.laws import (
     check_rational_expressibility,
     degree_report,
     full_substitution_group,
+    k_points_mod,
     k_relation,
     multiplier_group,
     predicted_degree,
     predicted_k_degree,
     same_theorem,
 )
-from addtheo.numeric import EvalConfig, phi_eval
+from addtheo.numeric import PRIMES, EvalConfig, class_tolerance, phi_eval
 from addtheo.poly import MPoly
+
+from conftest import spec_text
 
 CFG = EvalConfig()
 
@@ -196,6 +199,21 @@ def test_k_relation_elliptic_true_shape(theorems, monkeypatch):
     )
     with pytest.raises(DegreeLawError, match=r"do not match m\*nu\^3/lambda = 8"):
         k_relation(theorem, spec, cfg)
+
+
+@pytest.mark.parametrize("name", ["exp-t", "cos", "wp-generic"])
+def test_k_relation_vanishes_at_exact_k_points(theorems, name):
+    text = spec_text(f"{name}.spec")
+    spec = parse_spec(text)
+    theorem = theorems(text)
+    cfg = EvalConfig(tol=class_tolerance(spec))
+    K = k_relation(theorem, spec, cfg, verify_samples=20).K
+    names = ("x1", "x2", "x3", "x4")
+    prime = PRIMES[0]
+    points = k_points_mod(spec, cfg, 301, prime, n=50)
+    assert len(set(points)) == 50
+    for pt in points:
+        assert K.evaluate_mod(dict(zip(names, pt)), prime) == 0
 
 
 def test_k_relation_symmetries(theorems):

@@ -5,19 +5,23 @@ from fractions import Fraction as Q
 import pytest
 
 from addtheo import cli
-from addtheo.derive import derivative_relation
+from addtheo.derive import base_law
 from addtheo.errors import AddTheoError, SamplingError
 from addtheo.funcspec import parse_spec
 from addtheo.laws import k_relation
 from addtheo.numeric import (
+    PRIMES,
     EvalConfig,
+    Residues,
     class_tolerance,
     phi_eval,
     relative_residual,
+    sample,
     sample_graph,
     wp_eval,
     wp_prime_eval,
 )
+from conftest import spec_text
 from oracles import phi_derivative_numeric
 
 CFG = EvalConfig()
@@ -121,15 +125,18 @@ def test_elliptic_samples_respect_guard():
         assert max(abs(s.x), abs(s.y), abs(s.z)) <= CFG.pole_guard
 
 
-@pytest.mark.parametrize("sampler", ["sample_graph", "k_relation", "derivative_relation"])
+@pytest.mark.parametrize("sampler", ["sample_graph", "k_relation", "exact_draws"])
 def test_rejecting_every_draw_raises_sampling_error(sampler, theorems):
     exp_t = "class: exp\nphi: t\n"
     spec = parse_spec(exp_t)
     guard_all = EvalConfig(pole_guard=1e-30)
+    # phi's denominator is 2^61 - 1, so every exact point mod that prime is a
+    # pole (selection skips this prime as bad; the sampler does not)
+    poles = Residues(parse_spec(f"class: rational\nphi: u^2 + u/{PRIMES[0]}\n"), PRIMES[0])
     calls = {
         "sample_graph": lambda: sample_graph(spec, 20, guard_all),
         "k_relation": lambda: k_relation(theorems(exp_t), spec, guard_all),
-        "derivative_relation": lambda: derivative_relation(spec, guard_all),
+        "exact_draws": lambda: sample(20, CFG, 201, 1, poles.dphi, draw=poles.draw),
     }
     with pytest.raises(SamplingError):
         calls[sampler]()
@@ -177,3 +184,22 @@ def test_config_validation():
 def test_config_range_checks_name_the_setting(kwargs, message):
     with pytest.raises(AddTheoError, match=message):
         EvalConfig(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["wp-generic", "wp-lemniscatic", "wp-prime", "wp-squared"])
+def test_exact_elliptic_points_obey_the_curve_and_the_base_law(name):
+    spec = parse_spec(spec_text(f"{name}.spec"))
+    prime = PRIMES[0]
+    field = Residues(spec, prime)
+    g2, g3 = (Q(g).numerator * pow(Q(g).denominator, -1, prime) for g in (spec.g2, spec.g3))
+    law = base_law(spec.cls, spec.g2, spec.g3)
+
+    def point(a, b):
+        return a, b, field.add(a, b)
+
+    for a, b, c in sample(50, CFG, 0, 2, point, draw=field.draw):
+        for p, q in (a, b, c, field.neg(c)):
+            assert (q * q - (4 * p**3 - g2 * p - g3)) % prime == 0
+        # (p3, q3) = P1 + P2 satisfies the chord relations in their sign convention
+        values = dict(zip(law.variables, a + b + c))
+        assert all(r.evaluate_mod(values, prime) == 0 for r in law.relations)

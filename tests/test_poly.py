@@ -307,4 +307,6 @@ def test_float_evaluation_is_bit_identical_to_the_term_loop(terms, pts):
     p = MPoly(V, terms)
     for pt in pts:
         assert p.evaluate(pt) == evaluate_reference(p, pt)
-        assert p.term_magnitude(pt) == term_magnitude_reference(p, pt)
+        value, magnitude = p.evaluate_with_magnitude(pt)
+        assert value == evaluate_reference(p, pt)
+        assert magnitude == term_magnitude_reference(p, pt)
