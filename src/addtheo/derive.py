@@ -36,7 +36,7 @@ from .errors import (
     PruningError,
     VerificationError,
 )
-from .funcspec import FuncSpec, FunctionClass, curve_polynomial, order
+from .funcspec import FuncSpec, FunctionClass, curve_polynomial
 from .numeric import (
     PRIMES,
     EvalConfig,
@@ -139,12 +139,6 @@ def base_law(cls: FunctionClass, g2=None, g3=None) -> BaseLaw:
     return BaseLaw(cls, slots, tuple(relations))
 
 
-def _tidy(p: MPoly) -> MPoly:
-    # content normalization only: square-free reduction of intermediates costs
-    # more (multivariate gcd) than factoring the final eliminant ever does
-    return p.canonicalize()
-
-
 def _pivot_key(sym):
     return lambda r: (r.degree_in(sym), len(r), r.sort_key())
 
@@ -163,7 +157,9 @@ def _pivot_eliminant(r, pivot, monic_pivot, sym):
             f"degenerate elimination: common factor eliminating {sym} "
             f"between [{r.to_text()}] and [{pivot.to_text()}]"
         )
-    res = _tidy(res)
+    # content normalization only: square-free reduction of intermediates costs
+    # more (multivariate gcd) than factoring the final eliminant ever does
+    res = res.canonicalize()
     if res.is_constant():
         raise DegenerateEliminationError(
             f"elimination of {sym} produced a nonzero constant"
@@ -215,15 +211,8 @@ def fold_eliminate(relations, elim_order) -> MPoly:
             res = _pivot_eliminant(r, pivot, monic_pivot, sym)
             if res is not None:
                 new.append(res)
-        # drop duplicates, keep deterministic order
-        merged = rest + new
-        seen = set()
-        rels = []
-        for r in merged:
-            key = r.sort_key()
-            if key not in seen:
-                seen.add(key)
-                rels.append(r)
+        # drop duplicates (MPoly equality is structural), keep the order
+        rels = list(dict.fromkeys(rest + new))
     rels = sorted((r for r in rels if not r.is_constant()), key=_pivot_key(last))
     if rels and not rels[0].uses(last):
         return rels[0]
@@ -334,17 +323,15 @@ def derive_addition_theorem(spec: FuncSpec, cfg: EvalConfig | None = None, verif
 def check_degree_law(theorem: AdditionTheorem, spec: FuncSpec) -> AdditionTheorem:
     """The theorem with nu, lambda0 and the predicted degree filled in, once its
     degree matches the m*nu^2/lambda0 law."""
-    from .laws import multiplier_group, predicted_degree
+    from .laws import degree_report
 
-    nu = order(spec).nu
-    lambda0 = multiplier_group(spec).lambda0
-    predicted = predicted_degree(1, nu, lambda0)
-    if theorem.deg_z != predicted:
+    law = degree_report(spec)
+    if theorem.deg_z != law.predicted:
         raise DegreeLawError(
             f"derived degree {theorem.deg_z} does not match the degree law "
-            f"m*nu^2/lambda0 = {predicted} (nu={nu}, lambda0={lambda0})"
+            f"m*nu^2/lambda0 = {law.predicted} (nu={law.nu}, lambda0={law.lambda0})"
         )
-    return theorem._replace(nu=nu, lambda0=lambda0, predicted_degree=predicted)
+    return theorem._replace(nu=law.nu, lambda0=law.lambda0, predicted_degree=law.predicted)
 
 
 # ----------------------------------------------------------------------
@@ -396,53 +383,47 @@ def reduce_f_to_g(F: MPoly, x0, y0) -> MPoly:
 # ----------------------------------------------------------------------
 
 
+def phi_prime(spec: FuncSpec):
+    """phi' = W/D^2 as the pair (W, D^2) over the uniformizer ring, by the
+    chain rule with ' meaning d/du, t*d/dt (exp, the mu = 1 normalization),
+    or p' = q, q' = 6p^2 - g2/2 (elliptic)."""
+    ring = spec.uniformizer
+    first = MPoly.var(ring, ring[0])  # u, t or p
+    if spec.cls is FunctionClass.ELLIPTIC:
+        chain = {"p": MPoly.var(ring, "q"), "q": 6 * first**2 - MPoly.const(ring, spec.g2 / 2)}
+    else:
+        chain = {ring[0]: first if spec.cls is FunctionClass.RATIONAL_OF_EXP else MPoly.const(ring, 1)}
+
+    def d(f):
+        return sum((f.derivative(v) * dv for v, dv in chain.items()), MPoly.zero(ring))
+
+    num, den = spec.numerator, spec.denominator
+    return d(num) * den - num * d(den), den * den
+
+
 def derivative_relation(spec: FuncSpec, cfg: EvalConfig | None = None) -> MPoly:
     """The algebraic relation between phi and its derivative.
 
-    For the exponential class the derivative is taken along the normalized
-    generator t d/dt (the relation for mu = 1; for general mu substitute
-    d -> mu*d).  For the elliptic class it uses p' = q, q' = 6p^2 - g2/2.
-    The factor is selected on exact points (phi, phi') mod p; cfg supplies
-    only the seed.
+    The derivative is phi_prime's: for the exponential class it is taken
+    along the normalized generator t d/dt (the relation for mu = 1; for
+    general mu substitute d -> mu*d).  The factor is selected on exact points
+    (phi, phi') mod p; cfg supplies only the seed.
     """
     if cfg is None:
         cfg = EvalConfig()
-    num, den = spec.numerator, spec.denominator
-    if spec.cls is FunctionClass.RATIONAL_OF_U:
-        ring = ("x", "d", "u")
-        elim = ("u",)
-        n = num.embed(ring)
-        dpoly = den.embed(ring)
-        w_num = n.derivative("u") * dpoly - n * dpoly.derivative("u")
-        extra = []
-    elif spec.cls is FunctionClass.RATIONAL_OF_EXP:
-        ring = ("x", "d", "t")
-        elim = ("t",)
-        n = num.embed(ring)
-        dpoly = den.embed(ring)
-        t = MPoly.var(ring, "t")
-        w_num = t * (n.derivative("t") * dpoly - n * dpoly.derivative("t"))
-        extra = []
-    else:
-        ring = ("x", "d", "p", "q")
-        elim = ("q", "p")
-        n = num.embed(ring)
-        dpoly = den.embed(ring)
-        qv = MPoly.var(ring, "q")
-        qprime = 6 * MPoly.var(ring, "p") ** 2 - MPoly.const(ring, spec.g2 / 2)
-        dn = n.derivative("p") * qv + n.derivative("q") * qprime
-        dd = dpoly.derivative("p") * qv + dpoly.derivative("q") * qprime
-        w_num = dn * dpoly - n * dd
-        extra = [curve_polynomial(spec.g2, spec.g3).embed(ring)]
-    w_den = dpoly * dpoly
+    ring = ("x", "d") + spec.uniformizer
+    w, d2 = phi_prime(spec)
     relations = [
-        MPoly.var(ring, "x") * dpoly - n,
-        MPoly.var(ring, "d") * w_den - w_num,
-    ] + extra
-    best = fold_eliminate(relations, elim).restrict(("x", "d"))
+        MPoly.var(ring, "x") * spec.denominator.embed(ring) - spec.numerator.embed(ring),
+        MPoly.var(ring, "d") * d2.embed(ring) - w.embed(ring),
+    ]
+    if spec.cls is FunctionClass.ELLIPTIC:
+        relations.append(curve_polynomial(spec.g2, spec.g3).embed(ring))
+    # elliptic: q first, then p
+    best = fold_eliminate(relations, spec.uniformizer[::-1]).restrict(("x", "d"))
 
     def point(f, a):
-        return f.phi(a), f.dphi(a)
+        return f.phi(a), f.ratio(w, d2, a)
 
     # the image of u -> (phi, phi') is one irreducible curve
     return graph_factor(

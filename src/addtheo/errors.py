@@ -50,7 +50,8 @@ class DegreeLawError(AddTheoError):
 
 
 class SamplingError(AddTheoError):
-    """The sampling window rejected almost every draw."""
+    """A sampler rejected almost every draw; the message names the last
+    rejection."""
 
 
 class MonomialOverflowError(AddTheoError):

@@ -1,16 +1,18 @@
 """Symmetry groups, degree predictions, the K-relation, and comparisons.
 
 Multipliers are the constants a with phi(a*u) = phi(u); their count is
-lambda0.  The full substitution group extends the search to u' = a*u + b.
-Both searches are exact:
+lambda0.  The full substitution group adds the u' = a*u + b with b != 0 to
+them.  Both searches are exact:
 
 * rational class: a is a root of unity whose order divides the gcd of all
   exponent differences across numerator and denominator (coprime numerator
   and denominator force termwise proportionality, so invariance is an exact
-  congruence condition on exponents);
-* exponential class: a = -1 acts by t -> c/t; candidate constants c are roots
-  of unity of order dividing the exponent-difference gcd, handled symbolically
-  through their cyclotomic minimal polynomials;
+  congruence condition on exponents).  A nontrivial finite group of maps
+  a*u + b fixes one point u0, the centroid of any finite fiber, so lambda is
+  the multiplier count of phi(u + u0);
+* exponential class: a = -1 acts by t -> c/t, and phi(c/t) = phi(t) holds
+  for some c != 0 exactly when the t-coefficients of the condition's
+  numerator share a root c != 0; c = 1 is the multiplier test;
 * elliptic class: scalings act on (p, q) with weights (2, 3), so invariance
   under a lattice-allowed root of unity is a congruence condition on monomial
   weights; half-period translations act through the chord law with the root e
@@ -25,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .derive import AdditionTheorem, certify, derive_addition_theorem, graph_factor
@@ -43,7 +45,7 @@ from .numeric import (
     sample_mod,
 )
 from .poly import MPoly, divide_exact, rem_monic
-from .resultants import resultant
+from .resultants import mgcd, resultant
 
 Q = Fraction
 
@@ -158,43 +160,32 @@ class SameTheoremResult(NamedTuple):
 # ----------------------------------------------------------------------
 
 
-def _exponent_diff_gcd(spec: FuncSpec) -> int:
-    exps = []
-    for poly in (spec.numerator, spec.denominator):
-        exps.extend(m[0] for m, _ in poly.items())
-    base = exps[0]
-    g = 0
-    for e in exps[1:]:
-        g = math.gcd(g, e - base)
-    return g if g > 0 else 1
+def _weight_gcd(num: MPoly, den: MPoly, weights) -> int:
+    """The gcd of the differences of the monomial weights across numerator
+    and denominator; 0 when all weights agree."""
+    ws = [sum(w * e for w, e in zip(weights, m)) for poly in (num, den) for m, _ in poly.items()]
+    return math.gcd(*(w - ws[0] for w in ws))
 
 
-def _exp_inversion_invariant(num: MPoly, den: MPoly) -> bool:
-    """Exact test of phi(1/t) = phi(t) for a reduced fraction over Q[t]."""
-    ring = num.variables
+def _exp_inversion_condition(spec: FuncSpec) -> MPoly:
+    """The numerator of phi(c/t) - phi(t) over Q[t, c]: phi(c/t) = phi(t)
+    exactly where it vanishes identically in t."""
+    ring = ("t", "c")
+
+    def twisted(poly):  # t^deg * poly(c/t)
+        deg = poly.total_degree()
+        return MPoly(ring, {(deg - m[0], m[0]): coeff for m, coeff in poly.items()})
+
+    num, den = spec.numerator.embed(ring), spec.denominator.embed(ring)
+    shift = den.total_degree() - num.total_degree()
+    lhs = num * twisted(spec.denominator)
+    rhs = twisted(spec.numerator) * den
     t = MPoly.var(ring, "t")
-    dn, dd = num.total_degree(), den.total_degree()
-    rev_n = MPoly(ring, {(dn - m[0],): c for m, c in num.items()})
-    rev_d = MPoly(ring, {(dd - m[0],): c for m, c in den.items()})
-    lhs = num * rev_d
-    rhs = rev_n * den
-    if dd >= dn:
-        rhs = rhs * t ** (dd - dn)
+    if shift >= 0:
+        rhs = rhs * t**shift
     else:
-        lhs = lhs * t ** (dn - dd)
-    return lhs == rhs
-
-
-def _elliptic_weight_gcd(spec: FuncSpec) -> int:
-    weights = []
-    for poly in (spec.numerator, spec.denominator):
-        for m, _ in poly.items():
-            weights.append(2 * m[0] + 3 * m[1])
-    base = weights[0]
-    g = 0
-    for w in weights[1:]:
-        g = math.gcd(g, w - base)
-    return g  # 0 means every candidate order divides
+        lhs = lhs * t**-shift
+    return lhs - rhs
 
 
 def _elliptic_allowed_orders(spec: FuncSpec):
@@ -212,14 +203,15 @@ _PRIMITIVE = {1: [0], 2: [1], 3: [1, 2], 4: [1, 3], 6: [1, 5]}
 def multiplier_group(spec: FuncSpec) -> SymmetryReport:
     """All constants a with phi(a*u) = phi(u), found exactly; lambda0 is
     their count."""
+    num, den = spec.numerator, spec.denominator
     if spec.cls is FunctionClass.RATIONAL_OF_U:
-        g = _exponent_diff_gcd(spec)
+        g = _weight_gcd(num, den, (1,)) or 1
         return SymmetryReport(multipliers=_unity_group(g), lambda0=g)
     if spec.cls is FunctionClass.RATIONAL_OF_EXP:
-        if _exp_inversion_invariant(spec.numerator, spec.denominator):
+        if _exp_inversion_condition(spec).specialize("c", 1).is_zero():
             return SymmetryReport(multipliers=((1, 0), (2, 1)), lambda0=2)
         return SymmetryReport(multipliers=((1, 0),), lambda0=1)
-    d = _elliptic_weight_gcd(spec)
+    d = _weight_gcd(num, den, (2, 3))  # 0: every candidate order divides
     mults = []
     for k in _elliptic_allowed_orders(spec):
         if d % k == 0:
@@ -256,33 +248,6 @@ def predicted_k_degree(m: int, nu: int, lam: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def _exp_twisted_inversion(spec: FuncSpec, c_order: int) -> bool:
-    """Exact test of phi(c/t) = phi(t) for c a primitive c_order-th root of
-    unity, carried symbolically modulo its cyclotomic polynomial."""
-    ring = ("t", "c")
-    num = spec.numerator.embed(ring)
-    den = spec.denominator.embed(ring)
-    t = MPoly.var(ring, "t")
-    c = MPoly.var(ring, "c")
-    dn = num.degree_in("t")
-    dd = den.degree_in("t")
-    tw_n = MPoly.zero(ring)
-    for m, coeff in spec.numerator.items():
-        tw_n = tw_n + coeff * c ** m[0] * t ** (dn - m[0])
-    tw_d = MPoly.zero(ring)
-    for m, coeff in spec.denominator.items():
-        tw_d = tw_d + coeff * c ** m[0] * t ** (dd - m[0])
-    lhs = num * tw_d
-    rhs = tw_n * den
-    if dd >= dn:
-        rhs = rhs * t ** (dd - dn)
-    else:
-        lhs = lhs * t ** (dn - dd)
-    condition = lhs - rhs
-    condition = rem_monic(condition, _cyclotomic_mpoly(c_order, ring, "c"), "c")
-    return condition.is_zero()
-
-
 def _half_period_minimal_polys(g2: Fraction, g3: Fraction):
     """Irreducible monic minimal polynomials of the roots of
     T^3 - (g2/4) T - (g3/4) (the half-period p-coordinates)."""
@@ -296,95 +261,89 @@ def _half_period_minimal_polys(g2: Fraction, g3: Fraction):
 
 def _elliptic_substitution_invariant(spec: FuncSpec, k: int, j: int, minpoly) -> bool:
     """Exact test of phi(a*u + b) = phi(u) for a = exp(2*pi*i*j/k) and b a
-    half-period whose p-coordinate e has the given minimal polynomial (None
-    tests b = 0).  The scalars a^-2, a^-3 are powers of a symbol w reduced
-    modulo the k-th cyclotomic polynomial; e is reduced modulo its minimal
-    polynomial; q-powers are reduced modulo the curve."""
-    if minpoly is None and k in (1, 2):
-        # rational scalars, plain weight test
-        d = _elliptic_weight_gcd(spec)
-        return d % k == 0
+    half-period whose p-coordinate e has the given minimal polynomial.  The
+    scalars a^-2, a^-3 are powers of a symbol w reduced modulo the k-th
+    cyclotomic polynomial; e is reduced modulo its minimal polynomial;
+    q-powers are reduced modulo the curve."""
     ring = ("p", "q", "e", "w")
     g2, g3 = spec.g2, spec.g3
     num = spec.numerator.embed(ring)
     den = spec.denominator.embed(ring)
     p = MPoly.var(ring, "p")
     q = MPoly.var(ring, "q")
+    e = MPoly.var(ring, "e")
     w = MPoly.var(ring, "w")
-    sp = w ** ((-2 * j) % k) if k > 2 else MPoly.const(ring, 1 if k == 1 else 1)
+    sp = w ** ((-2 * j) % k) if k > 2 else MPoly.const(ring, 1)
     sq = w ** ((-3 * j) % k) if k > 2 else MPoly.const(ring, 1 if k == 1 else -1)
     P = sp * p
     Qv = sq * q
 
     def reduce_all(poly):
         poly = rem_monic(poly, curve_polynomial(g2, g3).embed(ring), "q")
-        if minpoly is not None:
-            mp = MPoly.from_coeffs(ring, "e", list(minpoly))
-            poly = rem_monic(poly, mp, "e")
+        poly = rem_monic(poly, MPoly.from_coeffs(ring, "e", list(minpoly)), "e")
         if k > 2:
             poly = rem_monic(poly, _cyclotomic_mpoly(k, ring, "w"), "w")
         return poly
 
-    if minpoly is None:
-        num_hat = num.substitute({"p": P, "q": Qv})
-        den_hat = den.substitute({"p": P, "q": Qv})
-    else:
-        e = MPoly.var(ring, "e")
-        shift = 3 * e**2 - MPoly.const(ring, g2 / 4)
-        a1 = e * P + 2 * e**2 - MPoly.const(ring, g2 / 4)  # p'' numerator
-        a2 = -Qv * shift  # q'' numerator
-        base = P - e  # p'' denominator; q'' uses its square
-        exps = set()
-        for poly in (spec.numerator, spec.denominator):
-            for m, _ in poly.items():
-                exps.add(m[0] + 2 * m[1])
-        L = max(exps)
+    shift = 3 * e**2 - MPoly.const(ring, g2 / 4)
+    a1 = e * P + 2 * e**2 - MPoly.const(ring, g2 / 4)  # p'' numerator
+    a2 = -Qv * shift  # q'' numerator
+    base = P - e  # p'' denominator; q'' uses its square
+    L = max(m[0] + 2 * m[1] for poly in (spec.numerator, spec.denominator) for m, _ in poly.items())
 
-        def hat(src):
-            acc = MPoly.zero(ring)
-            for m, coeff in src.items():
-                a, b = m[0], m[1]
-                term = coeff * a1**a * a2**b * base ** (L - a - 2 * b)
-                acc = acc + term
-            return reduce_all(acc)
+    def hat(src):
+        acc = MPoly.zero(ring)
+        for m, coeff in src.items():
+            a, b = m[0], m[1]
+            acc = acc + coeff * a1**a * a2**b * base ** (L - a - 2 * b)
+        return reduce_all(acc)
 
-        num_hat = hat(spec.numerator)
-        den_hat = hat(spec.denominator)
-    condition = reduce_all(num_hat * den - num * den_hat)
+    condition = reduce_all(hat(spec.numerator) * den - num * hat(spec.denominator))
     return condition.is_zero()
 
 
+def _fiber_centroid(spec: FuncSpec) -> Fraction:
+    """The mean of the roots of whichever of phi's numerator and denominator
+    has degree nu: a finite fiber of phi, so every substitution fixing phi
+    fixes this point."""
+    num, den = spec.numerator, spec.denominator
+    coeffs = (num if num.total_degree() >= den.total_degree() else den).coeffs_in("u")
+    nu = len(coeffs) - 1
+    return -coeffs[nu - 1].constant_value() / (nu * coeffs[nu].constant_value())
+
+
 def full_substitution_group(spec: FuncSpec) -> SymmetryReport:
-    """Extend the multiplier search to substitutions u' = a*u + b."""
+    """The multipliers (the substitutions u' = a*u + b with b = 0) joined by
+    the a of every substitution with b != 0 that fixes phi."""
     base = multiplier_group(spec)
     if spec.cls is FunctionClass.RATIONAL_OF_U:
-        # a nonconstant rational function admits no translation symmetry
+        # the finite group fixes one rational point u0 (docs/decisions.md
+        # section 8), so it is the multiplier group of phi(u + u0)
+        shift = {"u": MPoly.var(("u",), "u") + _fiber_centroid(spec)}
+        num, den = (poly.substitute(shift) for poly in (spec.numerator, spec.denominator))
+        g = _weight_gcd(num, den, (1,)) or 1
         return base._replace(
-            group_alphas=base.multipliers,
-            lam=max(k for k, _ in base.multipliers),
-            beta_search="none (translation-free class)",
+            group_alphas=_unity_group(g), lam=g, beta_search="none (translation-free class)"
         )
     if spec.cls is FunctionClass.RATIONAL_OF_EXP:
-        g = _exponent_diff_gcd(spec)
-        inverted = any(
-            _exp_twisted_inversion(spec, korder)
-            for korder in sorted({d for d in range(1, g + 1) if g % d == 0})
-        )
-        alphas = ((1, 0), (2, 1)) if inverted else ((1, 0),)
-        lam = 2 if inverted else 1
+        # phi(c/t) = phi(t) for some c != 0 when the t-coefficients of the
+        # condition share a root other than 0: their gcd c^k*h has a
+        # nonconstant h, that is, more than one term
+        coeffs = (co for co in _exp_inversion_condition(spec).coeffs_in("t") if co)
+        inverted = len(reduce(mgcd, coeffs)) > 1
         return base._replace(
-            group_alphas=alphas,
-            lam=lam,
+            group_alphas=((1, 0), (2, 1)) if inverted else ((1, 0),),
+            lam=2 if inverted else 1,
             beta_search="roots of unity of order dividing the exponent gcd",
         )
-    minpolys = [None] + _half_period_minimal_polys(spec.g2, spec.g3)
-    alphas = []
+    minpolys = _half_period_minimal_polys(spec.g2, spec.g3)
+    alphas = set(base.multipliers)
     for k in _elliptic_allowed_orders(spec):
         for j in _PRIMITIVE[k]:
-            if any(
+            if (k, j) not in alphas and any(
                 _elliptic_substitution_invariant(spec, k, j, mp) for mp in minpolys
             ):
-                alphas.append((k, j))
+                alphas.add((k, j))
     alphas = tuple(sorted(alphas))
     lam = max(k for k, _ in alphas)
     if lam % base.lambda0 != 0:

@@ -162,9 +162,9 @@ def sample(n: int, cfg: EvalConfig, salt: int, arity: int, point, radius=None, d
 
     Index i draws from its own stream seeded by (seed, salt, i), so the list
     does not depend on evaluation order.  draw or point rejects a draw by
-    raising AddTheoError, or point by returning None, and the index then
-    draws again from its stream; more than 100*n + 1000 draws in all raise
-    SamplingError.
+    raising AddTheoError, or point by returning None (a window or pole-guard
+    rejection), and the index then draws again from its stream; more than
+    100*n + 1000 draws in all raise SamplingError naming the last rejection.
     """
     if n < 1:
         raise AddTheoError("sample count must be positive")
@@ -182,14 +182,16 @@ def sample(n: int, cfg: EvalConfig, salt: int, arity: int, point, radius=None, d
         while True:
             budget -= 1
             if budget < 0:
-                raise SamplingError("spec has dense poles in sampling window")
+                raise SamplingError(last)
             try:
                 pt = point(*[draw(rng) for _ in range(arity)])
-            except AddTheoError:
+            except AddTheoError as err:
+                last = f"every draw was rejected, the last by: {err}"
                 continue
             if pt is not None:
                 out.append(pt)
                 break
+            last = "spec has dense poles in sampling window"
     return out
 
 
@@ -247,7 +249,8 @@ def bad_prime(spec: FuncSpec, prime: int) -> bool:
 
 
 class Residues:
-    """phi's class over Z/p: uniformizer draws, the group law, phi and phi'.
+    """phi's class over Z/p: uniformizer draws, the group law, and values of
+    phi or of any ratio of polynomials in the uniformizer.
 
     A uniformizer value is u (rational class), t != 0 (exp class; u + v
     becomes t1*t2), or a point (p, q) of q^2 = 4p^3 - g2*p - g3 (elliptic
@@ -299,41 +302,18 @@ class Residues:
             return pow(a, -1, self.mod)
         return a[0], -a[1] % self.mod
 
-    def _point(self, a):
-        if self.spec.cls is FunctionClass.ELLIPTIC:
-            return {"p": a[0], "q": a[1]}
-        return {self.spec.uniformizer[0]: a}
-
-    def _phi(self, a):
-        """(point, phi(a), 1/D(a)) mod p."""
-        point, mod = self._point(a), self.mod
-        d = self.spec.denominator.evaluate_mod(point, mod)
+    def ratio(self, num, den, a) -> int:
+        """num(a)/den(a) mod p for polynomials over the uniformizer ring; a
+        zero denominator is a pole and raises AddTheoError."""
+        mod, names = self.mod, self.spec.uniformizer
+        point = dict(zip(names, a)) if len(names) == 2 else {names[0]: a}
+        d = den.evaluate_mod(point, mod)
         if not d:
             raise AddTheoError("pole of phi mod p")
-        inv = pow(d, -1, mod)
-        return point, self.spec.numerator.evaluate_mod(point, mod) * inv % mod, inv
+        return num.evaluate_mod(point, mod) * pow(d, -1, mod) % mod
 
     def phi(self, a) -> int:
-        return self._phi(a)[1]
-
-    def dphi(self, a) -> int:
-        """The formal derivative (N'D - ND')/D^2 = (N' - phi*D')/D of phi,
-        with ' meaning d/du, t*d/dt (exp, the mu = 1 normalization), or the
-        chain rule with p' = q, q' = 6p^2 - g2/2 (elliptic)."""
-        spec, mod = self.spec, self.mod
-        point, x, inv = self._phi(a)
-        if spec.cls is FunctionClass.RATIONAL_OF_U:
-            chain = (("u", 1),)
-        elif spec.cls is FunctionClass.RATIONAL_OF_EXP:
-            chain = (("t", a),)
-        else:
-            p, q = a
-            chain = (("p", q), ("q", 6 * p * p - self.g2 * pow(2, -1, mod)))
-
-        def d(f):
-            return sum(f.derivative(v).evaluate_mod(point, mod) * w for v, w in chain)
-
-        return (d(spec.numerator) - x * d(spec.denominator)) * inv % mod
+        return self.ratio(self.spec.numerator, self.spec.denominator, a)
 
 
 def sample_mod(

@@ -4,8 +4,8 @@ The resultant uses the subresultant polynomial remainder sequence, which
 keeps every intermediate division exact over the polynomial ring and controls
 coefficient growth.  The gcd is the heuristic integer gcd GCDHEU at nested
 integer points: one int gcd of two values, expanded back into a candidate
-that exact division certifies (docs/decisions.md section 5).  The remainder
-sequence is its fallback when no try certifies.
+that exact division certifies (docs/decisions.md section 5).  When no try
+certifies, the gcd falls back to the same remainder sequence.
 """
 
 from __future__ import annotations
@@ -47,38 +47,43 @@ def resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
         )
     ra, ma, A = _strip_trivial(p, name)
     rb, mb, B = _strip_trivial(q, name)
-    core = _subresultant_res(A, B, name)
-    scale = ra**dq * rb**dp
-    out = core * scale
+    sign = 1
+    if dp < dq:
+        A, B = B, A
+        sign = -1 if dp * dq % 2 else 1
+    S, T, h, parity = _subresultant_prs(A, B, name)
+    if T.is_zero():
+        return T
+    core = divide_exact(T ** S.degree_in(name), h ** (S.degree_in(name) - 1))
+    if core is None:
+        raise AddTheoError("inexact division in subresultant sequence")
+    out = core * (sign * parity * ra**dq * rb**dp)
     if any(ma) or any(mb):
         out = out * _mono_pow(p.variables, ma, dq) * _mono_pow(p.variables, mb, dp)
     return out
 
 
-def _subresultant_res(A: MPoly, B: MPoly, name: str) -> MPoly:
-    variables = A.variables
-    one = MPoly.const(variables, 1)
-    dA = A.degree_in(name)
-    dB = B.degree_in(name)
-    sign = 1
-    if dA < dB:
-        A, B, dA, dB = B, A, dB, dA
-        if (dA * dB) % 2 == 1:
-            sign = -sign
-    g = one
-    h = one
+def _subresultant_prs(A: MPoly, B: MPoly, name: str):
+    """The subresultant remainder sequence of A and B in name (Brown 1978;
+    deg A >= deg B >= 1), run to its end.
+
+    Returns (S, T, h, parity): S is the last element of positive degree and T
+    the next one, either zero (S then divides the previous element, and its
+    primitive part is the gcd) or of degree 0 (A and B are coprime); h is
+    the last subresultant scale factor and parity the sign (-1)^(sum of
+    dA*dB over the steps) that the resultant carries."""
+    g = h = MPoly.const(A.variables, 1)
+    parity = 1
     while True:
-        dA = A.degree_in(name)
-        dB = B.degree_in(name)
+        dA, dB = A.degree_in(name), B.degree_in(name)
         delta = dA - dB
         if dA % 2 == 1 and dB % 2 == 1:
-            sign = -sign
+            parity = -parity
         R = pseudo_rem(A, B, name)
         if R.is_zero():
-            return MPoly.zero(variables)
+            return B, R, h, parity
         A = B
-        denom = g * h**delta
-        B = divide_exact(R, denom)
+        B = divide_exact(R, g * h**delta)
         if B is None:
             raise AddTheoError("inexact division in subresultant sequence")
         g = A.coeffs_in(name)[-1]
@@ -87,17 +92,7 @@ def _subresultant_res(A: MPoly, B: MPoly, name: str) -> MPoly:
             if h is None:
                 raise AddTheoError("inexact division in subresultant sequence")
         if B.degree_in(name) <= 0:
-            break
-    dA = A.degree_in(name)
-    lcB = B  # degree 0 in the variable
-    num = lcB**dA
-    if dA >= 1:
-        final = divide_exact(num, h ** (dA - 1))
-        if final is None:
-            raise AddTheoError("inexact division in subresultant sequence")
-    else:
-        final = num
-    return final * sign
+            return A, B, h, parity
 
 
 # ----------------------------------------------------------------------
@@ -204,32 +199,8 @@ def _prs_gcd(p: MPoly, q: MPoly) -> MPoly:
         a, b = b, a
     if b.degree_in(name) == 0:
         return cont
-    return cont * _prs_gcd_primitive(a, b, name)
-
-
-def _prs_gcd_primitive(a: MPoly, b: MPoly, name: str) -> MPoly:
-    """Gcd of two polynomials primitive in the main variable, via the
-    subresultant remainder sequence (deg a >= deg b >= 1 on entry)."""
-    variables = a.variables
-    one = MPoly.const(variables, 1)
-    g = h = one
-    while True:
-        delta = a.degree_in(name) - b.degree_in(name)
-        r = pseudo_rem(a, b, name)
-        if r.is_zero():
-            _, out = content_and_primitive(b, name)
-            return out
-        if r.degree_in(name) == 0:
-            return one
-        a = b
-        b = divide_exact(r, g * h**delta)
-        if b is None:
-            raise AddTheoError("inexact division in gcd remainder sequence")
-        g = a.coeffs_in(name)[-1]
-        if delta > 0:
-            h = divide_exact(g**delta, h ** (delta - 1))
-            if h is None:
-                raise AddTheoError("inexact division in gcd remainder sequence")
+    S, T, _, _ = _subresultant_prs(a, b, name)
+    return cont if T else cont * content_and_primitive(S, name)[1]
 
 
 def content_and_primitive(p: MPoly, name: str):

@@ -47,6 +47,15 @@ def test_derive_cosh_golden():
     assert proc.stdout == "2*x*y*z - z^2 - y^2 - x^2 + 1\n"
 
 
+def test_krel_of_sin_certifies_with_lambda_2(tmp_path):
+    # sin(u) = phi(t) with t = exp(i*u) is fixed by u -> pi - u, which is
+    # t -> -1/t; with lambda = 2 the K degree law nu^3/lambda reads 4
+    spec = tmp_path / "sin.spec"
+    spec.write_text("class: exp\nphi: (t^2 - 1)/(2*t)\nmu: i\n", encoding="utf-8")
+    proc = run_cli("krel", str(spec))
+    assert proc.stdout.splitlines()[-1] == "degrees=4,4,4,4 lambda=2"
+
+
 def test_derive_trace_eliminates_once(monkeypatch, capsys):
     import addtheo.cli as cli
     from addtheo import derive

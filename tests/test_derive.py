@@ -12,6 +12,7 @@ from addtheo.derive import (
     derive_addition_theorem,
     eliminate,
     fold_eliminate,
+    phi_prime,
     prune,
     reduce_f_to_g,
 )
@@ -453,6 +454,25 @@ def test_bad_first_prime_falls_back_to_the_next(monkeypatch):
     theorem = derive_addition_theorem(spec)
     assert tried == [(PRIMES[0], True), (PRIMES[1], False)]
     assert theorem.deg_z == theorem.predicted_degree == 4
+
+
+@pytest.mark.parametrize("text", [
+    "class: rational\nphi: (u^2+3)/(u-1)\n",
+    "class: exp\nphi: (t^3+2)/(t^2-5)\n",
+    "class: elliptic\ng2: 2\ng3: 1\nphi: q/(p-1)\n",
+    "class: elliptic\ng2: 4\ng3: 1\nphi: p^2 + q\n",
+])
+def test_phi_prime_matches_finite_differences(text):
+    # W/D^2 at the uniformizer value of u is d(phi)/du (mu = 1 for exp)
+    spec = parse_spec(text)
+    w, d2 = phi_prime(spec)
+    for u in (0.11 + 0.07j, -0.08 + 0.13j, 0.2 - 0.05j):
+        if spec.cls is FunctionClass.ELLIPTIC:
+            point = {"p": wp_eval(spec.g2, spec.g3, u, CFG), "q": wp_prime_eval(spec.g2, spec.g3, u, CFG)}
+        else:
+            point = {spec.uniformizer[0]: u if spec.cls is FunctionClass.RATIONAL_OF_U else cmath.exp(u)}
+        exact = w.evaluate(point) / d2.evaluate(point)
+        assert abs(exact - phi_derivative_numeric(spec, u, CFG)) < 1e-6 * max(1.0, abs(exact))
 
 
 @pytest.mark.parametrize("text", [

@@ -1,12 +1,14 @@
 import cmath
 import math
 import random
+from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from addtheo import laws
-from addtheo.errors import AddTheoError, DegreeLawError
-from addtheo.funcspec import order, parse_spec
+from addtheo.errors import AddTheoError, DegreeLawError, SpecValidationError
+from addtheo.funcspec import FunctionClass, make_spec, order, parse_spec
 from addtheo.laws import (
     alpha_complex,
     check_rational_expressibility,
@@ -164,6 +166,88 @@ def test_full_group_equianharmonic_orders():
     report = full_substitution_group(spec)
     assert report.lambda0 == 2
     assert report.lam == 2
+
+
+# (spec, lambda0, group alphas): the four with a substitution u -> -u + b,
+# b != 0, gave lambda = 1 before the exp search solved for c and the rational
+# search shifted phi to its fixed point; the two elliptic rows lock the
+# order-3 and order-6 multipliers
+LAMBDA_TABLE = [
+    ("class: exp\nphi: (t^2 - 1)/(2*t)\nmu: i\n", 1, ((1, 0), (2, 1))),  # sin
+    ("class: exp\nphi: t - 1/t\n", 1, ((1, 0), (2, 1))),  # 2*sinh
+    ("class: exp\nphi: t + 2/t\n", 1, ((1, 0), (2, 1))),  # c = 2
+    ("class: rational\nphi: u^2 + u\n", 1, ((1, 0), (2, 1))),  # phi(-1 - u)
+    (
+        "class: elliptic\ng2: 0\ng3: 1\nphi: p^3\n",
+        6,
+        ((1, 0), (2, 1), (3, 1), (3, 2), (6, 1), (6, 5)),
+    ),
+    ("class: elliptic\ng2: 0\ng3: 1\nphi: q\n", 3, ((1, 0), (3, 1), (3, 2))),
+]
+
+
+@pytest.mark.parametrize("text,lambda0,alphas", LAMBDA_TABLE)
+def test_lambda_table(text, lambda0, alphas):
+    spec = parse_spec(text)
+    report = full_substitution_group(spec)
+    assert report.lambda0 == lambda0
+    assert report.group_alphas == alphas
+    assert report.lam == max(k for k, _ in alphas)
+    assert set(report.multipliers) <= set(alphas)
+
+
+def _compose(outer, inner, name):
+    """outer(s) with s = inner[0]/inner[1], cleared of denominators: a pair
+    (numerator, denominator) of polynomials in name."""
+    a_coeffs, b_coeffs = outer
+    s_num, s_den = inner
+    top = max(len(a_coeffs), len(b_coeffs)) - 1
+
+    def clear(coeffs):
+        acc = MPoly.zero((name,))
+        for i, c in enumerate(coeffs):
+            acc = acc + c * s_num**i * s_den ** (top - i)
+        return acc
+
+    return clear(a_coeffs), clear(b_coeffs)
+
+
+small = st.integers(-3, 3)
+outer_functions = st.tuples(
+    st.lists(small, min_size=2, max_size=3).filter(lambda a: a[-1] != 0),
+    st.sampled_from([[1], [0, 1], [-1, 1], [2, 1]]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(outer_functions, small.filter(bool), st.integers(1, 3))
+def test_inversion_symmetric_exp_functions_have_lambda_2(outer, c, denom):
+    # phi = R(t + c/t) satisfies phi(c/t) = phi(t), i.e. u -> -u + b
+    t = MPoly.var(("t",), "t")
+    c = Q(c, denom)
+    try:
+        spec = make_spec(FunctionClass.RATIONAL_OF_EXP, *_compose(outer, (t**2 + c, t), "t"))
+    except SpecValidationError:
+        assume(False)
+    report = full_substitution_group(spec)
+    assert report.lam == 2
+    assert report.group_alphas == ((1, 0), (2, 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(outer_functions, small, st.integers(1, 3), st.integers(1, 3))
+def test_rotations_about_a_rational_point_divide_lambda(outer, num, denom, k):
+    # phi = R((u - u0)^k) is fixed by u -> u0 + zeta*(u - u0), zeta^k = 1
+    u = MPoly.var(("u",), "u")
+    u0 = Q(num, denom)
+    try:
+        spec = make_spec(FunctionClass.RATIONAL_OF_U, *_compose(outer, ((u - u0) ** k, 1), "u"))
+    except SpecValidationError:
+        assume(False)
+    report = full_substitution_group(spec)
+    assert report.lam % k == 0
+    assert len(report.group_alphas) == report.lam
+    assert report.lam % report.lambda0 == 0
 
 
 def test_k_relation_exp_and_rational(theorems):

@@ -136,11 +136,20 @@ def test_rejecting_every_draw_raises_sampling_error(sampler, theorems):
     calls = {
         "sample_graph": lambda: sample_graph(spec, 20, guard_all),
         "k_relation": lambda: k_relation(theorems(exp_t), spec, guard_all),
-        "exact_draws": lambda: sample(20, CFG, 201, 1, poles.dphi, draw=poles.draw),
+        "exact_draws": lambda: sample(20, CFG, 201, 1, poles.phi, draw=poles.draw),
     }
     with pytest.raises(SamplingError):
         calls[sampler]()
     assert SamplingError in cli._DEGENERATE_ERRORS  # "degeneracy", exit 3
+
+
+def test_exhausted_sampler_names_the_last_rejection():
+    poles = Residues(parse_spec(f"class: rational\nphi: u^2 + u/{PRIMES[0]}\n"), PRIMES[0])
+    with pytest.raises(SamplingError, match="the last by: pole of phi mod p"):
+        sample(5, CFG, 201, 1, poles.phi, draw=poles.draw)
+    # window and pole-guard rejections keep the complex wording
+    with pytest.raises(SamplingError, match="^spec has dense poles in sampling window$"):
+        sample(5, CFG, 0, 1, lambda u: None)
 
 
 def test_relative_residual_scales():
