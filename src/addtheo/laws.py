@@ -31,7 +31,7 @@ from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .derive import AdditionTheorem, certify, derive_addition_theorem, graph_factor
-from .errors import AddTheoError, DegreeLawError, PruningError, SamplingError
+from .errors import AddTheoError, DegreeLawError, PruningError
 from .factor import factor_univariate_q
 from .funcspec import FuncSpec, FunctionClass, curve_polynomial, order
 from .numeric import (
@@ -45,7 +45,7 @@ from .numeric import (
     sample_mod,
 )
 from .poly import MPoly, divide_exact, rem_monic
-from .resultants import mgcd, resultant
+from .resultants import mgcd, resultant, squarefree_part
 
 Q = Fraction
 
@@ -141,7 +141,6 @@ class KRelation(NamedTuple):
 class SameTheoremResult(NamedTuple):
     same: bool
     alpha: complex | None = None
-    residual: float | None = None
     warning: str | None = None
 
     def to_json_dict(self):
@@ -150,7 +149,6 @@ class SameTheoremResult(NamedTuple):
             "alpha": None
             if self.alpha is None
             else [self.alpha.real, self.alpha.imag],
-            "residual": self.residual,
             "warning": self.warning,
         }
 
@@ -167,17 +165,19 @@ def _weight_gcd(num: MPoly, den: MPoly, weights) -> int:
     return math.gcd(*(w - ws[0] for w in ws))
 
 
-def _exp_inversion_condition(spec: FuncSpec) -> MPoly:
-    """The numerator of phi(c/t) - phi(t) over Q[t, c]: phi(c/t) = phi(t)
-    exactly where it vanishes identically in t."""
+def _exp_inversion_condition(spec: FuncSpec, other: FuncSpec | None = None) -> MPoly:
+    """The numerator of phi(c/t) - psi(t) over Q[t, c], where psi is other's
+    phi (default: phi itself): phi(c/t) = psi(t) exactly where it vanishes
+    identically in t."""
     ring = ("t", "c")
+    other = other or spec
 
     def twisted(poly):  # t^deg * poly(c/t)
         deg = poly.total_degree()
         return MPoly(ring, {(deg - m[0], m[0]): coeff for m, coeff in poly.items()})
 
-    num, den = spec.numerator.embed(ring), spec.denominator.embed(ring)
-    shift = den.total_degree() - num.total_degree()
+    num, den = other.numerator.embed(ring), other.denominator.embed(ring)
+    shift = spec.denominator.total_degree() - spec.numerator.total_degree()
     lhs = num * twisted(spec.denominator)
     rhs = twisted(spec.numerator) * den
     t = MPoly.var(ring, "t")
@@ -445,129 +445,85 @@ def k_relation(
 # ----------------------------------------------------------------------
 
 
-def _alpha_residual(spec_a, spec_b, alpha, cfg, n=20):
-    lo, hi = cfg.sample_radius
-    mag = abs(alpha)
-    if not (lo / hi <= mag <= hi / lo):
+def _principal_root(k: int, c: Fraction) -> complex:
+    """The root of alpha^k = c with the least argument in [0, 2*pi); a root
+    on an axis gets an exact 0.0 part."""
+    r = float(abs(c)) ** (1 / k)
+    if c > 0:
+        return complex(r, 0.0)
+    if k <= 2:  # argument pi/k: -r or r*i
+        return complex(0.0, r) if k == 2 else complex(-r, 0.0)
+    return r * cmath.exp(1j * cmath.pi / k)
+
+
+def _scaling_condition(spec_a: FuncSpec, spec_b: FuncSpec, weights) -> tuple | None:
+    """(k, c) with phi_a(s^w . x) = phi_b(x) exactly for the roots of s^k = c,
+    where x are the class variables with weights w; None when no s works.
+
+    The roots form a coset of phi_a's multiplier group, so the square-free
+    gcd of the conditions is a binomial (docs/decisions.md section 9)."""
+    names = spec_a.uniformizer
+    ring = ("s",) + names
+    s = MPoly.var(ring, "s")
+    scale = {n: s**w * MPoly.var(ring, n) for n, w in zip(names, weights)}
+    na, da = (p.embed(ring).substitute(scale) for p in (spec_a.numerator, spec_a.denominator))
+    nb, db = (p.embed(ring) for p in (spec_b.numerator, spec_b.denominator))
+    conditions = [na * db - nb * da]
+    if spec_a.cls is FunctionClass.ELLIPTIC:
+        # curve a rescaled by s must be curve b, and phi_a must match on it
+        curve = curve_polynomial(spec_b.g2, spec_b.g3).embed(ring)
+        conditions = [rem_monic(conditions[0], curve, "q"),
+                      spec_b.g2 * s**4 - spec_a.g2, spec_b.g3 * s**6 - spec_a.g3]
+    for n in names:
+        conditions = [c for poly in conditions for c in poly.coeffs_in(n)]
+    g = reduce(mgcd, [c for c in conditions if c])
+    if g.is_constant():
         return None
-    r_lo = lo / min(1.0, mag)
-    r_hi = hi / max(1.0, mag)
-    if r_lo >= r_hi:
-        return None
-
-    def point(u):
-        fa = phi_eval(spec_a, alpha * u, cfg)
-        fb = phi_eval(spec_b, u, cfg)
-        return abs(fa - fb) if guarded(cfg, fa, fb) else None
-
-    try:
-        return max(sample(n, cfg, 401, 1, point, radius=(r_lo, r_hi)))
-    except SamplingError:
-        return None
+    coeffs = squarefree_part(g).coeffs_in("s")
+    k = len(coeffs) - 1
+    if not coeffs[0] or any(coeffs[1:k]):
+        raise AddTheoError(f"scaling condition {g.to_text()} is not a binomial s^k - c")
+    return k, -coeffs[0].constant_value() / coeffs[k].constant_value()
 
 
-def _local_order_and_coeff(spec, cfg, eps=0.06):
-    """Estimate phi(u) ~ c*u^m near zero (m may be negative or zero)."""
-    f1 = phi_eval(spec, eps, cfg)
-    f2 = phi_eval(spec, 2 * eps, cfg)
-    if abs(f1) < 1e-12 and abs(f2) < 1e-12:
-        return None
-    ratio = f2 / f1
-    m = round((cmath.log(ratio) / math.log(2)).real)
-    if m == 0:
-        # subtract the constant term and look at the next order
-        a0 = 2 * f1 - f2
-        g1 = f1 - a0
-        g2v = f2 - a0
-        if abs(g1) < 1e-12 or abs(g2v) < 1e-12:
-            return (0, a0)
-        m2 = round((cmath.log(g2v / g1) / math.log(2)).real)
-        c = g1 / eps**m2
-        return (m2, c, a0)
-    c = f1 / eps**m
-    return (m, c)
-
-
-def _alpha_seeds(spec_a, spec_b, cfg):
-    seeds = [1 + 0j]
-    try:
-        la = _local_order_and_coeff(spec_a, cfg)
-        lb = _local_order_and_coeff(spec_b, cfg)
-    except AddTheoError:
-        la = lb = None
-    if la is not None and lb is not None and len(la) == len(lb):
-        if len(la) == 3:
-            m, ca, _ = la
-            _, cb, _ = lb
+def _exact_alpha(spec_a: FuncSpec, spec_b: FuncSpec) -> complex | None:
+    """An alpha with phi_a(alpha*u) = phi_b(u), or None when there is none."""
+    if spec_a.cls is FunctionClass.RATIONAL_OF_EXP:
+        # minimal uniformizers force t_a(alpha*u) = t_b(u)^r with r = +-1
+        if spec_a.numerator * spec_b.denominator == spec_b.numerator * spec_a.denominator:
+            r = 1
+        elif _exp_inversion_condition(spec_a, spec_b).specialize("c", 1).is_zero():
+            r = -1
         else:
-            m, ca = la
-            _, cb = lb
-        if m != 0 and abs(ca) > 1e-12:
-            base = (cb / ca) ** (1.0 / m)
-            for rot in range(abs(m)):
-                seeds.append(base * cmath.exp(2j * cmath.pi * rot / m))
-    seeds.extend([2 + 0j, 0.5 + 0j, -1 + 0j, 1j, -1j, 2j, -0.5j])
-    return seeds
-
-
-def _polish_alpha(spec_a, spec_b, alpha0, cfg):
-    """Secant refinement of phi_a(alpha*u0) = phi_b(u0)."""
-    lo, hi = cfg.sample_radius
-    mag = max(abs(alpha0), 1e-6)
-    r = min(hi / max(1.0, mag) * 0.9, (lo + hi) / 2)
-    if r < lo:
+            return None
+        (a, b), (c, d) = spec_b.mu, spec_a.mu  # alpha = r*mu_b/mu_a
+        n = r / (c * c + d * d)
+        return complex(n * (a * c + b * d), n * (b * c - a * d))
+    elliptic = spec_a.cls is FunctionClass.ELLIPTIC
+    solved = _scaling_condition(spec_a, spec_b, (2, 3) if elliptic else (1,))
+    if solved is None:
         return None
-    u0 = r * cmath.exp(0.37j)
-
-    def f(a):
-        return phi_eval(spec_a, a * u0, cfg) - phi_eval(spec_b, u0, cfg)
-
-    a0, a1 = alpha0, alpha0 * (1 + 1e-6) + 1e-9
-    try:
-        f0, f1 = f(a0), f(a1)
-        for _ in range(60):
-            if abs(f1 - f0) < 1e-300:
-                break
-            a2 = a1 - f1 * (a1 - a0) / (f1 - f0)
-            if not (lo / hi <= abs(a2) <= hi / lo):
-                return None
-            a0, f0 = a1, f1
-            a1 = a2
-            f1 = f(a1)
-            if abs(f1) < 1e-13:
-                break
-        return a1
-    except AddTheoError:
-        return None
+    k, c = solved
+    return _principal_root(k, 1 / c if elliptic else c)  # elliptic solves s = 1/alpha
 
 
 def same_theorem(spec_a: FuncSpec, spec_b: FuncSpec, cfg: EvalConfig | None = None) -> SameTheoremResult:
     """Decide whether two functions satisfy the same canonical theorem and,
-    if so, estimate the constant a with phi_a(a*u) = phi_b(u)."""
+    if so, solve exactly for a constant alpha with phi_a(alpha*u) = phi_b(u)."""
     if spec_a.cls is not spec_b.cls:
         return SameTheoremResult(same=False)
     if cfg is None:
         cfg = EvalConfig(tol=class_tolerance(spec_a))
-    ta = derive_addition_theorem(spec_a, cfg)
-    tb = derive_addition_theorem(spec_b, cfg)
-    if ta.G != tb.G:
+    if derive_addition_theorem(spec_a, cfg).G != derive_addition_theorem(spec_b, cfg).G:
         return SameTheoremResult(same=False)
-    best = None
-    for seed_alpha in _alpha_seeds(spec_a, spec_b, cfg):
-        alpha = _polish_alpha(spec_a, spec_b, seed_alpha, cfg)
-        if alpha is None:
-            continue
-        residual = _alpha_residual(spec_a, spec_b, alpha, cfg)
-        if residual is not None and residual < 1e-7:
-            if best is None or residual < best[1]:
-                best = (alpha, residual)
-    if best is None:
+    alpha = _exact_alpha(spec_a, spec_b)
+    if alpha is None:
         return SameTheoremResult(
             same=True,
-            warning="the theorem guarantees a multiplier exists, but the "
-            "numeric search did not converge",
+            warning="the theorems agree, but the exact condition "
+            "phi_a(alpha*u) = phi_b(u) has no root alpha",
         )
-    return SameTheoremResult(same=True, alpha=best[0], residual=best[1])
+    return SameTheoremResult(same=True, alpha=alpha)
 
 
 def check_rational_expressibility(spec: FuncSpec, cfg: EvalConfig | None = None) -> bool:

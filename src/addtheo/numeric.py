@@ -155,10 +155,10 @@ def guarded(cfg: EvalConfig, *values) -> bool:
     return all(abs(v) <= cfg.pole_guard for v in values)
 
 
-def sample(n: int, cfg: EvalConfig, salt: int, arity: int, point, radius=None, draw=None):
+def sample(n: int, cfg: EvalConfig, salt: int, arity: int, point, draw=None):
     """Draw n deterministic points, each built as point(*draws) from `arity`
     arguments.  An argument is draw(rng) when draw is given, else a complex
-    number in the radius window (cfg.sample_radius unless `radius` is given).
+    number in the radius window cfg.sample_radius.
 
     Index i draws from its own stream seeded by (seed, salt, i), so the list
     does not depend on evaluation order.  draw or point rejects a draw by
@@ -169,7 +169,7 @@ def sample(n: int, cfg: EvalConfig, salt: int, arity: int, point, radius=None, d
     if n < 1:
         raise AddTheoError("sample count must be positive")
     if draw is None:
-        lo, hi = radius or cfg.sample_radius
+        lo, hi = cfg.sample_radius
 
         def draw(rng):
             # _draw is looked up per call, so perfbench's tracer sees each one

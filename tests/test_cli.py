@@ -169,9 +169,29 @@ def test_same_command(tmp_path):
     assert proc.stdout.startswith("same=true alpha=2")
     proc = run_cli("same", spec_path("exp-t.spec"), spec_path("cosh.spec"))
     assert proc.stdout == "same=false\n"
+    proc = run_cli("same", spec_path("cos.spec"), spec_path("cosh.spec"))
+    assert proc.stdout == "same=true alpha=-1i\n"
     proc = run_cli("same", spec_path("cosh.spec"), spec_path("cosh.spec"), "--json")
     report = validate_report(proc.stdout)
     assert report["result"]["same_theorem"]["same"] is True
+
+
+@pytest.mark.parametrize(
+    "phi_a,phi_b,line",
+    [
+        ("rational: u", "rational: 10*u", "same=true alpha=10"),
+        ("rational: 10*u", "rational: u", "same=true alpha=0.1"),
+        ("exp: t", "exp: t^10", "same=true alpha=10"),
+    ],
+)
+def test_same_alpha_outside_the_sampling_window(tmp_path, phi_a, phi_b, line):
+    paths = []
+    for i, text in enumerate((phi_a, phi_b)):
+        cls, phi = text.split(": ")
+        path = tmp_path / f"{i}.spec"
+        path.write_text(f"class: {cls}\nphi: {phi}\n")
+        paths.append(str(path))
+    assert run_cli("same", *paths).stdout == line + "\n"
 
 
 def test_parse_error_exit_2(tmp_path):

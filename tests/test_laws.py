@@ -381,3 +381,98 @@ def test_degree_report_with_derivation(theorems):
     assert report.predicted == 2
     assert report.actual == (2, 2, 2)
     assert report.to_json_dict()["lambda0"] == 2
+
+
+E = "class: elliptic\n"
+# (phi_a, phi_b, the printed alpha): phi_a(alpha*u) = phi_b(u), with r = +1
+# first in the exp class and the least argument in [0, 2*pi) otherwise
+SAME_TABLE = [
+    ("class: exp\nphi: (t^2+1)/(2*t)\nmu: i\n", "class: exp\nphi: (t^2+1)/(2*t)\n", -1j),
+    ("class: exp\nphi: t\n", "class: exp\nphi: t^2\n", 2),
+    ("class: exp\nphi: t\n", "class: exp\nphi: 1/t\n", -1),
+    ("class: exp\nphi: t\n", "class: exp\nphi: t^2\nmu: i\n", 2j),
+    ("class: rational\nphi: u^2\n", "class: rational\nphi: 2*u^2\n", math.sqrt(2)),
+    ("class: rational\nphi: u^3/(u+1)\n", "class: rational\nphi: -8*u^3/(-2*u+1)\n", -2),
+    ("class: rational\nphi: 1/u^2\n", "class: rational\nphi: 1/(9*u^2)\n", 3),
+    ("class: rational\nphi: u^2\n", "class: rational\nphi: -u^2\n", 1j),
+    ("class: rational\nphi: u^3\n", "class: rational\nphi: -u^3\n", cmath.exp(1j * cmath.pi / 3)),
+    (E + "g2: 4\ng3: 1\nphi: p\n", E + "g2: 64\ng3: 64\nphi: p/4\n", 2),
+    (E + "g2: 4\ng3: 1\nphi: q\n", E + "g2: 4\ng3: 1\nphi: -q\n", -1),
+]
+
+
+@pytest.mark.parametrize("text_a,text_b,expected", SAME_TABLE)
+def test_same_theorem_exact_alpha(text_a, text_b, expected):
+    verdict = same_theorem(parse_spec(text_a), parse_spec(text_b), CFG)
+    assert verdict.same and verdict.warning is None
+    expected = complex(expected)
+    assert abs(verdict.alpha - expected) < 1e-12
+    # an alpha on an axis carries an exact zero part
+    assert (verdict.alpha.real == 0) == (expected.real == 0)
+    assert (verdict.alpha.imag == 0) == (expected.imag == 0)
+
+
+@pytest.mark.parametrize(
+    "text_a,text_b",
+    [
+        ("class: exp\nphi: t\n", "class: exp\nphi: t + 1\n"),
+        ("class: rational\nphi: u^2\n", "class: rational\nphi: u^2 + 1\n"),
+        (E + "g2: 4\ng3: 1\nphi: p\n", E + "g2: 4\ng3: 2\nphi: p\n"),
+    ],
+)
+def test_exact_alpha_without_a_scaling_is_none(text_a, text_b):
+    assert laws._exact_alpha(parse_spec(text_a), parse_spec(text_b)) is None
+
+
+def test_same_theorem_without_a_root_is_unresolved(monkeypatch):
+    # equal theorems guarantee a scaling; the guard reports its absence
+    monkeypatch.setattr(laws, "_exact_alpha", lambda spec_a, spec_b: None)
+    a = parse_spec("class: exp\nphi: t\n")
+    verdict = same_theorem(a, a, CFG)
+    assert verdict.same and verdict.alpha is None
+    assert "no root" in verdict.warning
+
+
+# base functions per class; phi_b(u) := phi_a(c*u) is built from each
+SCALED_BASES = [
+    ("class: rational\nphi: u^2 + u\n", (Q(1), Q(0))),
+    ("class: rational\nphi: u^3/(u+1)\n", (Q(1), Q(0))),
+    ("class: rational\nphi: (u^4+1)/u^2\n", (Q(1), Q(0))),
+    ("class: exp\nphi: t\n", (Q(1), Q(0))),
+    ("class: exp\nphi: (t^2+1)/(2*t)\n", (Q(0), Q(1))),
+    ("class: exp\nphi: t + 2/t\n", (Q(1), Q(0))),
+    (E + "g2: 4\ng3: 1\nphi: p\n", None),
+    (E + "g2: 4\ng3: 1\nphi: (p + q)/(p^2 + 1)\n", None),
+    (E + "g2: 4\ng3: 0\nphi: p^2\n", None),
+    (E + "g2: 0\ng3: 1\nphi: q\n", None),
+]
+
+
+def _scaled(spec, c):
+    """The spec of phi(c*u)."""
+    if spec.cls is FunctionClass.RATIONAL_OF_EXP:
+        return spec._replace(mu=(c * spec.mu[0], c * spec.mu[1]))
+    names = spec.uniformizer
+    if spec.cls is FunctionClass.RATIONAL_OF_U:
+        scale = {"u": c * MPoly.var(names, "u")}
+        return make_spec(spec.cls, *(p.substitute(scale) for p in (spec.numerator, spec.denominator)))
+    # wp(c*u; g2, g3) = c^-2 * wp(u; c^4*g2, c^6*g3), and wp' gains c^-3
+    scale = {"p": MPoly.var(names, "p") * c**-2, "q": MPoly.var(names, "q") * c**-3}
+    num, den = (p.substitute(scale) for p in (spec.numerator, spec.denominator))
+    return make_spec(spec.cls, num, den, g2=c**4 * spec.g2, g3=c**6 * spec.g3)
+
+
+@settings(max_examples=40, deadline=2000)
+@given(st.sampled_from(SCALED_BASES), small.filter(bool), st.integers(1, 4))
+def test_exact_alpha_of_a_scaled_function(base, num, denom):
+    # phi_b(u) = phi_a(c*u) shares phi_a's theorem by construction; the
+    # solved alpha lies in c times the multiplier group of phi_a
+    text, mu = base
+    spec = parse_spec(text)
+    if mu is not None:
+        spec = spec._replace(mu=mu)
+    c = Q(num, denom)
+    alpha = laws._exact_alpha(spec, _scaled(spec, c))
+    assert alpha is not None
+    lambda0 = multiplier_group(spec).lambda0
+    assert abs((alpha / c) ** lambda0 - 1) < 1e-9
