@@ -216,7 +216,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples_default=200):
+    def common(p):
         p.add_argument("--json", action="store_true", help="print a JSON run report")
         p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
         p.add_argument(
@@ -226,8 +226,7 @@ def _build_parser():
             help="identity tolerance (default 1e-9; 1e-6 for elliptic specs)",
         )
         p.add_argument(
-            "--samples", type=int, default=samples_default,
-            help=f"verification sample count (default {samples_default})",
+            "--samples", type=int, default=200, help="verification sample count (default 200)"
         )
 
     p = sub.add_parser("derive", help="derive the canonical addition theorem")

@@ -190,6 +190,8 @@ def fold_eliminate(relations, elim_order) -> MPoly:
     first partner of the pivot that is not a multiple of it is eliminated
     against the pivot and that one result is returned.  A zero or constant
     result raises DegenerateEliminationError; no later partner is tried.
+    A symbol that only one relation uses drops that relation: it is the
+    pivot, with no partner.
     """
     *steps, last = elim_order
     rels = list(relations)
@@ -197,10 +199,6 @@ def fold_eliminate(relations, elim_order) -> MPoly:
         involved = [r for r in rels if r.uses(sym)]
         rest = [r for r in rels if not r.uses(sym)]
         if not involved:
-            continue
-        if len(involved) == 1:
-            # a lone constraint projects away without trace
-            rels = rest
             continue
         pivot = min(involved, key=_pivot_key(sym))
         monic_pivot = _monic(pivot, sym)

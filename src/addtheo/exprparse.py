@@ -16,6 +16,10 @@ from .poly import MPoly
 Q = Fraction
 
 _OPS = set("+-*/^()")
+_DIGITS = set("0123456789")
+# nested parentheses and signs; each level takes five Python frames, so this
+# stays far below the interpreter's recursion limit
+_MAX_DEPTH = 100
 
 
 class _Token:
@@ -47,9 +51,9 @@ def _tokenize(text, line=1, column=1):
             i += 1
             column += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", int(text[i:j]), line, column))
             column += j - i
@@ -97,6 +101,7 @@ class _Parser:
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.variables = tuple(variables)
 
     def peek(self):
@@ -147,13 +152,19 @@ class _Parser:
 
     def unary(self):
         tok = self.peek()
-        if tok.kind == "-":
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {_MAX_DEPTH} levels", tok.line, tok.column
+            )
+        if tok.kind in ("-", "+"):
             self.advance()
-            return -self.unary()
-        if tok.kind == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+            value = self.unary()
+            value = -value if tok.kind == "-" else value
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
     def power(self):
         base = self.atom()

@@ -31,7 +31,7 @@ _FACTOR_SEED = 0x5EED
 
 
 # ----------------------------------------------------------------------
-# dense arithmetic mod a prime (lists low -> high, ints in [0, p))
+# dense arithmetic over Z, and mod a prime (lists low -> high, ints in [0, p))
 # ----------------------------------------------------------------------
 
 
@@ -41,7 +41,7 @@ def _p_trim(a):
     return a
 
 
-def _p_mul(a, b, p):
+def _z_mul(a, b):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -49,16 +49,24 @@ def _p_mul(a, b, p):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _p_trim([v % p for v in out])
+    return out
 
 
-def _p_sub(a, b, p):
+def _z_sub(a, b):
     out = [0] * max(len(a), len(b))
     for i, x in enumerate(a):
         out[i] = x
     for i, x in enumerate(b):
-        out[i] = (out[i] - x) % p
-    return _p_trim(out)
+        out[i] -= x
+    return out
+
+
+def _p_mul(a, b, p):
+    return _p_trim([v % p for v in _z_mul(a, b)])
+
+
+def _p_sub(a, b, p):
+    return _p_trim([v % p for v in _z_sub(a, b)])
 
 
 def _p_monic(a, p):
@@ -160,9 +168,9 @@ def _equal_degree(f, d, p, rng):
         return _equal_degree(left, d, p, rng) + _equal_degree(right, d, p, rng)
 
 
-def _factor_mod_p(f, p, seed):
+def _factor_mod_p(f, p):
     """Monic square-free f mod p -> list of monic irreducible factors."""
-    rng = random.Random(f"{seed}:{p}:{len(f)}")
+    rng = random.Random(f"{_FACTOR_SEED}:{p}:{len(f)}")
     out = []
     for part, d in _distinct_degree(f, p):
         out.extend(_equal_degree(part, d, p, rng))
@@ -254,17 +262,6 @@ def _pp_gcdext(a, b, p):
     return r0, s0
 
 
-def _z_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _z_divexact(a, b):
     """a / b for int lists when the quotient is integral, else None."""
     a = a[:]
@@ -277,15 +274,6 @@ def _z_divexact(a, b):
         for j, y in enumerate(b):
             a[k + j] -= c * y
     return None if any(a) else quo
-
-
-def _z_sub(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return out
 
 
 def _center(c, m):
@@ -308,7 +296,7 @@ def _z_primitive(f):
     return [c * sign // g for c in f]
 
 
-def factor_univariate_q(coeffs, seed=_FACTOR_SEED):
+def factor_univariate_q(coeffs):
     """Factor a square-free univariate polynomial with Fraction coefficients.
 
     Returns primitive integer-coefficient irreducible factors (low to high,
@@ -326,54 +314,54 @@ def factor_univariate_q(coeffs, seed=_FACTOR_SEED):
         return [f]
     p = _choose_prime(f)
     fp = _p_monic(_p_trim([c % p for c in f]), p)
-    modular = _factor_mod_p(fp, p, seed)
+    modular = _factor_mod_p(fp, p)
     if len(modular) == 1:
         return [f]
     height = max(abs(c) for c in f)
     mignotte = math.isqrt(n + 1) + 1
     bound = 2 * mignotte * (2**n) * height * abs(f[-1]) + 1
     lifted, modulus = _hensel_lift(f, modular, p, bound)
-    return _recombine(f, lifted, modulus)
+    return _recombine(f, lifted, lambda rest, fs: _z_candidate(rest, fs, modulus), _z_divexact)
 
 
-def _recombine(f, lifted, modulus):
+def _z_candidate(remaining, factors, modulus):
+    """The primitive part of lc(remaining) times the product of the lifted
+    factors, in symmetric residues mod modulus.  The prime does not divide
+    that lc and the factors are monic, so the candidate keeps their degree."""
+    cand = [remaining[-1] % modulus]
+    for g in factors:
+        cand = [v % modulus for v in _z_mul(cand, g)]
+    return _z_primitive(_p_trim([_center(c, modulus) for c in cand]))
+
+
+def _recombine(remaining, lifted, candidate, divide):
+    """Split remaining into the true factors that the lifted factors combine
+    to, trying subsets smallest first (Zassenhaus).
+
+    candidate(remaining, factors) builds the product of a subset, and
+    divide(remaining, candidate) returns the exact quotient or None, which
+    certifies each factor kept.  No subset takes more than half of the
+    factors left, so what remains at the end is the last factor."""
     out = []
-    remaining = f[:]
     idxs = list(range(len(lifted)))
     size = 1
     while 2 * size <= len(idxs):
-        found = False
         for subset in itertools.combinations(idxs, size):
-            cand = [remaining[-1] % modulus]
-            for i in subset:
-                cand = [v % modulus for v in _z_mul(cand, lifted[i])]
-            cand = [_center(c, modulus) for c in cand]
-            cand = _z_primitive(_p_trim(cand) or [1])
-            if len(cand) - 1 < 1:
-                continue
-            # cand is primitive, so by Gauss's lemma it divides remaining
-            # over Q exactly when the quotient is integral
-            quo = _z_divexact(remaining, cand)
+            cand = candidate(remaining, [lifted[i] for i in subset])
+            quo = divide(remaining, cand)
             if quo is not None:
                 out.append(cand)
-                remaining = _z_primitive(quo)
+                remaining = quo
                 idxs = [i for i in idxs if i not in subset]
-                found = True
                 break
-        if not found:
+        else:
             size += 1
-    if len(remaining) > 1:
-        out.append(_z_primitive(remaining))
-    return out
+    return out + [remaining]
 
 
 # ----------------------------------------------------------------------
 # multivariate factorization
 # ----------------------------------------------------------------------
-
-
-def _occurring(p: MPoly):
-    return [v for v in p.variables if p.uses(v)]
 
 
 def _uni_coeffs(p: MPoly, name: str):
@@ -395,7 +383,7 @@ def _point_candidates(names, rng):
         i += 1
 
 
-def factor(p: MPoly, seed=_FACTOR_SEED):
+def factor(p: MPoly):
     """Complete factorization into canonical irreducibles over Q.
 
     Returns a list of (irreducible, multiplicity); the rational scalar is
@@ -405,7 +393,7 @@ def factor(p: MPoly, seed=_FACTOR_SEED):
         raise AddTheoError("factorization needs a non-constant input")
     out = []
     for sf, mult in squarefree(p):
-        for irr in _factor_squarefree(sf, seed):
+        for irr in _factor_squarefree(sf):
             out.append((irr, mult))
     out.sort(key=lambda fm: fm[0].sort_key())
     merged = []
@@ -417,31 +405,31 @@ def factor(p: MPoly, seed=_FACTOR_SEED):
     return merged
 
 
-def is_irreducible(p: MPoly, seed=_FACTOR_SEED) -> bool:
-    fs = factor(p, seed)
+def is_irreducible(p: MPoly) -> bool:
+    fs = factor(p)
     return len(fs) == 1 and fs[0][1] == 1
 
 
-def _factor_squarefree(g: MPoly, seed=_FACTOR_SEED):
+def _factor_squarefree(g: MPoly):
     g = g.canonicalize()
-    occ = _occurring(g)
+    occ = g.used_variables()
     if not occ:
         raise AddTheoError("constant slipped into factorization")
     if len(occ) == 1:
         name = occ[0]
-        factors = factor_univariate_q(_uni_coeffs(g, name), seed)
+        factors = factor_univariate_q(_uni_coeffs(g, name))
         return [
             MPoly.from_coeffs(g.variables, name, f).canonicalize() for f in factors
         ]
     main = occ[-1]
     others = occ[:-1]
-    rng = random.Random(f"{seed}:multivar:{len(g)}")
+    rng = random.Random(f"{_FACTOR_SEED}:multivar:{len(g)}")
 
     for attempt in range(24):
         work, undo_shear = _shear_to_constant_lc(g, main, others, attempt)
         if work is None:
             continue
-        found = _try_factor_monic(work, main, others, rng, seed)
+        found = _try_factor_monic(work, main, others, rng)
         if found is None:
             continue
         result = []
@@ -478,12 +466,13 @@ def _shear_to_constant_lc(g: MPoly, main, others, attempt):
     return work, undo
 
 
-def _try_factor_monic(work: MPoly, main, others, rng, seed):
+def _try_factor_monic(work: MPoly, main, others, rng):
     """Factor a polynomial whose main-variable leading coefficient is
     constant.  Returns non-constant factors of `work`, or None to retry."""
     n = work.degree_in(main)
     lc = work.coeffs_in(main)[-1].constant_value()
     monic = work * (1 / lc)
+    one = MPoly.const(work.variables, 1)
     for point in itertools.islice(_point_candidates(others, rng), 60):
         image = monic.substitute({w: point[w] for w in others})
         coeffs = _uni_coeffs(image, main)
@@ -491,7 +480,7 @@ def _try_factor_monic(work: MPoly, main, others, rng, seed):
             continue
         if not mgcd(image, image.derivative(main)).is_constant():
             continue  # the image is not square-free
-        base_factors = factor_univariate_q(coeffs, seed)
+        base_factors = factor_univariate_q(coeffs)
         if len(base_factors) == 1:
             return [work]
         shift = {w: MPoly.var(work.variables, w) + point[w] for w in others}
@@ -501,9 +490,14 @@ def _try_factor_monic(work: MPoly, main, others, rng, seed):
         lifted = _lift_factors(shifted, base_factors, main, prec)
         if lifted is None:
             continue
-        combos = _recombine_multivar(shifted, lifted, main, prec)
-        if combos is None:
-            continue
+
+        def candidate(rest, factors):
+            cand = one
+            for f in factors:
+                cand = cand.mul_trunc(f, main, prec)
+            return cand
+
+        combos = _recombine(shifted, lifted, candidate, divide_exact)
         return [f.substitute(unshift) for f in combos]
     return None
 
@@ -552,31 +546,3 @@ def _inverse_mod(a: MPoly, m: MPoly, main):
         quo = divide_exact(r0 - rem, r1)
         r0, r1, s0, s1 = r1, rem, s1, s0 - quo * s1
     return s0 if r0.is_constant() else None
-
-
-def _recombine_multivar(shifted: MPoly, lifted, main, prec):
-    out = []
-    remaining = shifted
-    idxs = list(range(len(lifted)))
-    size = 1
-    while 2 * size <= len(idxs):
-        found = False
-        for subset in itertools.combinations(idxs, size):
-            cand = MPoly.const(shifted.variables, 1)
-            for i in subset:
-                cand = cand.mul_trunc(lifted[i], main, prec)
-            quo = divide_exact(remaining, cand)
-            if quo is not None:
-                out.append(cand)
-                remaining = quo
-                idxs = [i for i in idxs if i not in subset]
-                found = True
-                break
-        if not found:
-            size += 1
-    if remaining.is_constant():
-        if not out:
-            return None
-    else:
-        out.append(remaining)
-    return out

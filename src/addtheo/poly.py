@@ -691,7 +691,8 @@ def divide_exact(p: MPoly, q: MPoly):
 def pseudo_rem(p: MPoly, q: MPoly, name: str) -> MPoly:
     """Pseudo-remainder of p by q in the named variable.
 
-    Computes lc(q)^(deg p - deg q + 1) * p  mod q without fractions.
+    Computes lc(q)^(deg p - deg q + 1) * p  mod q without fractions; for q
+    monic in the variable that is the plain remainder.
     """
     dp = p.degree_in(name)
     dq = q.degree_in(name)
@@ -701,11 +702,13 @@ def pseudo_rem(p: MPoly, q: MPoly, name: str) -> MPoly:
         return p
     qc = q.coeffs_in(name)
     lq = qc[-1]
+    monic = lq == MPoly.const(q.variables, 1)
     rem = p.coeffs_in(name)
     for k in range(dp, dq - 1, -1):
         # the top coefficient cancels exactly: lq*top - top*lq
         top = rem.pop()
-        rem = [c * lq for c in rem]
+        if not monic:
+            rem = [c * lq for c in rem]
         if not top.is_zero():
             for j in range(dq):
                 rem[k - dq + j] = rem[k - dq + j] - top * qc[j]
@@ -718,20 +721,6 @@ def pseudo_rem(p: MPoly, q: MPoly, name: str) -> MPoly:
 
 def rem_monic(p: MPoly, modulus: MPoly, name: str) -> MPoly:
     """Remainder of p modulo a polynomial monic in the named variable."""
-    d = modulus.degree_in(name)
-    mc = modulus.coeffs_in(name)
-    if not (mc[-1].is_constant() and mc[-1].constant_value() == 1):
+    if modulus.coeffs_in(name)[-1:] != [MPoly.const(modulus.variables, 1)]:
         raise ValueError(f"modulus is not monic in {name}")
-    rem = p.coeffs_in(name)
-    while len(rem) > d:
-        top = rem.pop()
-        k = len(rem) - d
-        if top.is_zero():
-            continue
-        for j in range(d):
-            rem[k + j] = rem[k + j] - top * mc[j]
-    while rem and rem[-1].is_zero():
-        rem.pop()
-    if not rem:
-        return MPoly.zero(p.variables)
-    return MPoly.from_coeffs(p.variables, name, rem)
+    return pseudo_rem(p, modulus, name)

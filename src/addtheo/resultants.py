@@ -17,20 +17,6 @@ from .errors import AddTheoError, ZeroPolynomialError
 from .poly import MPoly, divide_exact, pseudo_rem
 
 
-def _strip_trivial(p: MPoly, name: str):
-    """Pull out the rational content and any common monomial in the other
-    variables.  Returns (rational, monomial exponent tuple, stripped poly)."""
-    idx = p.variables.index(name)
-    mins = [min(col) for col in zip(*(m for m, _ in p.items()))]
-    mins[idx] = 0
-    mono = MPoly(p.variables, {tuple(mins): 1})
-    return p.content(), tuple(mins), divide_exact(p.primitive(), mono)
-
-
-def _mono_pow(variables, mono, k) -> MPoly:
-    return MPoly(variables, {tuple(e * k for e in mono): 1})
-
-
 def resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
     """Resultant of p and q with respect to the named variable.
 
@@ -45,22 +31,17 @@ def resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
             f"resultant needs positive degree in {name} "
             f"(got {max(dp, 0)} and {max(dq, 0)})"
         )
-    ra, ma, A = _strip_trivial(p, name)
-    rb, mb, B = _strip_trivial(q, name)
     sign = 1
     if dp < dq:
-        A, B = B, A
+        p, q = q, p
         sign = -1 if dp * dq % 2 else 1
-    S, T, h, parity = _subresultant_prs(A, B, name)
+    S, T, h, parity = _subresultant_prs(p, q, name)
     if T.is_zero():
         return T
-    core = divide_exact(T ** S.degree_in(name), h ** (S.degree_in(name) - 1))
-    if core is None:
+    out = divide_exact(T ** S.degree_in(name), h ** (S.degree_in(name) - 1))
+    if out is None:
         raise AddTheoError("inexact division in subresultant sequence")
-    out = core * (sign * parity * ra**dq * rb**dp)
-    if any(ma) or any(mb):
-        out = out * _mono_pow(p.variables, ma, dq) * _mono_pow(p.variables, mb, dp)
-    return out
+    return out * (sign * parity)
 
 
 def _subresultant_prs(A: MPoly, B: MPoly, name: str):
@@ -98,15 +79,6 @@ def _subresultant_prs(A: MPoly, B: MPoly, name: str):
 # ----------------------------------------------------------------------
 # gcd
 # ----------------------------------------------------------------------
-
-
-def _main_variable(p: MPoly, q: MPoly):
-    """Greatest variable occurring in either polynomial, or None."""
-    for i in range(len(p.variables) - 1, -1, -1):
-        name = p.variables[i]
-        if p.uses(name) or q.uses(name):
-            return name
-    return None
 
 
 def mgcd(p: MPoly, q: MPoly) -> MPoly:
@@ -190,7 +162,7 @@ def _from_digits(value, names, points, limits, variables):
 def _prs_gcd(p: MPoly, q: MPoly) -> MPoly:
     """The fallback of mgcd: contents in the main variable by recursion, and
     the subresultant remainder sequence on the primitive parts."""
-    name = _main_variable(p, q)
+    name = max(p.used_variables()[-1], q.used_variables()[-1], key=p.variables.index)
     cont_p, pp_p = content_and_primitive(p, name)
     cont_q, pp_q = content_and_primitive(q, name)
     cont = mgcd(cont_p, cont_q)
@@ -234,7 +206,7 @@ def squarefree(p: MPoly):
     """
     if p.is_zero() or p.is_constant():
         raise AddTheoError("square-free decomposition needs a non-constant input")
-    name = _main_variable(p, p)
+    name = p.used_variables()[-1]
     cont, pp = content_and_primitive(p, name)
     parts = [] if cont.is_constant() else squarefree(cont)
     parts.extend(_yun(pp.primitive(), name))

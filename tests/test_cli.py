@@ -201,6 +201,24 @@ def test_parse_error_exit_2(tmp_path):
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize("phi", [
+    pytest.param("²", id="superscript-digit"),
+    pytest.param("(" * 400 + "u" + ")" * 400, id="deep-parentheses"),
+    pytest.param("-" * 3000 + "u", id="deep-signs"),
+])
+def test_hostile_expression_is_a_parse_error(tmp_path, phi):
+    bad = tmp_path / "bad.spec"
+    bad.write_text(f"class: rational\nphi: {phi}\n", encoding="utf-8")
+    proc = run_cli("derive", str(bad), "--json", expect_code=2)
+    assert validate_report(proc.stdout)["status"] == "parse-error"
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_g_with_superscript_digit_is_a_parse_error():
+    proc = run_cli("verify", spec_path("cos.spec"), "--g", "²", "--json", expect_code=2)
+    assert validate_report(proc.stdout)["status"] == "parse-error"
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
 def test_unreadable_spec_exit_2(tmp_path, kind):
     path = {

@@ -62,3 +62,26 @@ def test_line_column_offset():
     with pytest.raises(ExprSyntaxError) as err:
         parse_fraction("x +\n ?", ("x",), line=10)
     assert err.value.line == 11
+
+
+@pytest.mark.parametrize(
+    "text", ["²", "x + ²", "٣*x"], ids=["superscript", "after-operator", "arabic-indic"]
+)
+def test_only_ascii_digits_are_literals(text):
+    # str.isdigit accepts these, and int() would reject "²" with a bare error
+    with pytest.raises(ExprSyntaxError, match="unexpected character"):
+        parse_fraction(text, ("x",))
+
+
+@pytest.mark.parametrize(
+    "text", ["(" * 400 + "x" + ")" * 400, "-" * 3000 + "x"], ids=["parentheses", "signs"]
+)
+def test_deep_nesting_is_a_syntax_error(text):
+    with pytest.raises(ExprSyntaxError, match="nested deeper"):
+        parse_fraction(text, ("x",))
+
+
+def test_moderate_nesting_still_parses():
+    x = MPoly.var(("x",), "x")
+    assert parse_polynomial("(" * 40 + "x" + ")" * 40, ("x",)) == x
+    assert parse_polynomial("-" * 40 + "x", ("x",)) == x

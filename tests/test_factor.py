@@ -4,7 +4,13 @@ from fractions import Fraction as Q
 import pytest
 
 from addtheo.errors import AddTheoError
-from addtheo.factor import _lift_factors, factor, factor_univariate_q, is_irreducible
+from addtheo.factor import (
+    _lift_factors,
+    _try_factor_monic,
+    factor,
+    factor_univariate_q,
+    is_irreducible,
+)
 from addtheo.poly import MPoly
 
 RING = ("x", "y", "z")
@@ -123,3 +129,20 @@ def test_lift_recovers_the_true_factors():
     shifted = f1 * f2
     prec = shifted.others_degree("z")
     assert _lift_factors(shifted, [[1, 0, 1], [0, 1]], "z", prec) == [f1, f2]
+
+
+class _AlwaysOne:
+    """A point stream source whose every random draw is 1."""
+
+    def randint(self, lo, hi):
+        return 1
+
+
+def test_multivariate_recombination_needs_a_pair():
+    # at y = 1 the image (x^2 - 1)(x^2 - 4) splits into four linear factors,
+    # and each true factor is the product of two of them
+    ring = ("y", "x")
+    y, x = (MPoly.var(ring, n) for n in ring)
+    work = (x**2 - y) * (x**2 - 4 * y)
+    found = _try_factor_monic(work, "x", ["y"], _AlwaysOne())
+    assert sorted(f.to_text() for f in found) == ["x^2 - 4*y", "x^2 - y"]

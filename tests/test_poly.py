@@ -112,6 +112,13 @@ def test_rem_monic_substitutes():
     assert reduced == (4 * p**3 - 4 * p) ** 2
 
 
+def test_rem_monic_rejects_a_modulus_that_is_not_monic():
+    x, y, _ = xyz()
+    for modulus in (2 * x**2 + 1, y * x + 1, MPoly.zero(V)):
+        with pytest.raises(ValueError, match="not monic in x"):
+            rem_monic(x**3 + y, modulus, "x")
+
+
 def test_embed_restrict_rename():
     x, y, _ = xyz()
     p = x * y + 1

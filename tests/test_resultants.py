@@ -66,6 +66,17 @@ def test_resultant_matches_sylvester_randomized():
         assert resultant(p, q, "v") == sylvester_resultant(p, q, "v")
 
 
+def test_resultant_with_shared_monomial_and_rational_content():
+    # both inputs carry a monomial in the other variables and a rational
+    # content; the remainder sequence runs on them as they are
+    ring = ("v", "a", "b")
+    v, a, b = (MPoly.var(ring, n) for n in ring)
+    p = Q(3, 2) * a**2 * b * (v**2 + a * v - b)
+    q = 6 * a * b**3 * (v**3 - b * v + 2 * a)
+    for f, g in ((p, q), (q, p), (p, Q(1, 4) * a * (v - a))):
+        assert resultant(f, g, "v") == sylvester_resultant(f, g, "v")
+
+
 def test_resultant_swap_sign():
     rng = random.Random(7)
     ring = ("v", "a")
