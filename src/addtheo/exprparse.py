@@ -3,15 +3,18 @@
 Accepts rational literals (`3`, `1/2`), the declared variable names, the
 operators `+ - * / ^` and parentheses; `^` takes a non-negative integer
 exponent.  The result is an exact fraction of two polynomials.  Positions are
-tracked for error messages.
+tracked for error messages.  A power past the largest total degree a monomial
+field holds or past 2^16-bit coefficients is an error before it is computed,
+as is a literal longer than int() reads (4300 digits).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ExprSyntaxError
-from .poly import MPoly
+from .poly import FIELD_BITS, MPoly
 
 Q = Fraction
 
@@ -20,6 +23,9 @@ _DIGITS = set("0123456789")
 # nested parentheses and signs; each level takes five Python frames, so this
 # stays far below the interpreter's recursion limit
 _MAX_DEPTH = 100
+_MAX_DEGREE = (1 << FIELD_BITS) - 1
+_MAX_BITS = 1 << 16
+_MAX_DIGITS = 4300
 
 
 class _Token:
@@ -55,6 +61,8 @@ def _tokenize(text, line=1, column=1):
             j = i
             while j < len(text) and text[j] in _DIGITS:
                 j += 1
+            if j - i > _MAX_DIGITS:
+                raise ExprSyntaxError(f"literal longer than {_MAX_DIGITS} digits", line, column)
             tokens.append(_Token("int", int(text[i:j]), line, column))
             column += j - i
             i = j
@@ -175,7 +183,17 @@ class _Parser:
                 raise ExprSyntaxError(
                     "exponent must be a non-negative integer", tok.line, tok.column
                 )
-            return base.powi(tok.value)
+            k = tok.value
+            for poly in (base.num, base.den) if k > 1 else ():
+                den = poly.content().denominator  # the common denominator; 1 for 0
+                # the integers of poly^k stay below (terms * largest integer)^k
+                size = max(len(poly), 1) * max([den] + [int(abs(c) * den) for _, c in poly.items()])
+                if k * poly.total_degree() > _MAX_DEGREE or k * math.log2(size) >= _MAX_BITS:
+                    raise ExprSyntaxError(
+                        f"power too large: past total degree {_MAX_DEGREE} "
+                        f"or {_MAX_BITS}-bit coefficients", tok.line, tok.column,
+                    )
+            return base.powi(k)
         return base
 
     def atom(self):

@@ -395,14 +395,10 @@ def factor(p: MPoly):
     for sf, mult in squarefree(p):
         for irr in _factor_squarefree(sf):
             out.append((irr, mult))
+    # the square-free parts are pairwise coprime, so no factor repeats
+    # (docs/decisions.md section 4)
     out.sort(key=lambda fm: fm[0].sort_key())
-    merged = []
-    for f, m in out:
-        if merged and merged[-1][0] == f:
-            merged[-1] = (f, merged[-1][1] + m)
-        else:
-            merged.append((f, m))
-    return merged
+    return out
 
 
 def is_irreducible(p: MPoly) -> bool:
@@ -469,18 +465,14 @@ def _shear_to_constant_lc(g: MPoly, main, others, attempt):
 def _try_factor_monic(work: MPoly, main, others, rng):
     """Factor a polynomial whose main-variable leading coefficient is
     constant.  Returns non-constant factors of `work`, or None to retry."""
-    n = work.degree_in(main)
     lc = work.coeffs_in(main)[-1].constant_value()
     monic = work * (1 / lc)
     one = MPoly.const(work.variables, 1)
     for point in itertools.islice(_point_candidates(others, rng), 60):
         image = monic.substitute({w: point[w] for w in others})
-        coeffs = _uni_coeffs(image, main)
-        if len(coeffs) - 1 != n:
-            continue
         if not mgcd(image, image.derivative(main)).is_constant():
             continue  # the image is not square-free
-        base_factors = factor_univariate_q(coeffs)
+        base_factors = factor_univariate_q(_uni_coeffs(image, main))
         if len(base_factors) == 1:
             return [work]
         shift = {w: MPoly.var(work.variables, w) + point[w] for w in others}
@@ -488,8 +480,6 @@ def _try_factor_monic(work: MPoly, main, others, rng):
         shifted = monic.substitute(shift)
         prec = shifted.others_degree(main)
         lifted = _lift_factors(shifted, base_factors, main, prec)
-        if lifted is None:
-            continue
 
         def candidate(rest, factors):
             cand = one
@@ -519,10 +509,7 @@ def _lift_factors(shifted: MPoly, base_factors, main, prec):
         for j, gj in enumerate(monics):
             if j != i:
                 others_prod = rem_monic(others_prod * gj, gi, main)
-        sigma = _inverse_mod(others_prod, gi, main)
-        if sigma is None:
-            return None
-        sigmas.append(sigma)
+        sigmas.append(_inverse_mod(others_prod, gi, main))
     lifted = list(monics)
     for level in range(1, prec + 1):
         prod = one
@@ -536,7 +523,7 @@ def _lift_factors(shifted: MPoly, base_factors, main, prec):
 
 def _inverse_mod(a: MPoly, m: MPoly, main):
     """s with s*a = 1 mod m, for m monic and univariate in main, by extended
-    Euclid; None when a and m are not coprime."""
+    Euclid; a and m are coprime (docs/decisions.md section 4)."""
     r0, r1 = m, a
     s0, s1 = MPoly.zero(m.variables), MPoly.const(m.variables, 1)
     while not r1.is_zero():
@@ -545,4 +532,4 @@ def _inverse_mod(a: MPoly, m: MPoly, main):
         rem = rem_monic(r0, r1, main)
         quo = divide_exact(r0 - rem, r1)
         r0, r1, s0, s1 = r1, rem, s1, s0 - quo * s1
-    return s0 if r0.is_constant() else None
+    return s0

@@ -4,19 +4,18 @@ Multipliers are the constants a with phi(a*u) = phi(u); their count is
 lambda0.  The full substitution group adds the u' = a*u + b with b != 0 to
 them.  Both searches are exact:
 
-* rational class: a is a root of unity whose order divides the gcd of all
-  exponent differences across numerator and denominator (coprime numerator
-  and denominator force termwise proportionality, so invariance is an exact
-  congruence condition on exponents).  A nontrivial finite group of maps
-  a*u + b fixes one point u0, the centroid of any finite fiber, so lambda is
-  the multiplier count of phi(u + u0);
+* rational and elliptic classes: the multipliers are the roots of the
+  reflexive scaling condition phi(s^w . x) = phi(x), weights w = 1 on u or
+  (2, 3) on (p, q), whose square-free gcd over Q[s] is s^lambda0 - 1.  A
+  nontrivial finite group of maps a*u + b on a rational phi fixes one point
+  u0, the centroid of any finite fiber, so lambda is the multiplier count of
+  phi(u + u0);
 * exponential class: a = -1 acts by t -> c/t, and phi(c/t) = phi(t) holds
   for some c != 0 exactly when the t-coefficients of the condition's
   numerator share a root c != 0; c = 1 is the multiplier test;
-* elliptic class: scalings act on (p, q) with weights (2, 3), so invariance
-  under a lattice-allowed root of unity is a congruence condition on monomial
-  weights; half-period translations act through the chord law with the root e
-  of 4T^3 - g2 T - g3 carried symbolically via its minimal polynomial.
+* elliptic translations: half-period translations act through the chord law
+  with the root e of 4T^3 - g2 T - g3 carried symbolically via its minimal
+  polynomial, for each root of unity that preserves the period lattice.
 
 Degree predictions follow m*nu^2/lambda0 for the addition theorem and
 m*nu^3/lambda for the four-variable K-relation (docs/decisions.md, section 2).
@@ -158,13 +157,6 @@ class SameTheoremResult(NamedTuple):
 # ----------------------------------------------------------------------
 
 
-def _weight_gcd(num: MPoly, den: MPoly, weights) -> int:
-    """The gcd of the differences of the monomial weights across numerator
-    and denominator; 0 when all weights agree."""
-    ws = [sum(w * e for w, e in zip(weights, m)) for poly in (num, den) for m, _ in poly.items()]
-    return math.gcd(*(w - ws[0] for w in ws))
-
-
 def _exp_inversion_condition(spec: FuncSpec, other: FuncSpec | None = None) -> MPoly:
     """The numerator of phi(c/t) - psi(t) over Q[t, c], where psi is other's
     phi (default: phi itself): phi(c/t) = psi(t) exactly where it vanishes
@@ -188,39 +180,19 @@ def _exp_inversion_condition(spec: FuncSpec, other: FuncSpec | None = None) -> M
     return lhs - rhs
 
 
-def _elliptic_allowed_orders(spec: FuncSpec):
-    orders = [1, 2]
-    if spec.g3 == 0:
-        orders.append(4)
-    if spec.g2 == 0:
-        orders.extend([3, 6])
-    return orders
-
-
-_PRIMITIVE = {1: [0], 2: [1], 3: [1, 2], 4: [1, 3], 6: [1, 5]}
-
-
 def multiplier_group(spec: FuncSpec) -> SymmetryReport:
     """All constants a with phi(a*u) = phi(u), found exactly; lambda0 is
     their count."""
-    num, den = spec.numerator, spec.denominator
-    if spec.cls is FunctionClass.RATIONAL_OF_U:
-        g = _weight_gcd(num, den, (1,)) or 1
-        return SymmetryReport(multipliers=_unity_group(g), lambda0=g)
     if spec.cls is FunctionClass.RATIONAL_OF_EXP:
         if _exp_inversion_condition(spec).specialize("c", 1).is_zero():
             return SymmetryReport(multipliers=((1, 0), (2, 1)), lambda0=2)
         return SymmetryReport(multipliers=((1, 0),), lambda0=1)
-    d = _weight_gcd(num, den, (2, 3))  # 0: every candidate order divides
-    mults = []
-    for k in _elliptic_allowed_orders(spec):
-        if d % k == 0:
-            mults.extend((k, j) for j in _PRIMITIVE[k])
-    mults = tuple(sorted(mults))
-    lam0 = len(mults)
-    if lam0 not in (1, 2, 3, 4, 6):
-        raise AddTheoError(f"lambda0 = {lam0} outside the doubly periodic set")
-    return SymmetryReport(multipliers=mults, lambda0=lam0)
+    # the reflexive scaling condition: its roots are the multiplier group
+    # itself, so the square-free gcd is s^lambda0 - 1 (docs/decisions.md
+    # section 9)
+    weights = (2, 3) if spec.cls is FunctionClass.ELLIPTIC else (1,)
+    k, _ = _scaling_condition(spec, spec, weights)
+    return SymmetryReport(multipliers=_unity_group(k), lambda0=k)
 
 
 def predicted_degree(m: int, nu: int, lambda0: int) -> int:
@@ -321,9 +293,10 @@ def full_substitution_group(spec: FuncSpec) -> SymmetryReport:
         # section 8), so it is the multiplier group of phi(u + u0)
         shift = {"u": MPoly.var(("u",), "u") + _fiber_centroid(spec)}
         num, den = (poly.substitute(shift) for poly in (spec.numerator, spec.denominator))
-        g = _weight_gcd(num, den, (1,)) or 1
+        shifted = multiplier_group(spec._replace(numerator=num, denominator=den))
         return base._replace(
-            group_alphas=_unity_group(g), lam=g, beta_search="none (translation-free class)"
+            group_alphas=shifted.multipliers, lam=shifted.lambda0,
+            beta_search="none (translation-free class)",
         )
     if spec.cls is FunctionClass.RATIONAL_OF_EXP:
         # phi(c/t) = phi(t) for some c != 0 when the t-coefficients of the
@@ -338,12 +311,12 @@ def full_substitution_group(spec: FuncSpec) -> SymmetryReport:
         )
     minpolys = _half_period_minimal_polys(spec.g2, spec.g3)
     alphas = set(base.multipliers)
-    for k in _elliptic_allowed_orders(spec):
-        for j in _PRIMITIVE[k]:
-            if (k, j) not in alphas and any(
-                _elliptic_substitution_invariant(spec, k, j, mp) for mp in minpolys
-            ):
-                alphas.add((k, j))
+    # the roots of unity that preserve the period lattice
+    for k, j in _unity_group(4 if spec.g3 == 0 else 6 if spec.g2 == 0 else 2):
+        if (k, j) not in alphas and any(
+            _elliptic_substitution_invariant(spec, k, j, mp) for mp in minpolys
+        ):
+            alphas.add((k, j))
     alphas = tuple(sorted(alphas))
     lam = max(k for k, _ in alphas)
     if lam % base.lambda0 != 0:

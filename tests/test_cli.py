@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -205,11 +206,17 @@ def test_parse_error_exit_2(tmp_path):
     pytest.param("²", id="superscript-digit"),
     pytest.param("(" * 400 + "u" + ")" * 400, id="deep-parentheses"),
     pytest.param("-" * 3000 + "u", id="deep-signs"),
+    pytest.param("u^70000", id="power-degree"),
+    pytest.param("u + 2^2000000", id="power-coefficient"),
+    pytest.param("((2^1000)^1000)^1000", id="nested-powers"),
+    pytest.param("u + " + "7" * 5000, id="long-literal"),
 ])
 def test_hostile_expression_is_a_parse_error(tmp_path, phi):
     bad = tmp_path / "bad.spec"
     bad.write_text(f"class: rational\nphi: {phi}\n", encoding="utf-8")
+    start = time.monotonic()
     proc = run_cli("derive", str(bad), "--json", expect_code=2)
+    assert time.monotonic() - start < 1.0
     assert validate_report(proc.stdout)["status"] == "parse-error"
     assert "Traceback" not in proc.stderr
 

@@ -85,3 +85,24 @@ def test_moderate_nesting_still_parses():
     x = MPoly.var(("x",), "x")
     assert parse_polynomial("(" * 40 + "x" + ")" * 40, ("x",)) == x
     assert parse_polynomial("-" * 40 + "x", ("x",)) == x
+
+
+OVERSIZED_POWERS = ["u^70000", "u + 2^2000000", "((2^1000)^1000)^1000"]
+
+
+@pytest.mark.parametrize("text,column", zip(OVERSIZED_POWERS, [3, 7, 11]),
+                         ids=["degree", "coefficient", "nested"])
+def test_oversized_power_is_a_syntax_error_at_the_exponent(text, column):
+    with pytest.raises(ExprSyntaxError, match="power too large") as info:
+        parse_fraction(text, ("u",))
+    assert info.value.column == column
+
+
+def test_power_within_the_bounds_still_parses():
+    u = MPoly.var(("u",), "u")
+    assert parse_polynomial("(u+1)^20", ("u",)) == (u + 1) ** 20
+    assert parse_polynomial("(u/2 + 1/3)^3 + 0^70000", ("u",)) == (Q(1, 2) * u + Q(1, 3)) ** 3
+    assert parse_polynomial("u^65535", ("u",)) == u**65535
+    assert parse_polynomial("2^65535", ("u",)).constant_value() == 2**65535
+    with pytest.raises(ExprSyntaxError, match="power too large"):
+        parse_fraction("2^65536", ("u",))  # 65537 bits

@@ -21,7 +21,7 @@ from addtheo.laws import (
     predicted_k_degree,
     same_theorem,
 )
-from addtheo.numeric import PRIMES, EvalConfig, class_tolerance, phi_eval
+from addtheo.numeric import PRIMES, EvalConfig, Residues, class_tolerance, phi_eval
 from addtheo.poly import MPoly
 
 from conftest import spec_text
@@ -476,3 +476,103 @@ def test_exact_alpha_of_a_scaled_function(base, num, denom):
     assert alpha is not None
     lambda0 = multiplier_group(spec).lambda0
     assert abs((alpha / c) ** lambda0 - 1) < 1e-9
+
+
+def _numerically_invariant(spec, alpha, radius):
+    """phi(alpha*u) = phi(u) at six complex points with |u| in radius."""
+    rng = random.Random(53)
+    checked = 0
+    while checked < 6:
+        u = (radius[0] + (radius[1] - radius[0]) * rng.random()) * cmath.exp(
+            2j * cmath.pi * rng.random()
+        )
+        try:
+            a, b = phi_eval(spec, alpha * u, CFG), phi_eval(spec, u, CFG)
+        except AddTheoError:
+            continue
+        if abs(a - b) > 1e-8 * max(abs(a), abs(b)):
+            return False
+        checked += 1
+    return True
+
+
+ROOTS_UP_TO_8 = [(k, j) for k in range(1, 9) for j in range(k) if math.gcd(j, k) == 1]
+monomial_sums = st.lists(st.tuples(small.filter(bool), st.integers(0, 3), st.integers(0, 1)),
+                         min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=2000)
+@given(st.integers(1, 4), st.integers(0, 3),
+       st.lists(small, min_size=1, max_size=3), st.lists(small, min_size=1, max_size=3))
+def test_rational_multipliers_match_numeric_invariance(m, r, a_coeffs, b_coeffs):
+    # phi = u^r * A(u^m)/B(u^m) is fixed by the roots of order dividing gcd(r, m)
+    # and perhaps by more once make_spec cancels; the check is numeric either way
+    u = MPoly.var(("u",), "u")
+
+    def poly(coeffs):
+        return sum((c * u ** (m * i) for i, c in enumerate(coeffs)), MPoly.zero(("u",)))
+
+    assume(any(b_coeffs))
+    try:
+        spec = make_spec(FunctionClass.RATIONAL_OF_U, u**r * poly(a_coeffs), poly(b_coeffs))
+    except SpecValidationError:
+        assume(False)
+    mults = set(multiplier_group(spec).multipliers)
+    for root in ROOTS_UP_TO_8:
+        assert (root in mults) == _numerically_invariant(spec, alpha_complex(root), (0.5, 1.0))
+
+
+@settings(max_examples=40, deadline=2000)
+@given(st.sampled_from([(4, 0), (Q(1, 2), 0), (0, 1), (0, -3), (4, 1), (1, 2)]),
+       monomial_sums, monomial_sums)
+def test_elliptic_multipliers_match_numeric_invariance(curve, num_terms, den_terms):
+    # every root of unity that preserves the lattice: order 4 for g3 = 0,
+    # order 6 for g2 = 0, else order 2
+    ring = ("p", "q")
+    p, q = MPoly.var(ring, "p"), MPoly.var(ring, "q")
+
+    def poly(terms):
+        return sum((c * p**i * q**j for c, i, j in terms), MPoly.zero(ring))
+
+    g2, g3 = (Q(g) for g in curve)
+    try:
+        spec = make_spec(FunctionClass.ELLIPTIC, poly(num_terms), poly(den_terms), g2=g2, g3=g3)
+    except SpecValidationError:
+        assume(False)
+    mults = set(multiplier_group(spec).multipliers)
+    lattice = laws._unity_group(4 if g3 == 0 else 6 if g2 == 0 else 2)
+    assert mults <= set(lattice)
+    for root in lattice:
+        assert (root in mults) == _numerically_invariant(spec, alpha_complex(root), (0.1, 0.25))
+
+
+# wp(u - c) on g2 = 1, g3 = 2 with (wp(c), wp'(c)) = (1, 1): fixed by the
+# reflection u -> -u + 2c, where 2c is not a half-period
+WP_SHIFTED = "class: elliptic\ng2: 1\ng3: 2\nphi: (q+1)^2/(4*(p-1)^2) - p - 1\n"
+
+
+def test_reflection_about_a_non_half_period_fixes_wp_shifted():
+    spec = parse_spec(WP_SHIFTED)
+    # 2C by the tangent law over Q: a curve point with q != 0
+    lam = (12 * Q(1) - spec.g2) / 2
+    p2 = lam**2 / 4 - 2
+    q2 = -(1 + lam * (p2 - 1))
+    assert q2**2 == 4 * p2**3 - spec.g2 * p2 - spec.g3 and q2 != 0
+    field = Residues(spec, PRIMES[0])
+    C = (1, 1)
+    rng = random.Random(59)
+    checked = 0
+    while checked < 20:
+        try:
+            P = field.draw(rng)
+            image = field.add(field.add(C, field.neg(P)), C)  # -P + 2C
+            assert field.phi(image) == field.phi(P)
+        except AddTheoError:
+            continue
+        checked += 1
+
+
+@pytest.mark.xfail(strict=True, reason="the elliptic search tries only half-period "
+                   "translations (ROADMAP item 6)")
+def test_reflection_about_a_non_half_period_raises_lambda():
+    assert full_substitution_group(parse_spec(WP_SHIFTED)).lam == 2
