@@ -19,8 +19,9 @@ then replaced by its resultant with the pivot.  Both operations stay inside
 the ideal of the relations, so every intermediate still vanishes on the graph.
 On the last symbol only the pivot's cheapest partner (same key) is eliminated,
 and that one result is the raw eliminant: the graph ideal in Q[x, y, z] is
-principal, generated by the irreducible G, so G divides any nonzero eliminant
-(docs/decisions.md section 3).
+principal, generated by the irreducible G, so G divides any nonzero eliminant.
+On the symbol before the last, the partners' results are built one at a time,
+and only until the last step finds a usable pair (docs/decisions.md section 3).
 """
 
 from __future__ import annotations
@@ -174,6 +175,33 @@ def _monic(pivot, sym):
     return pivot * (1 / lc.constant_value()) if lc.is_constant() else None
 
 
+def _eliminate_step(rels, sym):
+    """The relations free of sym, and an iterator that eliminates sym from the
+    pivot's partners one at a time, in pivot-key order."""
+    involved = sorted((r for r in rels if r.uses(sym)), key=_pivot_key(sym))
+    rest = [r for r in rels if not r.uses(sym)]
+    if not involved:
+        return rest, iter(())
+    pivot, monic_pivot = involved[0], _monic(involved[0], sym)
+    results = (_pivot_eliminant(r, pivot, monic_pivot, sym) for r in involved[1:])
+    return rest, (res for res in results if res is not None)
+
+
+def _last_step(rels, sym) -> MPoly:
+    """The eliminant of the last symbol: a relation already free of it, else
+    the cheapest pair's result; DegenerateEliminationError when neither."""
+    rels = sorted((r for r in rels if not r.is_constant()), key=_pivot_key(sym))
+    if rels and not rels[0].uses(sym):
+        return rels[0]
+    if len(rels) > 1:
+        pivot, monic_pivot = rels[0], _monic(rels[0], sym)
+        for r in rels[1:]:
+            res = _pivot_eliminant(r, pivot, monic_pivot, sym)
+            if res is not None:
+                return res
+    raise DegenerateEliminationError("elimination consumed every relation")
+
+
 def fold_eliminate(relations, elim_order) -> MPoly:
     """Eliminate the listed symbols by iterated resultants with pivoting.
 
@@ -184,43 +212,32 @@ def fold_eliminate(relations, elim_order) -> MPoly:
     constant, relations are first reduced modulo the pivot, which keeps
     degrees in the remaining symbols from compounding.
 
-    Every symbol but the last is eliminated from every relation.  On the
-    last symbol the non-constant relations are taken in pivot-key order: a
-    relation already free of the symbol is returned as it is; otherwise the
-    first partner of the pivot that is not a multiple of it is eliminated
-    against the pivot and that one result is returned.  A zero or constant
-    result raises DegenerateEliminationError; no later partner is tried.
-    A symbol that only one relation uses drops that relation: it is the
-    pivot, with no partner.
+    Every symbol but the last two is eliminated from every relation.  On the
+    symbol before the last the partners' results are built one at a time, in
+    pivot-key order, and only while the last step finds no usable pair.  The
+    last step takes the non-constant relations in pivot-key order: a relation
+    already free of the symbol is returned as it is; otherwise the first
+    partner of the pivot that is not a multiple of it is eliminated against
+    the pivot and that one result is returned.  No partner, or a zero or
+    constant result, means one more result is built and the last step runs
+    again; once every result is built it raises DegenerateEliminationError
+    instead.  A symbol that only one relation uses drops that relation: it is
+    the pivot, with no partner.
     """
     *steps, last = elim_order
-    rels = list(relations)
+    rels, pending = list(relations), iter(())
     for sym in steps:
-        involved = [r for r in rels if r.uses(sym)]
-        rest = [r for r in rels if not r.uses(sym)]
-        if not involved:
-            continue
-        pivot = min(involved, key=_pivot_key(sym))
-        monic_pivot = _monic(pivot, sym)
-        new = []
-        for r in involved:
-            if r is pivot:
-                continue
-            res = _pivot_eliminant(r, pivot, monic_pivot, sym)
-            if res is not None:
-                new.append(res)
         # drop duplicates (MPoly equality is structural), keep the order
-        rels = list(dict.fromkeys(rest + new))
-    rels = sorted((r for r in rels if not r.is_constant()), key=_pivot_key(last))
-    if rels and not rels[0].uses(last):
-        return rels[0]
-    if len(rels) > 1:
-        pivot, monic_pivot = rels[0], _monic(rels[0], last)
-        for r in rels[1:]:
-            res = _pivot_eliminant(r, pivot, monic_pivot, last)
-            if res is not None:
-                return res
-    raise DegenerateEliminationError("elimination consumed every relation")
+        rels, pending = _eliminate_step(list(dict.fromkeys(rels + list(pending))), sym)
+    built = []
+    while True:
+        try:
+            return _last_step(list(dict.fromkeys(rels + built)), last)
+        except DegenerateEliminationError:
+            res = next(pending, None)
+            if res is None:
+                raise
+            built.append(res)
 
 
 def _value_relations(spec: FuncSpec, ring):

@@ -5,7 +5,8 @@ operators `+ - * / ^` and parentheses; `^` takes a non-negative integer
 exponent.  The result is an exact fraction of two polynomials.  Positions are
 tracked for error messages.  A power past the largest total degree a monomial
 field holds or past 2^16-bit coefficients is an error before it is computed,
-as is a literal longer than int() reads (4300 digits).
+as is a product, quotient, sum or difference whose cross products would pass
+that degree, and a literal longer than int() reads (4300 digits).
 """
 
 from __future__ import annotations
@@ -105,6 +106,16 @@ class _Frac:
         return _Frac(self.num**k, self.den**k)
 
 
+def _check_products(op, *pairs):
+    """Raise at the operator before a product of the pairs passes the largest
+    total degree a monomial field holds."""
+    if any(a.total_degree() + b.total_degree() > _MAX_DEGREE for a, b in pairs):
+        raise ExprSyntaxError(
+            f"operands of {op.kind!r} too large: past total degree {_MAX_DEGREE}",
+            op.line, op.column,
+        )
+
+
 class _Parser:
     def __init__(self, tokens, variables):
         self.tokens = tokens
@@ -140,9 +151,10 @@ class _Parser:
     def expr(self):
         value = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
+            op = self.advance()
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            _check_products(op, (value.num, rhs.den), (rhs.num, value.den), (value.den, rhs.den))
+            value = value + rhs if op.kind == "+" else value - rhs
         return value
 
     def term(self):
@@ -151,10 +163,12 @@ class _Parser:
             op = self.advance()
             rhs = self.unary()
             if op.kind == "*":
+                _check_products(op, (value.num, rhs.num), (value.den, rhs.den))
                 value = value * rhs
             else:
                 if rhs.num.is_zero():
                     raise ExprSyntaxError("division by zero", op.line, op.column)
+                _check_products(op, (value.num, rhs.den), (value.den, rhs.num))
                 value = _Frac(value.num * rhs.den, value.den * rhs.num)
         return value
 

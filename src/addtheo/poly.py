@@ -416,6 +416,8 @@ class MPoly:
     def _remap(self, variables) -> "MPoly":
         """The same terms over another variable tuple, moving each field by
         name; variables missing from the target must not occur."""
+        if variables == self.variables:
+            return self
         top, new_top = len(self.variables) * FIELD_BITS, len(variables) * FIELD_BITS
         moves = [
             (i * FIELD_BITS, variables.index(v) * FIELD_BITS)
@@ -453,44 +455,41 @@ class MPoly:
         )
 
     def substitute(self, assignment) -> "MPoly":
-        """Substitute polynomials (or rationals) for variables, by name.
+        """Substitute polynomials (or rationals) for variables, by name, all
+        at once: a value may use any variable, a substituted one included.
 
         Unlisted variables stay themselves.  The result lives in the ring of
         the first substituted polynomial if any, else in self's ring; all
         polynomial values must share one ring that contains the untouched
-        variables.
+        variables.  Evaluation is by Horner's rule in each substituted
+        variable that occurs, the untouched variables moving into the result
+        ring by name.
         """
-        target = None
-        for v in assignment.values():
-            if isinstance(v, MPoly):
-                target = v.variables
-                break
-        if target is None:
-            target = self.variables
-        values = {}
-        for name, val in assignment.items():
-            values[name] = val if isinstance(val, MPoly) else MPoly.const(target, val)
+        target = next(
+            (v.variables for v in assignment.values() if isinstance(v, MPoly)), self.variables
+        )
         for v in self.variables:
-            if v not in values:
-                values[v] = MPoly.var(target, v)
-        pow_cache = {}
-        acc, den = {}, 1  # the running sum is acc/den
-        for m, c in self.terms.items():
-            prod = MPoly.const(target, 1)
-            for i, v in enumerate(self.variables):
-                e = (m >> (i * FIELD_BITS)) & _MASK
-                if e:
-                    pw = pow_cache.get((v, e))
-                    if pw is None:
-                        pw = pow_cache[v, e] = values[v] ** e
-                    prod = prod * pw
-            if den % prod.den:
-                k = lcm(den, prod.den) // den
-                acc, den = {t: a * k for t, a in acc.items()}, den * k
-            k = c * (den // prod.den)
-            for t, pc in prod.terms.items():
-                acc[t] = acc.get(t, 0) + pc * k
-        return MPoly._new(target, {t: a for t, a in acc.items() if a}, den * self.den)
+            if v not in assignment and v not in target:
+                raise ValueError(f"variable {v} missing from target ring")
+        used = self.used_variables()
+        steps = [
+            (v, val if isinstance(val, MPoly) else Q(*_ratio(val)))
+            for v, val in assignment.items()
+            if v in used
+        ]
+        return self._horner(steps, target)
+
+    def _horner(self, steps, target) -> "MPoly":
+        """self with each (name, value) of steps substituted, in target."""
+        if not steps:
+            return self._remap(target)
+        (name, value), inner = steps[0], steps[1:]
+        acc = MPoly.zero(target)
+        for c in reversed(self.coeffs_in(name)):
+            acc = acc * value
+            if c.terms:
+                acc = acc + c._horner(inner, target)
+        return acc
 
     def specialize(self, name, value: int) -> "MPoly":
         """self with an integer substituted for one variable, in the same ring."""

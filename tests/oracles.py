@@ -3,12 +3,15 @@
 None of this is used by the package itself: the Sylvester determinant is the
 resultant cross-check, the subresultant remainder sequence with its own
 content recursion is the gcd oracle, the term-by-term float evaluation is
-the reference for MPoly.evaluate and evaluate_with_magnitude, and the grlex
+the reference for MPoly.evaluate and evaluate_with_magnitude, the grlex
 sort key and the finite difference of phi are the references for the term
-order and for derivatives.
+order and for derivatives, the term-by-term product of powers is the
+reference for MPoly.substitute, and the eager fold, which eliminates every
+symbol from every relation, is the reference for derive.fold_eliminate.
 """
 
-from addtheo.errors import AddTheoError
+from addtheo.derive import _monic, _pivot_eliminant, _pivot_key
+from addtheo.errors import AddTheoError, DegenerateEliminationError
 from addtheo.numeric import phi_eval
 from addtheo.poly import MPoly, divide_exact, pseudo_rem
 
@@ -47,6 +50,65 @@ def term_magnitude_reference(p: MPoly, point) -> float:
                 val *= abs(complex(point[v])) ** e
         best = max(best, val)
     return best
+
+
+def substitute_reference(p: MPoly, assignment) -> MPoly:
+    """MPoly.substitute term by term: each term expanded as its coefficient
+    times a product of powers of the values, all values read at once."""
+    target = None
+    for v in assignment.values():
+        if isinstance(v, MPoly):
+            target = v.variables
+            break
+    if target is None:
+        target = p.variables
+    values = {}
+    for name, val in assignment.items():
+        values[name] = val if isinstance(val, MPoly) else MPoly.const(target, val)
+    for v in p.variables:
+        if v not in values:
+            values[v] = MPoly.var(target, v)
+    total = MPoly.zero(target)
+    for mono, c in p.items():
+        prod = MPoly.const(target, c)
+        for v, e in zip(p.variables, mono):
+            if e:
+                prod = prod * values[v] ** e
+        total = total + prod
+    return total
+
+
+def eager_fold_eliminate(relations, elim_order) -> MPoly:
+    """derive.fold_eliminate with every symbol but the last eliminated from
+    every relation before the last step, which keeps the cheapest pair's
+    result and raises on a degenerate one."""
+    *steps, last = elim_order
+    rels = list(relations)
+    for sym in steps:
+        involved = [r for r in rels if r.uses(sym)]
+        rest = [r for r in rels if not r.uses(sym)]
+        if not involved:
+            continue
+        pivot = min(involved, key=_pivot_key(sym))
+        monic_pivot = _monic(pivot, sym)
+        new = []
+        for r in involved:
+            if r is pivot:
+                continue
+            res = _pivot_eliminant(r, pivot, monic_pivot, sym)
+            if res is not None:
+                new.append(res)
+        rels = list(dict.fromkeys(rest + new))
+    rels = sorted((r for r in rels if not r.is_constant()), key=_pivot_key(last))
+    if rels and not rels[0].uses(last):
+        return rels[0]
+    if len(rels) > 1:
+        pivot, monic_pivot = rels[0], _monic(rels[0], last)
+        for r in rels[1:]:
+            res = _pivot_eliminant(r, pivot, monic_pivot, last)
+            if res is not None:
+                return res
+    raise DegenerateEliminationError("elimination consumed every relation")
 
 
 # ----------------------------------------------------------------------

@@ -210,6 +210,9 @@ def test_parse_error_exit_2(tmp_path):
     pytest.param("u + 2^2000000", id="power-coefficient"),
     pytest.param("((2^1000)^1000)^1000", id="nested-powers"),
     pytest.param("u + " + "7" * 5000, id="long-literal"),
+    pytest.param("u^60000*u^60000", id="product-degree"),
+    pytest.param("u^60000/(1/u^60000)", id="quotient-degree"),
+    pytest.param("1/u^40000 + 1/u^40000", id="sum-degree"),
 ])
 def test_hostile_expression_is_a_parse_error(tmp_path, phi):
     bad = tmp_path / "bad.spec"

@@ -41,7 +41,7 @@ from addtheo.numeric import (
 from addtheo.poly import MPoly, divide_exact
 
 from conftest import ROOT, spec_text
-from oracles import phi_derivative_numeric
+from oracles import eager_fold_eliminate, phi_derivative_numeric
 
 CFG = EvalConfig()
 
@@ -194,6 +194,47 @@ def test_last_step_degenerate_pair_raises_without_fallback(monkeypatch):
     with pytest.raises(DegenerateEliminationError, match="common factor eliminating s"):
         fold_eliminate([s**3 - y, pivot, shared], ("s",))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name,calls", [("wp-prime", 4), ("wp-squared", 6)])
+def test_lazy_step_skips_the_unused_result(monkeypatch, name, calls):
+    # the eager fold computed 5 and 7: one result of the step on p2 that the
+    # last step never read
+    spec = parse_spec(spec_text(f"{name}.spec"))
+    counted, _ = _count_resultants(monkeypatch)
+    eliminate(spec)
+    assert len(counted) == calls
+
+
+VALID_BUNDLED = [
+    "cos", "cosh", "exp-t", "mobius", "rational-u", "rational-u2", "rational-u3",
+    "wp-generic", "wp-lemniscatic", "wp-prime", "wp-squared",
+]
+
+
+@pytest.mark.parametrize("name", VALID_BUNDLED)
+def test_lazy_fold_matches_the_eager_fold(monkeypatch, name):
+    spec = parse_spec(spec_text(f"{name}.spec"))
+    lazy = (eliminate(spec), derivative_relation(spec))
+    monkeypatch.setattr(derive, "fold_eliminate", eager_fold_eliminate)
+    assert lazy == (eliminate(spec), derivative_relation(spec))
+
+
+def test_lazy_step_builds_past_a_degenerate_last_pair(monkeypatch):
+    ring = ("x", "y", "s", "t")
+    x, y, s, t = (MPoly.var(ring, n) for n in ring)
+    pivot = x * s - 1
+    # eliminating t against the pivot t gives first a multiple of the s pivot
+    # x*s - 1, a degenerate pair, then s^2 - y, which is not
+    shared = t + (x * s - 1) * (s + y)
+    cheap = t**2 + s**2 - y
+    relations = [cheap, shared, t, pivot]
+    calls, real = _count_resultants(monkeypatch)
+    eliminant = fold_eliminate(relations, ("t", "s"))
+    # the last step ran twice: on the first result alone, then on both
+    assert [c[0] for c in calls] == [(x * s - 1) * (s + y), s**2 - y]
+    assert eliminant == real(s**2 - y, pivot, "s").canonicalize()
+    assert eliminant == eager_fold_eliminate(relations, ("t", "s"))
 
 
 def test_prune_drops_wrong_branch():

@@ -87,13 +87,22 @@ def test_moderate_nesting_still_parses():
     assert parse_polynomial("-" * 40 + "x", ("x",)) == x
 
 
-OVERSIZED_POWERS = ["u^70000", "u + 2^2000000", "((2^1000)^1000)^1000"]
+OVERSIZED = [
+    ("u^70000", 3, "power too large"),
+    ("u + 2^2000000", 7, "power too large"),
+    ("((2^1000)^1000)^1000", 11, "power too large"),
+    # the operator's cross products pass the degree, though no power does
+    ("u^60000*u^60000", 8, "operands of '\\*' too large"),
+    ("u^60000/(1/u^60000)", 8, "operands of '/' too large"),
+    ("1/u^40000 + 1/u^40000", 11, "operands of '\\+' too large"),
+    ("u^40000 - 1/u^40000", 9, "operands of '-' too large"),
+]
 
 
-@pytest.mark.parametrize("text,column", zip(OVERSIZED_POWERS, [3, 7, 11]),
-                         ids=["degree", "coefficient", "nested"])
-def test_oversized_power_is_a_syntax_error_at_the_exponent(text, column):
-    with pytest.raises(ExprSyntaxError, match="power too large") as info:
+@pytest.mark.parametrize("text,column,message", OVERSIZED,
+                         ids=["degree", "coefficient", "nested", "product", "quotient", "sum", "difference"])
+def test_oversized_power_is_a_syntax_error_at_the_exponent(text, column, message):
+    with pytest.raises(ExprSyntaxError, match=message) as info:
         parse_fraction(text, ("u",))
     assert info.value.column == column
 
@@ -104,5 +113,7 @@ def test_power_within_the_bounds_still_parses():
     assert parse_polynomial("(u/2 + 1/3)^3 + 0^70000", ("u",)) == (Q(1, 2) * u + Q(1, 3)) ** 3
     assert parse_polynomial("u^65535", ("u",)) == u**65535
     assert parse_polynomial("2^65535", ("u",)).constant_value() == 2**65535
+    assert parse_polynomial("u^30000*u^35535 - 1", ("u",)) == u**65535 - 1
+    assert parse_fraction("u^60000/u^60000", ("u",)) == (u**60000, u**60000)
     with pytest.raises(ExprSyntaxError, match="power too large"):
         parse_fraction("2^65536", ("u",))  # 65537 bits

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from addtheo.errors import MonomialOverflowError, ZeroPolynomialError
 from addtheo.poly import FIELD_BITS, MPoly, divide_exact, pseudo_rem, rem_monic
-from oracles import evaluate_reference, grlex_key, term_magnitude_reference
+from oracles import evaluate_reference, grlex_key, substitute_reference, term_magnitude_reference
 
 V = ("x", "y", "z")
 
@@ -127,6 +127,55 @@ def test_embed_restrict_rename():
     assert big.restrict(("x", "y")) == MPoly.var(("x", "y"), "x") * MPoly.var(("x", "y"), "y") + 1
     renamed = p.rename({"x": "a"})
     assert renamed.variables == ("a", "y", "z")
+
+
+def test_substitute_is_simultaneous():
+    x, y, z = xyz()
+    p = x**2 * y + 3 * y - z
+    # a swap, and values that read the other substituted variable
+    assert p.substitute({"x": y, "y": x}) == y**2 * x + 3 * x - z
+    assert p.substitute({"x": x + y, "y": x}) == (x + y) ** 2 * x + 3 * x - z
+    assert p.substitute({"y": Q(1, 2), "z": 2}) == Q(1, 2) * x**2 + Q(3, 2) - 2
+    ring = ("w",) + V
+    w = MPoly.var(ring, "w")
+    assert p.substitute({"z": w * x.embed(ring)}) == (p + z).embed(ring) - w * x.embed(ring)
+    with pytest.raises(ValueError, match="missing from target ring"):
+        p.substitute({"x": MPoly.var(("x", "y"), "y")})
+
+
+SUB_VARS = ("a", "b", "c", "d")
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial in 1-4 variables and a simultaneous assignment to some of
+    them: rationals, affine maps, a permutation of the chosen names, small
+    polynomials, over the same ring or one with an extra variable."""
+    names = SUB_VARS[: draw(st.integers(1, 4))]
+    p = draw(small_polys(names, max_terms=6))
+    target = names + ("e",) if draw(st.booleans()) else names
+    chosen = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    perm = dict(zip(chosen, draw(st.permutations(chosen))))
+    assignment = {}
+    for name in chosen:
+        kind = draw(st.sampled_from(["rational", "affine", "permutation", "polynomial"]))
+        if kind == "rational":
+            assignment[name] = draw(rationals)
+        elif kind == "affine":
+            var = MPoly.var(target, draw(st.sampled_from(target)))
+            assignment[name] = draw(rationals) * var + draw(rationals)
+        elif kind == "permutation":
+            assignment[name] = MPoly.var(target, perm[name])
+        else:
+            assignment[name] = draw(small_polys(target, max_terms=3, max_exp=2))
+    return p, assignment
+
+
+@settings(max_examples=150, deadline=None)
+@given(substitutions())
+def test_substitute_matches_the_term_by_term_reference(case):
+    p, assignment = case
+    assert p.substitute(assignment) == substitute_reference(p, assignment)
 
 
 # ----------------------------------------------------------------------
