@@ -4,9 +4,9 @@ Subcommands: derive, verify, degrees, symmetry, krel, reduce-f, same.
 Text mode prints one canonical polynomial text line per polynomial so shell
 pipelines can diff outputs; --json prints the full run report.  Exit codes:
 0 ok, 1 verification or pruning failure, 2 parse or validation error (an
-unreadable input file or an option value out of range included), 3
-degeneracy.  Fixed seed and inputs give byte-identical stdout; timing goes to
-stderr only.
+unreadable input file, an option value out of range and an input whose
+degrees overflow the monomial field included), 3 degeneracy.  Fixed seed
+and inputs give byte-identical stdout; timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import (
     DegenerateSpecializationError,
     DegreeLawError,
     ExprSyntaxError,
+    MonomialOverflowError,
     PruningError,
     SamplingError,
     SpecValidationError,
@@ -33,7 +34,7 @@ from .funcspec import FuncSpec, parse_spec
 from .laws import degree_report, full_substitution_group, k_relation, same_theorem
 from .numeric import EvalConfig, class_tolerance, relative_residual, sample_graph
 
-_PARSE_ERRORS = (ExprSyntaxError, SpecValidationError)
+_PARSE_ERRORS = (ExprSyntaxError, MonomialOverflowError, SpecValidationError)
 _DEGENERATE_ERRORS = (
     DegenerateEliminationError,
     DegenerateSpecializationError,

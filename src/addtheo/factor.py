@@ -3,15 +3,17 @@
 Univariate polynomials go through the classical route: reduce modulo a good
 prime, split with distinct-degree and equal-degree factorization, lift the
 modular factors with linear Hensel steps past the Mignotte bound, and
-recombine subsets with trial division.
+recombine subsets with trial division.  Every boundary speaks MPoly; dense
+`int` lists live only inside, for arithmetic mod p and the p-adic lift.
 
 Multivariate polynomials are factored as univariate in the greatest variable:
 specialize the remaining variables at a point that preserves the degree and
 keeps the image square-free, factor the image, lift the factors back as
 truncated power series in the shifted variables, and recombine.  A generic
 linear substitution first forces the leading coefficient in the main variable
-to be constant, so the lifted factors stay monic.  Every candidate
-factorization is certified by exact division before it is accepted.
+to be constant, so the lifted factors stay monic.  Both routes share one
+recombination, and `divide_exact` certifies every candidate factor before
+it is accepted.
 """
 
 from __future__ import annotations
@@ -179,33 +181,20 @@ def _factor_mod_p(f, p):
 
 
 # ----------------------------------------------------------------------
-# univariate factorization over Z / Q
+# univariate factorization over Q
 # ----------------------------------------------------------------------
 
 
-def _primes(start=3):
-    n = start
-    while True:
-        for d in range(2, int(math.isqrt(n)) + 1):
-            if n % d == 0:
-                break
-        else:
-            yield n
-        n += 2
-
-
 def _choose_prime(f):
-    lc = f[-1]
-    for p in _primes():
-        if p > 50000:
-            raise AddTheoError("no suitable prime found for factorization")
-        if lc % p == 0:
+    """The least odd prime p < 50000 that keeps f square-free mod p.  p does
+    not divide lc(f), so reducing f mod p keeps its degree."""
+    for p in range(3, 50000, 2):
+        if f[-1] % p == 0 or any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
             continue
         fp = _p_trim([c % p for c in f])
-        if len(fp) != len(f):
-            continue
         if len(_p_gcd(fp, _p_deriv(fp, p), p)) == 1:
             return p
+    raise AddTheoError("no suitable prime found for factorization")
 
 
 def _hensel_lift(f, factors, p, bound):
@@ -262,20 +251,6 @@ def _pp_gcdext(a, b, p):
     return r0, s0
 
 
-def _z_divexact(a, b):
-    """a / b for int lists when the quotient is integral, else None."""
-    a = a[:]
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    for k in range(len(quo) - 1, -1, -1):
-        c, r = divmod(a[k + len(b) - 1], b[-1])
-        if r:
-            return None
-        quo[k] = c
-        for j, y in enumerate(b):
-            a[k + j] -= c * y
-    return None if any(a) else quo
-
-
 def _center(c, m):
     c %= m
     if c > m // 2:
@@ -283,72 +258,52 @@ def _center(c, m):
     return c
 
 
-def _z_content(f):
-    g = 0
-    for c in f:
-        g = math.gcd(g, abs(c))
-    return g or 1
-
-
-def _z_primitive(f):
-    g = _z_content(f)
-    sign = -1 if f[-1] < 0 else 1
-    return [c * sign // g for c in f]
-
-
-def factor_univariate_q(coeffs):
-    """Factor a square-free univariate polynomial with Fraction coefficients.
-
-    Returns primitive integer-coefficient irreducible factors (low to high,
-    positive leading coefficient); the rational scalar is dropped.
-    """
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    f = [int(c * den) for c in coeffs]
-    f = _z_primitive(f)
-    n = len(f) - 1
-    if n <= 0:
-        return []
+def factor_univariate(f: MPoly):
+    """Canonical irreducible factors of a square-free polynomial in one
+    variable; the rational scalar is dropped."""
+    f = f.canonicalize()
+    (name,) = f.used_variables()
+    coeffs = [int(c.constant_value()) for c in f.coeffs_in(name)]
+    n = len(coeffs) - 1
     if n == 1:
         return [f]
-    p = _choose_prime(f)
-    fp = _p_monic(_p_trim([c % p for c in f]), p)
-    modular = _factor_mod_p(fp, p)
+    p = _choose_prime(coeffs)
+    modular = _factor_mod_p(_p_monic(_p_trim([c % p for c in coeffs]), p), p)
     if len(modular) == 1:
         return [f]
-    height = max(abs(c) for c in f)
+    height = max(abs(c) for c in coeffs)
     mignotte = math.isqrt(n + 1) + 1
-    bound = 2 * mignotte * (2**n) * height * abs(f[-1]) + 1
-    lifted, modulus = _hensel_lift(f, modular, p, bound)
-    return _recombine(f, lifted, lambda rest, fs: _z_candidate(rest, fs, modulus), _z_divexact)
+    bound = 2 * mignotte * (2**n) * height * abs(coeffs[-1]) + 1
+    lifted, modulus = _hensel_lift(coeffs, modular, p, bound)
+
+    def candidate(rest, factors):
+        # lc(rest) times the lifted factors in symmetric residues: the prime
+        # does not divide that lc and the factors are monic, so the
+        # candidate keeps their degree
+        cand = [rest.leading_coefficient().numerator % modulus]
+        for g in factors:
+            cand = [v % modulus for v in _z_mul(cand, g)]
+        cand = [_center(c, modulus) for c in cand]
+        return MPoly.from_coeffs(f.variables, name, cand).canonicalize()
+
+    return _recombine(f, lifted, candidate)
 
 
-def _z_candidate(remaining, factors, modulus):
-    """The primitive part of lc(remaining) times the product of the lifted
-    factors, in symmetric residues mod modulus.  The prime does not divide
-    that lc and the factors are monic, so the candidate keeps their degree."""
-    cand = [remaining[-1] % modulus]
-    for g in factors:
-        cand = [v % modulus for v in _z_mul(cand, g)]
-    return _z_primitive(_p_trim([_center(c, modulus) for c in cand]))
-
-
-def _recombine(remaining, lifted, candidate, divide):
+def _recombine(remaining, lifted, candidate):
     """Split remaining into the true factors that the lifted factors combine
     to, trying subsets smallest first (Zassenhaus).
 
-    candidate(remaining, factors) builds the product of a subset, and
-    divide(remaining, candidate) returns the exact quotient or None, which
-    certifies each factor kept.  No subset takes more than half of the
-    factors left, so what remains at the end is the last factor."""
+    candidate(remaining, factors) builds the product of a subset, and its
+    exact division into remaining certifies each factor kept.  No subset
+    takes more than half of the factors left, so what remains at the end is
+    the last factor."""
     out = []
     idxs = list(range(len(lifted)))
     size = 1
     while 2 * size <= len(idxs):
         for subset in itertools.combinations(idxs, size):
             cand = candidate(remaining, [lifted[i] for i in subset])
-            quo = divide(remaining, cand)
+            quo = divide_exact(remaining, cand)
             if quo is not None:
                 out.append(cand)
                 remaining = quo
@@ -362,15 +317,6 @@ def _recombine(remaining, lifted, candidate, divide):
 # ----------------------------------------------------------------------
 # multivariate factorization
 # ----------------------------------------------------------------------
-
-
-def _uni_coeffs(p: MPoly, name: str):
-    out = []
-    for c in p.coeffs_in(name):
-        if not c.is_constant():
-            raise AddTheoError("polynomial is not univariate")
-        out.append(c.constant_value())
-    return out
 
 
 def _point_candidates(names, rng):
@@ -412,11 +358,7 @@ def _factor_squarefree(g: MPoly):
     if not occ:
         raise AddTheoError("constant slipped into factorization")
     if len(occ) == 1:
-        name = occ[0]
-        factors = factor_univariate_q(_uni_coeffs(g, name))
-        return [
-            MPoly.from_coeffs(g.variables, name, f).canonicalize() for f in factors
-        ]
+        return factor_univariate(g)
     main = occ[-1]
     others = occ[:-1]
     rng = random.Random(f"{_FACTOR_SEED}:multivar:{len(g)}")
@@ -472,7 +414,7 @@ def _try_factor_monic(work: MPoly, main, others, rng):
         image = monic.substitute({w: point[w] for w in others})
         if not mgcd(image, image.derivative(main)).is_constant():
             continue  # the image is not square-free
-        base_factors = factor_univariate_q(_uni_coeffs(image, main))
+        base_factors = factor_univariate(image)
         if len(base_factors) == 1:
             return [work]
         shift = {w: MPoly.var(work.variables, w) + point[w] for w in others}
@@ -487,22 +429,21 @@ def _try_factor_monic(work: MPoly, main, others, rng):
                 cand = cand.mul_trunc(f, main, prec)
             return cand
 
-        combos = _recombine(shifted, lifted, candidate, divide_exact)
+        combos = _recombine(shifted, lifted, candidate)
         return [f.substitute(unshift) for f in combos]
     return None
 
 
 def _lift_factors(shifted: MPoly, base_factors, main, prec):
-    """Hensel lift monic univariate factors to truncated series factors.
+    """Hensel lift univariate factors, made monic, to truncated series factors.
 
     Lower levels of the product already agree with `shifted`, so the
     truncated difference is exactly the error at `level`.  Multiplying by
     sigma_i and reducing mod the monic g_i act coefficient by coefficient on
     the other variables, so one remainder per factor lifts a whole level.
     """
-    variables = shifted.variables
-    one = MPoly.const(variables, 1)
-    monics = [MPoly.from_coeffs(variables, main, f) * Q(1, f[-1]) for f in base_factors]
+    one = MPoly.const(shifted.variables, 1)
+    monics = [f * (1 / f.leading_coefficient()) for f in base_factors]
     sigmas = []
     for i, gi in enumerate(monics):
         others_prod = one

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .derive import AdditionTheorem, certify, derive_addition_theorem, graph_factor
 from .errors import AddTheoError, DegreeLawError, PruningError
-from .factor import factor_univariate_q
+from .factor import factor_univariate
 from .funcspec import FuncSpec, FunctionClass, curve_polynomial, order
 from .numeric import (
     EXACT_POINTS,
@@ -45,8 +45,6 @@ from .numeric import (
 )
 from .poly import MPoly, divide_exact, rem_monic
 from .resultants import mgcd, resultant, squarefree_part
-
-Q = Fraction
 
 
 # ----------------------------------------------------------------------
@@ -221,14 +219,11 @@ def predicted_k_degree(m: int, nu: int, lam: int) -> int:
 
 
 def _half_period_minimal_polys(g2: Fraction, g3: Fraction):
-    """Irreducible monic minimal polynomials of the roots of
-    T^3 - (g2/4) T - (g3/4) (the half-period p-coordinates)."""
-    cubic = [-g3 / 4, -g2 / 4, Q(0), Q(1)]
-    out = []
-    for f in factor_univariate_q(cubic):
-        lead = Q(f[-1])
-        out.append([Q(c) / lead for c in f])
-    return out
+    """Irreducible monic minimal polynomials over ("e",) of the roots of
+    e^3 - (g2/4) e - (g3/4) (the half-period p-coordinates)."""
+    e = MPoly.var(("e",), "e")
+    cubic = e**3 - g2 / 4 * e - g3 / 4
+    return [f * (1 / f.leading_coefficient()) for f in factor_univariate(cubic)]
 
 
 def _elliptic_substitution_invariant(spec: FuncSpec, k: int, j: int, minpoly) -> bool:
@@ -252,7 +247,7 @@ def _elliptic_substitution_invariant(spec: FuncSpec, k: int, j: int, minpoly) ->
 
     def reduce_all(poly):
         poly = rem_monic(poly, curve_polynomial(g2, g3).embed(ring), "q")
-        poly = rem_monic(poly, MPoly.from_coeffs(ring, "e", list(minpoly)), "e")
+        poly = rem_monic(poly, minpoly.embed(ring), "e")
         if k > 2:
             poly = rem_monic(poly, _cyclotomic_mpoly(k, ring, "w"), "w")
         return poly

@@ -224,6 +224,18 @@ def test_hostile_expression_is_a_parse_error(tmp_path, phi):
     assert "Traceback" not in proc.stderr
 
 
+def test_monomial_overflow_is_a_parse_error(tmp_path):
+    # u^40000 parses, but the exact scaling condition of symmetry doubles its
+    # degree past the 16-bit monomial field: the input is too large
+    big = tmp_path / "big.spec"
+    big.write_text("class: rational\nphi: u^40000\n", encoding="utf-8")
+    proc = run_cli("symmetry", str(big), "--json", expect_code=2)
+    report = validate_report(proc.stdout)
+    assert report["status"] == "parse-error"
+    assert "monomial field" in report["message"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_g_with_superscript_digit_is_a_parse_error():
     proc = run_cli("verify", spec_path("cos.spec"), "--g", "²", "--json", expect_code=2)
     assert validate_report(proc.stdout)["status"] == "parse-error"

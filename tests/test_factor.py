@@ -1,14 +1,16 @@
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from addtheo.errors import AddTheoError
 from addtheo.factor import (
     _lift_factors,
     _try_factor_monic,
     factor,
-    factor_univariate_q,
+    factor_univariate,
     is_irreducible,
 )
 from addtheo.poly import MPoly
@@ -20,21 +22,26 @@ def xyz():
     return (MPoly.var(RING, n) for n in RING)
 
 
+def uni_factors(coeffs):
+    """The factors of the polynomial in x with these coefficients (low to
+    high), as sorted coefficient lists."""
+    fs = factor_univariate(MPoly.from_coeffs(("x",), "x", coeffs))
+    return sorted([int(c.constant_value()) for c in f.coeffs_in("x")] for f in fs)
+
+
 def test_univariate_basics():
     # x^2 + x - 2 = (x - 1)(x + 2)
-    fs = factor_univariate_q([Q(-2), Q(1), Q(1)])
-    assert sorted(fs) == [[-1, 1], [2, 1]]
+    assert uni_factors([Q(-2), Q(1), Q(1)]) == [[-1, 1], [2, 1]]
     # x^2 + 1 stays whole
-    assert factor_univariate_q([Q(1), Q(0), Q(1)]) == [[1, 0, 1]]
+    assert uni_factors([Q(1), Q(0), Q(1)]) == [[1, 0, 1]]
     # 6x^2 + 7x + 2 = (2x + 1)(3x + 2)
-    fs = factor_univariate_q([Q(2), Q(7), Q(6)])
-    assert sorted(fs) == [[1, 2], [2, 3]]
+    assert uni_factors([Q(2), Q(7), Q(6)]) == [[1, 2], [2, 3]]
 
 
 def test_univariate_cyclotomic_split():
     # x^6 - 1 = (x-1)(x+1)(x^2+x+1)(x^2-x+1)
-    fs = factor_univariate_q([Q(-1)] + [Q(0)] * 5 + [Q(1)])
-    assert sorted(fs) == [[-1, 1], [1, -1, 1], [1, 1], [1, 1, 1]]
+    fs = uni_factors([Q(-1)] + [Q(0)] * 5 + [Q(1)])
+    assert fs == [[-1, 1], [1, -1, 1], [1, 1], [1, 1, 1]]
 
 
 def test_difference_of_squares():
@@ -117,7 +124,28 @@ def test_exact_factor_set_with_repeated_factor():
 def test_univariate_false_candidates_rejected():
     # x^4 + 1 splits mod every prime, so every proper candidate must fail
     # the exact division
-    assert factor_univariate_q([Q(1), Q(0), Q(0), Q(0), Q(1)]) == [[1, 0, 0, 0, 1]]
+    assert uni_factors([Q(1), Q(0), Q(0), Q(0), Q(1)]) == [[1, 0, 0, 0, 1]]
+
+
+X = MPoly.var(("x",), "x")
+# pairwise coprime irreducibles in canonical form: linear a*x + b with
+# gcd(a, b) = 1 (distinct roots), and quadratics with no rational root
+POOL = [a * X + b for a in (1, 2, 3) for b in range(-3, 4) if math.gcd(a, b) == 1]
+POOL += [X**2 + k for k in (1, 2, 3, 5)] + [X**2 + X + 1, X**2 - 2, 2 * X**2 + 3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from(POOL), min_size=1, max_size=4, unique=True),
+    st.fractions(-100, 100, max_denominator=100).filter(lambda c: c != 0),
+)
+def test_univariate_factors_match_the_product(expected, scalar):
+    # a quadratic that splits mod the chosen prime makes false candidates,
+    # which only the exact division in the recombination rejects
+    product = MPoly.const(("x",), scalar)
+    for f in expected:
+        product = product * f
+    assert set(factor_univariate(product)) == set(expected)
 
 
 def test_lift_recovers_the_true_factors():
@@ -128,7 +156,7 @@ def test_lift_recovers_the_true_factors():
     f2 = z + Q(3, 2) * x - y
     shifted = f1 * f2
     prec = shifted.others_degree("z")
-    assert _lift_factors(shifted, [[1, 0, 1], [0, 1]], "z", prec) == [f1, f2]
+    assert _lift_factors(shifted, [z**2 + 1, z], "z", prec) == [f1, f2]
 
 
 class _AlwaysOne:

@@ -148,6 +148,22 @@ def test_full_group_rational_translation_free():
     assert report.lam == report.lambda0 == 2
 
 
+@pytest.mark.parametrize("g2,g3,degrees", [
+    pytest.param(4, 0, [1, 1, 1], id="three-linear"),  # e(e - 1)(e + 1)
+    pytest.param(8, 0, [1, 2], id="linear-quadratic"),  # e(e^2 - 2)
+    pytest.param(4, 1, [3], id="irreducible"),  # 4e^3 - 4e - 1 has no rational root
+])
+def test_half_period_minimal_polys_split_the_cubic(g2, g3, degrees):
+    e = MPoly.var(("e",), "e")
+    minpolys = laws._half_period_minimal_polys(Q(g2), Q(g3))
+    assert sorted(f.degree_in("e") for f in minpolys) == degrees
+    product = MPoly.const(("e",), 1)
+    for f in minpolys:
+        assert f.leading_coefficient() == 1
+        product = product * f
+    assert product == e**3 - Q(g2, 4) * e - Q(g3, 4)
+
+
 def test_full_group_half_period_raises_lambda():
     # phi = p + 1/p on the lemniscatic curve: invariant under u -> i*u + omega
     # (the half period with wp = 0), so lambda = 4 exceeds lambda0 = 2
