@@ -6,9 +6,9 @@ slots, and eliminates the uniformizer symbols by iterated resultants in a
 fixed, documented order.  The raw eliminant usually carries extraneous
 factors; pruning keeps the unique irreducible factor that vanishes exactly at
 graph points mod a large prime (docs/decisions.md section 7), exact division
-having already certified that it divides the eliminant.  Complex graph samples
-then certify it and give the reported residual, and a final degree
-cross-check against the m*nu^2/lambda0 law guards the selection.
+having already certified that it divides the eliminant.  Its degree is
+checked against the m*nu^2/lambda0 law, formed before elimination, and
+complex graph samples then certify it and give the reported residual.
 
 Elimination order (part of the contract, chosen to keep intermediate degrees
 low): rational u3, u2, u1; exponential t3, t2, t1; elliptic q3, q2, q1, p3,
@@ -81,14 +81,14 @@ class _TheoremFields(NamedTuple):
     max_residual: float
     samples: int
     seed: int
-    nu: int | None = None
-    lambda0: int | None = None
-    predicted_degree: int | None = None
+    nu: int
+    lambda0: int
+    predicted_degree: int
 
 
 class AdditionTheorem(_TheoremFields):
-    """A derived G with its evidence; equal degrees are checked on
-    construction (`_replace` skips the check)."""
+    """A derived G with its evidence and its degree law; equal degrees are
+    checked on construction."""
 
     __slots__ = ()
 
@@ -301,8 +301,10 @@ def certify(g: MPoly, points, tol: float, what: str) -> float:
     return max_res
 
 
-def prune(eliminant: MPoly, spec: FuncSpec, cfg: EvalConfig, verify_samples: int = 200) -> AdditionTheorem:
-    """Select the unique irreducible factor vanishing on the graph."""
+def prune(eliminant: MPoly, spec: FuncSpec, cfg: EvalConfig, law, verify_samples: int = 200) -> AdditionTheorem:
+    """Select the unique irreducible factor vanishing on the graph, check its
+    z-degree against the degree law `law` (a laws.DegreeReport of spec), then
+    certify it on complex graph samples."""
     if eliminant.is_zero():
         raise PruningError("eliminant is zero")
 
@@ -313,6 +315,12 @@ def prune(eliminant: MPoly, spec: FuncSpec, cfg: EvalConfig, verify_samples: int
     xy = (MPoly.var(g.variables, "x") - MPoly.var(g.variables, "y")).canonicalize()
     if g == xy:
         raise PruningError("graph factor collapsed to x - y")
+    deg_z = g.degree_in("z")
+    if deg_z != law.predicted:
+        raise DegreeLawError(
+            f"derived degree {deg_z} does not match the degree law "
+            f"m*nu^2/lambda0 = {law.predicted} (nu={law.nu}, lambda0={law.lambda0})"
+        )
     samples = sample_graph(spec, verify_samples, cfg, salt=103)
     points = [{"x": s.x, "y": s.y, "z": s.z} for s in samples]
     max_res = certify(g, points, cfg.tol, "derived theorem")
@@ -320,33 +328,26 @@ def prune(eliminant: MPoly, spec: FuncSpec, cfg: EvalConfig, verify_samples: int
         G=g,
         deg_x=g.degree_in("x"),
         deg_y=g.degree_in("y"),
-        deg_z=g.degree_in("z"),
+        deg_z=deg_z,
         spec=spec,
         max_residual=max_res,
         samples=verify_samples,
         seed=cfg.seed,
+        nu=law.nu,
+        lambda0=law.lambda0,
+        predicted_degree=law.predicted,
     )
 
 
 def derive_addition_theorem(spec: FuncSpec, cfg: EvalConfig | None = None, verify_samples: int = 200) -> AdditionTheorem:
-    """Derive, prune, verify, and degree-check the addition theorem."""
-    if cfg is None:
-        cfg = EvalConfig(tol=class_tolerance(spec))
-    return check_degree_law(prune(eliminate(spec), spec, cfg, verify_samples), spec)
-
-
-def check_degree_law(theorem: AdditionTheorem, spec: FuncSpec) -> AdditionTheorem:
-    """The theorem with nu, lambda0 and the predicted degree filled in, once its
-    degree matches the m*nu^2/lambda0 law."""
+    """Check the degree law's inputs, then derive, prune, degree-check and
+    verify the addition theorem."""
     from .laws import degree_report
 
+    if cfg is None:
+        cfg = EvalConfig(tol=class_tolerance(spec))
     law = degree_report(spec)
-    if theorem.deg_z != law.predicted:
-        raise DegreeLawError(
-            f"derived degree {theorem.deg_z} does not match the degree law "
-            f"m*nu^2/lambda0 = {law.predicted} (nu={law.nu}, lambda0={law.lambda0})"
-        )
-    return theorem._replace(nu=law.nu, lambda0=law.lambda0, predicted_degree=law.predicted)
+    return prune(eliminate(spec), spec, cfg, law, verify_samples)
 
 
 # ----------------------------------------------------------------------

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import enum
 import math
-import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ExprSyntaxError, SpecValidationError, AddTheoError
+from .errors import ExprSyntaxError, SpecValidationError
 from .exprparse import parse_fraction
 from .poly import MPoly, divide_exact, rem_monic
-from .resultants import content_and_primitive, mgcd, resultant, squarefree_part
+from .resultants import content_and_primitive, mgcd, resultant
 
 Q = Fraction
 
@@ -236,21 +235,13 @@ def _minimal_uniformizer(num: MPoly, den: MPoly, mu):
 def order(spec: FuncSpec) -> OrderData:
     """The order nu: how many incongruent arguments map to a generic value.
 
-    Computed symbolically per class and cross-checked by an exact count of the
-    distinct preimages of a random rational value; a mismatch raises, since it
-    signals either a kernel bug or a degenerate description.
+    For the coprime N/D that make_spec leaves: max(deg N, deg D) (rational and
+    exp classes), or the p-degree of Res_q(N - c*D, curve) without its content
+    in c (elliptic class); docs/decisions.md section 10.
     """
-    if spec.cls in (FunctionClass.RATIONAL_OF_U, FunctionClass.RATIONAL_OF_EXP):
-        nu = max(spec.numerator.total_degree(), spec.denominator.total_degree())
-    else:
-        nu = _elliptic_order(spec)
-    nu_numeric = _numeric_order(spec)
-    if nu_numeric != nu:
-        raise AddTheoError(
-            f"order mismatch: symbolic {nu} vs numeric {nu_numeric} "
-            "(kernel bug or degenerate spec)"
-        )
-    return OrderData(nu=nu)
+    if spec.cls is FunctionClass.ELLIPTIC:
+        return OrderData(nu=_elliptic_order(spec))
+    return OrderData(nu=max(spec.numerator.total_degree(), spec.denominator.total_degree()))
 
 
 def _elliptic_order(spec: FuncSpec) -> int:
@@ -267,31 +258,3 @@ def _elliptic_order(spec: FuncSpec) -> int:
     # discard content independent of the generic value symbol
     _, res = content_and_primitive(res, "c")
     return res.degree_in("p")
-
-
-def _numeric_order(spec: FuncSpec, seed=20260808) -> int:
-    """Exact count of the distinct preimages of a seeded random rational c0.
-
-    On the curve, a common zero of N and D is a root of N - c*D for every c
-    but no preimage (phi is 0/0 there), so its p-coordinate is divided out
-    through the gcd with the resultant at a second seeded value c1.
-    """
-    rng = random.Random(seed)
-    c0, c1 = (Q(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(2))
-    a = spec.numerator - c0 * spec.denominator
-    if spec.cls is FunctionClass.ELLIPTIC:
-        if a.degree_in("q") <= 0:
-            # each root p0 carries the two curve points (p0, +-q0)
-            return 2 * _distinct_roots(a, "p")
-        curve = curve_polynomial(spec.g2, spec.g3)
-        a = resultant(a, curve, "q")
-        if a.is_constant():
-            return 0
-        roots = squarefree_part(a)
-        shared = mgcd(roots, resultant(spec.numerator - c1 * spec.denominator, curve, "q"))
-        return roots.degree_in("p") - shared.degree_in("p")
-    return _distinct_roots(a, spec.uniformizer[0])
-
-
-def _distinct_roots(p: MPoly, name: str) -> int:
-    return 0 if p.is_constant() else squarefree_part(p).degree_in(name)

@@ -328,13 +328,14 @@ def full_substitution_group(spec: FuncSpec) -> SymmetryReport:
 
 
 def degree_report(spec: FuncSpec, theorem: AdditionTheorem | None = None) -> DegreeReport:
+    """The law m*nu^2/lambda0 of spec; given spec's derived theorem, the law
+    it carries and its degrees."""
+    if theorem is not None:
+        return DegreeReport(1, theorem.nu, theorem.lambda0, theorem.predicted_degree,
+                            (theorem.deg_x, theorem.deg_y, theorem.deg_z))
     nu = order(spec).nu
     lam0 = multiplier_group(spec).lambda0
-    predicted = predicted_degree(1, nu, lam0)
-    actual = None
-    if theorem is not None:
-        actual = (theorem.deg_x, theorem.deg_y, theorem.deg_z)
-    return DegreeReport(m=1, nu=nu, lambda0=lam0, predicted=predicted, actual=actual)
+    return DegreeReport(m=1, nu=nu, lambda0=lam0, predicted=predicted_degree(1, nu, lam0))
 
 
 # ----------------------------------------------------------------------
@@ -389,12 +390,11 @@ def k_relation(
     if len(set(degrees)) != 1:
         raise DegreeLawError(f"K degrees differ across variables: {degrees}")
     lam = full_substitution_group(spec).lam
-    nu = theorem.nu if theorem.nu is not None else order(spec).nu
-    expected = predicted_k_degree(1, nu, lam)
+    expected = predicted_k_degree(1, theorem.nu, lam)
     if any(d != expected for d in degrees):
         raise DegreeLawError(
             f"K degrees {degrees} do not match m*nu^3/lambda = {expected} "
-            f"(nu={nu}, lambda={lam}); the selected relation has "
+            f"(nu={theorem.nu}, lambda={lam}); the selected relation has "
             f"{len(K)} terms"
         )
     max_res = certify(K, sample(verify_samples, cfg, 303, 3, point), cfg.tol, "K")

@@ -492,16 +492,18 @@ class MPoly:
         return acc
 
     def specialize(self, name, value: int) -> "MPoly":
-        """self with an integer substituted for one variable, in the same ring."""
+        """self with an integer substituted for one variable, in the same ring;
+        value is raised only to the exponents that occur, each from the last."""
         s = self._shift(name)
         step = _var_key(len(self.variables), self.variables.index(name))
-        powers = [1]
+        powers, prev, power = {}, 0, 1
+        for e in sorted({(m >> s) & _MASK for m in self.terms}):
+            power *= value ** (e - prev)
+            powers[e], prev = power, e
         res = {}
         get = res.get
         for m, c in self.terms.items():
             e = (m >> s) & _MASK
-            while len(powers) <= e:
-                powers.append(powers[-1] * value)
             k = m - e * step
             res[k] = get(k, 0) + c * powers[e]
         return MPoly._new(self.variables, {m: c for m, c in res.items() if c}, self.den)

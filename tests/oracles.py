@@ -6,14 +6,21 @@ content recursion is the gcd oracle, the term-by-term float evaluation is
 the reference for MPoly.evaluate and evaluate_with_magnitude, the grlex
 sort key and the finite difference of phi are the references for the term
 order and for derivatives, the term-by-term product of powers is the
-reference for MPoly.substitute, and the eager fold, which eliminates every
-symbol from every relation, is the reference for derive.fold_eliminate.
+reference for MPoly.substitute, the eager fold, which eliminates every
+symbol from every relation, is the reference for derive.fold_eliminate, and
+the exact count of the preimages of a seeded value is the reference for
+funcspec.order.
 """
+
+import random
+from fractions import Fraction
 
 from addtheo.derive import _monic, _pivot_eliminant, _pivot_key
 from addtheo.errors import AddTheoError, DegenerateEliminationError
+from addtheo.funcspec import FunctionClass, curve_polynomial
 from addtheo.numeric import phi_eval
 from addtheo.poly import MPoly, divide_exact, pseudo_rem
+from addtheo.resultants import mgcd, resultant, squarefree_part
 
 
 def grlex_key(mono):
@@ -109,6 +116,35 @@ def eager_fold_eliminate(relations, elim_order) -> MPoly:
             if res is not None:
                 return res
     raise DegenerateEliminationError("elimination consumed every relation")
+
+
+def preimage_count(spec, seed=20260808) -> int:
+    """Exact count of the distinct preimages of a seeded random rational c0.
+
+    On the curve, a common zero of N and D is a root of N - c*D for every c
+    but no preimage (phi is 0/0 there), so its p-coordinate is divided out
+    through the gcd with the resultant at a second seeded value c1.  At a
+    critical value c0 of phi the count falls below the order.
+    """
+    rng = random.Random(seed)
+    c0, c1 = (Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(2))
+    a = spec.numerator - c0 * spec.denominator
+    if spec.cls is FunctionClass.ELLIPTIC:
+        if a.degree_in("q") <= 0:
+            # each root p0 carries the two curve points (p0, +-q0)
+            return 2 * _distinct_roots(a, "p")
+        curve = curve_polynomial(spec.g2, spec.g3)
+        a = resultant(a, curve, "q")
+        if a.is_constant():
+            return 0
+        roots = squarefree_part(a)
+        shared = mgcd(roots, resultant(spec.numerator - c1 * spec.denominator, curve, "q"))
+        return roots.degree_in("p") - shared.degree_in("p")
+    return _distinct_roots(a, spec.uniformizer[0])
+
+
+def _distinct_roots(p: MPoly, name: str) -> int:
+    return 0 if p.is_constant() else squarefree_part(p).degree_in(name)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ SCHEMA = json.loads(
 )
 
 
-def run_cli(*args, expect_code=0):
+def run_cli(*args, expect_code=0, timeout=300):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
@@ -22,7 +22,7 @@ def run_cli(*args, expect_code=0):
         text=True,
         cwd=str(ROOT),
         env=env,
-        timeout=300,
+        timeout=timeout,
     )
     assert proc.returncode == expect_code, (
         f"exit {proc.returncode} != {expect_code}\nstdout: {proc.stdout}\n"
@@ -234,6 +234,32 @@ def test_monomial_overflow_is_a_parse_error(tmp_path):
     assert report["status"] == "parse-error"
     assert "monomial field" in report["message"]
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["derive", "degrees"])
+def test_spec_at_a_critical_value_of_the_old_preimage_count(tmp_path, command):
+    # 671563/565570 is the value whose preimages the order once counted as a
+    # cross-check; for this phi it is a critical value with one preimage
+    spec = tmp_path / "critical.spec"
+    spec.write_text("class: rational\nphi: u^2 + 671563/565570\n", encoding="utf-8")
+    result = validate_report(run_cli(command, str(spec), "--json").stdout)["result"]
+    if command == "derive":
+        assert result["theorem"]["degrees"] == [2, 2, 2]
+    else:
+        assert (result["degrees"]["nu"], result["degrees"]["predicted"]) == (2, 2)
+
+
+@pytest.mark.parametrize("command", ["derive", "degrees"])
+@pytest.mark.parametrize("power", [40000, 65535])
+def test_oversized_law_stops_before_elimination(tmp_path, command, power):
+    # the scaling condition of the degree law passes the monomial field, and
+    # derive forms the law before it eliminates
+    big = tmp_path / "big.spec"
+    big.write_text(f"class: rational\nphi: u^{power}\n", encoding="utf-8")
+    proc = run_cli(command, str(big), "--json", expect_code=2, timeout=60)
+    report = validate_report(proc.stdout)
+    assert report["status"] == "parse-error"
+    assert "monomial field" in report["message"]
 
 
 def test_verify_g_with_superscript_digit_is_a_parse_error():

@@ -21,11 +21,13 @@ from addtheo.errors import (
     DegenerateEliminationError,
     DegenerateSpecializationError,
     DegreeLawError,
+    MonomialOverflowError,
     PruningError,
 )
 from addtheo.exprparse import parse_polynomial
 from addtheo.funcspec import FunctionClass, parse_spec
 from addtheo.factor import factor
+from addtheo.laws import DegreeReport, degree_report
 from addtheo.numeric import (
     PRIMES,
     EvalConfig,
@@ -237,28 +239,29 @@ def test_lazy_step_builds_past_a_degenerate_last_pair(monkeypatch):
     assert eliminant == eager_fold_eliminate(relations, ("t", "s"))
 
 
+EXP_T = parse_spec("class: exp\nphi: t\n")
+EXP_T_LAW = degree_report(EXP_T)
+
+
 def test_prune_drops_wrong_branch():
-    spec = parse_spec("class: exp\nphi: t\n")
     ring = ("x", "y", "z")
     x, y, z = (MPoly.var(ring, n) for n in ring)
-    theorem = prune((z - x * y) * (z + x * y), spec, CFG)
+    theorem = prune((z - x * y) * (z + x * y), EXP_T, CFG, EXP_T_LAW)
     assert theorem.G.to_text() == "x*y - z"
 
 
 def test_prune_rejects_diagonal_factor():
-    spec = parse_spec("class: exp\nphi: t\n")
     ring = ("x", "y", "z")
     x, y, z = (MPoly.var(ring, n) for n in ring)
-    theorem = prune((z - x * y) * (x - y), spec, CFG)
+    theorem = prune((z - x * y) * (x - y), EXP_T, CFG, EXP_T_LAW)
     assert theorem.G.to_text() == "x*y - z"
 
 
 def test_prune_no_survivor():
-    spec = parse_spec("class: exp\nphi: t\n")
     ring = ("x", "y", "z")
     x, y, z = (MPoly.var(ring, n) for n in ring)
     with pytest.raises(PruningError, match="no graph component"):
-        prune(x + y + z - 1, spec, CFG)
+        prune(x + y + z - 1, EXP_T, CFG, EXP_T_LAW)
 
 
 def test_derive_golden_exp(theorems):
@@ -357,17 +360,21 @@ def test_graph_vanishing_500(theorems):
     assert worst < 1e-9
 
 
-def test_degree_law_guard_is_enforced():
-    # an artificial mismatch must raise, not warn
+def test_degree_law_guard_is_enforced(monkeypatch):
+    # an artificial mismatch must raise, not warn, and before certification
     spec = parse_spec(WP_LEM)
     theorem = derive_addition_theorem(spec)
     assert theorem.predicted_degree == theorem.deg_z == 2
+    monkeypatch.setattr(derive, "sample_graph", None)  # certification would call it
+    with pytest.raises(DegreeLawError, match=r"derived degree 2 does not match .* = 4 "
+                       r"\(nu=2, lambda0=1\)"):
+        prune(eliminate(spec), spec, CFG, DegreeReport(1, 2, 1, 4))
 
 
 def test_theorem_with_unequal_degrees_is_rejected():
     g = parse_polynomial("x*y - z", ("x", "y", "z"))
     with pytest.raises(DegreeLawError, match="addition theorem degrees differ"):
-        derive.AdditionTheorem(g, 2, 2, 1, parse_spec(COSH), 0.0, 1, 0)
+        derive.AdditionTheorem(g, 2, 2, 1, parse_spec(COSH), 0.0, 1, 0, 1, 1, 1)
 
 
 def test_records_are_read_only(theorems):
@@ -377,17 +384,25 @@ def test_records_are_read_only(theorems):
             setattr(record, field, getattr(record, field))
 
 
-def test_degree_law_check_fills_in_the_law():
+def test_degree_law_check_fills_in_the_law(theorems):
     spec = parse_spec(COSH)
-    bare = prune(eliminate(spec), spec, CFG, verify_samples=50)
-    assert (bare.nu, bare.lambda0, bare.predicted_degree) == (None, None, None)
-    checked = derive.check_degree_law(bare, spec)
+    law = degree_report(spec)
+    checked = prune(eliminate(spec), spec, CFG, law, verify_samples=50)
     assert type(checked) is derive.AdditionTheorem
-    assert checked.G == bare.G
+    assert checked.G == theorems(COSH).G
     assert (checked.deg_x, checked.deg_y, checked.deg_z) == (2, 2, 2)
-    assert (checked.max_residual, checked.samples, checked.seed) == (
-        bare.max_residual, 50, 0)
-    assert (checked.nu, checked.lambda0, checked.predicted_degree) == (2, 2, 2)
+    assert checked.max_residual < CFG.tol
+    assert (checked.samples, checked.seed) == (50, 0)
+    assert (checked.nu, checked.lambda0, checked.predicted_degree) == (
+        law.nu, law.lambda0, law.predicted) == (2, 2, 2)
+
+
+def test_degree_law_is_formed_before_elimination(monkeypatch):
+    # u^40000 has a law whose scaling condition overflows the monomial field;
+    # derive stops there and never reaches the resultants
+    monkeypatch.setattr(derive, "eliminate", None)
+    with pytest.raises(MonomialOverflowError, match="monomial field"):
+        derive_addition_theorem(parse_spec("class: rational\nphi: u^40000\n"))
 
 
 def test_reduce_f_examples():

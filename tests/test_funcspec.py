@@ -4,12 +4,14 @@ import sys
 
 import pytest
 from fractions import Fraction as Q
+from hypothesis import assume, given, settings, strategies as st
 
 from addtheo.errors import ExprSyntaxError, SpecValidationError
-from addtheo.funcspec import FunctionClass, _numeric_order, make_spec, order, parse_spec
+from addtheo.funcspec import FunctionClass, make_spec, order, parse_spec
 from addtheo.poly import MPoly
 
 from conftest import SRC, spec_text
+from oracles import preimage_count
 
 
 def test_parse_exp_clears_inner_fraction():
@@ -146,7 +148,7 @@ BUNDLED_NU = {
 @pytest.mark.parametrize("name", sorted(BUNDLED_NU))
 def test_preimage_count_matches_order(name):
     spec = parse_spec(spec_text(name))
-    assert _numeric_order(spec) == order(spec).nu == BUNDLED_NU[name]
+    assert preimage_count(spec) == order(spec).nu == BUNDLED_NU[name]
 
 
 # every CLI process pays for what `import addtheo.cli` loads: no runtime
@@ -168,4 +170,51 @@ def test_common_zero_of_numerator_and_denominator_is_not_a_preimage():
     # N = p + q and D = p - 1 both vanish at the curve point (1, -1); phi has
     # simple poles at O and (1, 1) only, so its order is 2
     spec = parse_spec("class: elliptic\ng2: 1\ng3: 2\nphi: (p+q)/(p-1)\n")
-    assert _numeric_order(spec) == order(spec).nu == 2
+    assert preimage_count(spec) == order(spec).nu == 2
+
+
+def test_order_is_the_generic_fibre_at_a_critical_value():
+    # the oracle's seeded value c0 = 671563/565570 is the critical value of
+    # u^2 + c0, whose fibre over c0 is the double root u = 0; a generic fibre
+    # still has two points
+    spec = parse_spec("class: rational\nphi: u^2 + 671563/565570\n")
+    assert preimage_count(spec) == 1
+    assert order(spec).nu == 2
+
+
+def _poly(coeffs, variables, name):
+    x = MPoly.var(variables, name)
+    return sum((c * x**i for i, c in enumerate(coeffs)), MPoly.zero(variables))
+
+
+small_coeffs = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+
+
+@st.composite
+def small_specs(draw):
+    """Specs N/D of each class with N, D of degree at most 3 in the
+    uniformizer (elliptic: A(p) + q*B(p) over one of three curves)."""
+    cls = draw(st.sampled_from(list(FunctionClass)))
+    if cls is FunctionClass.ELLIPTIC:
+        g2, g3 = draw(st.sampled_from([(4, 0), (0, 1), (1, 2)]))
+        ring = ("p", "q")
+        q = MPoly.var(ring, "q")
+        num, den = (
+            _poly(draw(small_coeffs), ring, "p") + q * _poly(draw(small_coeffs), ring, "p")
+            for _ in range(2)
+        )
+        return cls, num, den, Q(g2), Q(g3)
+    ring = ("u",) if cls is FunctionClass.RATIONAL_OF_U else ("t",)
+    num, den = (_poly(draw(small_coeffs), ring, ring[0]) for _ in range(2))
+    return cls, num, den, None, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_specs())
+def test_order_matches_the_preimage_count(case):
+    cls, num, den, g2, g3 = case
+    try:
+        spec = make_spec(cls, num, den, g2=g2, g3=g3)
+    except SpecValidationError:
+        assume(False)
+    assert order(spec).nu == preimage_count(spec)

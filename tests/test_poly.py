@@ -178,6 +178,19 @@ def test_substitute_matches_the_term_by_term_reference(case):
     assert p.substitute(assignment) == substitute_reference(p, assignment)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    small_polys(SUB_VARS[:n], max_terms=5, max_exp=3000),
+    st.sampled_from(SUB_VARS[:n]),
+    st.integers(-40, 40),
+)))
+def test_specialize_matches_substitute(case):
+    # sparse exponents far above 1000: specialize builds only the powers of
+    # the point that occur
+    p, name, k = case
+    assert p.specialize(name, k) == p.substitute({name: k})
+
+
 # ----------------------------------------------------------------------
 # kernel properties: every operation agrees with exact Fraction evaluation
 # ----------------------------------------------------------------------
