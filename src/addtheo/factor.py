@@ -7,13 +7,14 @@ recombine subsets with trial division.  Every boundary speaks MPoly; dense
 `int` lists live only inside, for arithmetic mod p and the p-adic lift.
 
 Multivariate polynomials are factored as univariate in the greatest variable:
-specialize the remaining variables at a point that preserves the degree and
-keeps the image square-free, factor the image, lift the factors back as
-truncated power series in the shifted variables, and recombine.  A generic
-linear substitution first forces the leading coefficient in the main variable
-to be constant, so the lifted factors stay monic.  Both routes share one
-recombination, and `divide_exact` certifies every candidate factor before
-it is accepted.
+specialize the remaining variables at up to three points that keep the image
+square-free and factor each image.  An irreducible image proves the input
+irreducible; otherwise lift the factors of the image with the fewest, as
+truncated power series in the shifted variables, and recombine (Wang's choice
+of point).  A generic linear substitution first forces the leading
+coefficient in the main variable to be constant, so the lifted factors stay
+monic.  Both routes share one recombination, and `divide_exact` certifies
+every candidate factor before it is accepted.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .resultants import mgcd, squarefree
 Q = Fraction
 
 _FACTOR_SEED = 0x5EED
+_IMAGES = 3  # square-free images compared before a lift (Wang's EEZ configs)
 
 
 # ----------------------------------------------------------------------
@@ -406,10 +408,14 @@ def _shear_to_constant_lc(g: MPoly, main, others, attempt):
 
 def _try_factor_monic(work: MPoly, main, others, rng):
     """Factor a polynomial whose main-variable leading coefficient is
-    constant.  Returns non-constant factors of `work`, or None to retry."""
+    constant.  Returns non-constant factors of `work`, or None to retry.
+    An irreducible image among the first _IMAGES square-free ones proves
+    `work` irreducible; else one lift runs at the image with the fewest
+    factors, the earliest on ties (docs/decisions.md section 4)."""
     lc = work.coeffs_in(main)[-1].constant_value()
     monic = work * (1 / lc)
     one = MPoly.const(work.variables, 1)
+    images = []
     for point in itertools.islice(_point_candidates(others, rng), 60):
         image = monic.substitute({w: point[w] for w in others})
         if not mgcd(image, image.derivative(main)).is_constant():
@@ -417,21 +423,26 @@ def _try_factor_monic(work: MPoly, main, others, rng):
         base_factors = factor_univariate(image)
         if len(base_factors) == 1:
             return [work]
-        shift = {w: MPoly.var(work.variables, w) + point[w] for w in others}
-        unshift = {w: MPoly.var(work.variables, w) - point[w] for w in others}
-        shifted = monic.substitute(shift)
-        prec = shifted.others_degree(main)
-        lifted = _lift_factors(shifted, base_factors, main, prec)
+        images.append((point, base_factors))
+        if len(images) == _IMAGES:
+            break
+    if not images:
+        return None
+    point, base_factors = min(images, key=lambda img: len(img[1]))
+    shift = {w: MPoly.var(work.variables, w) + point[w] for w in others}
+    unshift = {w: MPoly.var(work.variables, w) - point[w] for w in others}
+    shifted = monic.substitute(shift)
+    prec = shifted.others_degree(main)
+    lifted = _lift_factors(shifted, base_factors, main, prec)
 
-        def candidate(rest, factors):
-            cand = one
-            for f in factors:
-                cand = cand.mul_trunc(f, main, prec)
-            return cand
+    def candidate(rest, factors):
+        cand = one
+        for f in factors:
+            cand = cand.mul_trunc(f, main, prec)
+        return cand
 
-        combos = _recombine(shifted, lifted, candidate)
-        return [f.substitute(unshift) for f in combos]
-    return None
+    combos = _recombine(shifted, lifted, candidate)
+    return [f.substitute(unshift) for f in combos]
 
 
 def _lift_factors(shifted: MPoly, base_factors, main, prec):

@@ -1,9 +1,11 @@
+import importlib
 import math
 import random
+from datetime import timedelta
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from addtheo.errors import AddTheoError
 from addtheo.factor import (
@@ -14,8 +16,11 @@ from addtheo.factor import (
     is_irreducible,
 )
 from addtheo.poly import MPoly
+from addtheo.resultants import mgcd
 
 RING = ("x", "y", "z")
+# the module, which the package's `factor` function shadows as an attribute
+factor_module = importlib.import_module("addtheo.factor")
 
 
 def xyz():
@@ -174,3 +179,80 @@ def test_multivariate_recombination_needs_a_pair():
     work = (x**2 - y) * (x**2 - 4 * y)
     found = _try_factor_monic(work, "x", ["y"], _AlwaysOne())
     assert sorted(f.to_text() for f in found) == ["x^2 - 4*y", "x^2 - y"]
+
+
+class _Scripted:
+    """A point stream source that draws the given values in order and no
+    more."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def randint(self, lo, hi):
+        return self.values.pop(0)
+
+
+def test_irreducible_image_after_a_split_one_needs_no_lift(monkeypatch):
+    # the image x^2 - 1 at the origin splits, x^2 - 2 at y = 1 does not, and
+    # that proves x^2 - y - 1 irreducible without a lift
+    def no_lift(*args):
+        raise AssertionError("lifted an irreducible polynomial")
+
+    monkeypatch.setattr(factor_module, "_lift_factors", no_lift)
+    ring = ("y", "x")
+    y, x = (MPoly.var(ring, n) for n in ring)
+    work = x**2 - y - 1
+    rng = _Scripted([1])
+    assert _try_factor_monic(work, "x", ["y"], rng) == [work]
+    assert rng.values == []
+
+
+def test_lift_runs_once_at_the_image_with_fewest_factors(monkeypatch):
+    # the origin's image is not square-free; at y = 1, 2, 3 the images split
+    # into 4, 2 and 2 factors, so the one lift runs at y = 2, the earliest of
+    # the two with fewest factors, and no fourth point is drawn
+    lifts = []
+
+    def recording_lift(shifted, base_factors, main, prec):
+        lifts.append(sorted(f.to_text() for f in base_factors))
+        return _lift_factors(shifted, base_factors, main, prec)
+
+    monkeypatch.setattr(factor_module, "_lift_factors", recording_lift)
+    ring = ("y", "x")
+    y, x = (MPoly.var(ring, n) for n in ring)
+    work = (x**2 - y) * (x**2 - 4 * y)
+    found = _try_factor_monic(work, "x", ["y"], _Scripted([1, 2, 3]))
+    assert lifts == [["x^2 - 2", "x^2 - 8"]]
+    assert sorted(f.to_text() for f in found) == ["x^2 - 4*y", "x^2 - y"]
+
+
+@st.composite
+def linear_factors(draw):
+    """1-3 distinct canonical polynomials a*v + b in 2-3 variables, with v the
+    last variable and a, b coprime in the others: each is primitive and
+    linear in v, so irreducible."""
+    ring = ("x", "y", "z")[: draw(st.integers(2, 3))]
+    others = ring[:-1]
+    v = MPoly.var(ring, ring[-1])
+    coeff = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * len(others)).map(lambda e: e + (0,)),
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        min_size=1,
+        max_size=3,
+    ).map(lambda terms: MPoly(ring, terms))
+    out = set()
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(coeff), draw(coeff)
+        if mgcd(a, b).is_constant():
+            out.add((a * v + b).canonicalize())
+    assume(out)
+    return out
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=20))
+@given(linear_factors(), st.integers(1, 5))
+def test_planted_linear_factors_come_back(planted, scalar):
+    product = MPoly.const(next(iter(planted)).variables, scalar)
+    for f in planted:
+        product = product * f
+    assert factor(product) == sorted(((f, 1) for f in planted), key=lambda fm: fm[0].sort_key())
