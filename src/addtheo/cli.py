@@ -124,7 +124,10 @@ def cmd_verify(args):
         pass  # not a file: inline text
     except UnicodeDecodeError:
         raise SpecValidationError(f"cannot read {text}: not UTF-8 text") from None
-    g = parse_polynomial(text, ("x", "y", "z")).canonicalize()
+    g = parse_polynomial(text, ("x", "y", "z"))
+    if g.is_zero():
+        raise SpecValidationError("the candidate G is the zero polynomial, which vanishes everywhere")
+    g = g.canonicalize()
     samples = sample_graph(spec, args.samples, cfg, salt=7)
     worst = None
     worst_res = -1.0

@@ -48,7 +48,7 @@ from .numeric import (
     sample_mod,
 )
 from .poly import MPoly, rem_monic
-from .resultants import resultant, squarefree_part
+from .resultants import content_and_primitive, resultant, squarefree_part
 from .factor import factor
 
 Q = Fraction
@@ -144,13 +144,20 @@ def _pivot_key(sym):
     return lambda r: (r.degree_in(sym), len(r), r.sort_key())
 
 
-def _pivot_eliminant(r, pivot, monic_pivot, sym):
-    """r with sym eliminated against the pivot, or None for a multiple of it."""
+def _pivot_eliminant(r, pivot, monic_pivot, sym, content_first=False):
+    """r with sym eliminated against the pivot, or None for a multiple of it.
+    content_first takes r's content in sym out of the resultant and
+    multiplies its deg(pivot)-th power back in (docs/decisions.md section 3)."""
     if monic_pivot is not None:
         r = rem_monic(r, monic_pivot, sym)
         if r.is_zero():
             return None  # a multiple of the pivot adds no constraint
-        res = r if not r.uses(sym) else resultant(r, pivot, sym)
+    if not r.uses(sym):
+        res = r
+    elif content_first:
+        cont, prim = content_and_primitive(r, sym)
+        # res(c*A, B) = c^deg(B) * res(A, B) for c free of sym
+        res = resultant(prim, pivot, sym) * cont ** pivot.degree_in(sym)
     else:
         res = resultant(r, pivot, sym)
     if res.is_zero():
@@ -196,7 +203,7 @@ def _last_step(rels, sym) -> MPoly:
     if len(rels) > 1:
         pivot, monic_pivot = rels[0], _monic(rels[0], sym)
         for r in rels[1:]:
-            res = _pivot_eliminant(r, pivot, monic_pivot, sym)
+            res = _pivot_eliminant(r, pivot, monic_pivot, sym, content_first=True)
             if res is not None:
                 return res
     raise DegenerateEliminationError("elimination consumed every relation")

@@ -372,6 +372,8 @@ def _factor_squarefree(g: MPoly):
         found = _try_factor_monic(work, main, others, rng)
         if found is None:
             continue
+        if len(found) == 1:
+            return [g]  # proved irreducible: undoing the shear rebuilds g
         result = []
         for f in found:
             f = undo_shear(f)

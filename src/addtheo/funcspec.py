@@ -4,7 +4,7 @@ A spec file is line oriented UTF-8 with `#` comments:
 
     class: rational | exp | elliptic
     phi: <expression>
-    mu: <a>/<b> | i | <a>/<b>*i      (exp only, optional, numeric use only)
+    mu: <a>/<b> | i | <a>/<b>*i      (exp only, optional, nonzero, numeric use only)
     g2: <rat>                        (elliptic only, required)
     g3: <rat>                        (elliptic only, required)
 
@@ -187,6 +187,8 @@ def make_spec(cls, num, den, mu=(Q(1), Q(0)), g2=None, g3=None) -> FuncSpec:
             raise SpecValidationError("denominator vanishes on the curve")
     num, den = _cancel(num, den)
     if cls is FunctionClass.RATIONAL_OF_EXP:
+        if not any(mu):
+            raise SpecValidationError("mu = 0 makes phi a constant function (t = e^(0*u) = 1)")
         num, den, mu = _minimal_uniformizer(num, den, mu)
     if num.is_constant() and den.is_constant():
         raise SpecValidationError("phi is a constant function")

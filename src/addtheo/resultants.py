@@ -176,20 +176,25 @@ def _prs_gcd(p: MPoly, q: MPoly) -> MPoly:
 
 
 def content_and_primitive(p: MPoly, name: str):
-    """Content (gcd of the coefficients in the variable) and primitive part."""
+    """Content (gcd of the coefficients in the variable) and primitive part.
+
+    The coefficients are read sparsest first: each further one is divided
+    by the content so far, and mgcd runs only when that division fails
+    (docs/decisions.md section 5)."""
     if p.is_zero():
         raise ZeroPolynomialError("content of zero polynomial")
-    coeffs = [c for c in p.coeffs_in(name) if not c.is_zero()]
+    coeffs = sorted((c for c in p.coeffs_in(name) if not c.is_zero()), key=len)
     cont = coeffs[0]
     for c in coeffs[1:]:
         if cont.is_constant():
             break
-        cont = mgcd(cont, c)
-    cont = cont.canonicalize() if not cont.is_constant() else MPoly.const(p.variables, 1)
-    pp = divide_exact(p, cont)
-    if pp is None:
-        raise AddTheoError("content division failed")
-    return cont, pp
+        if divide_exact(c, cont) is None:
+            cont = mgcd(cont, c)
+    if cont.is_constant():
+        return MPoly.const(p.variables, 1), p
+    cont = cont.canonicalize()
+    # cont divides every coefficient, so the division is exact
+    return cont, divide_exact(p, cont)
 
 
 # ----------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 None of this is used by the package itself: the Sylvester determinant is the
 resultant cross-check, the subresultant remainder sequence with its own
-content recursion is the gcd oracle, the term-by-term float evaluation is
-the reference for MPoly.evaluate and evaluate_with_magnitude, the grlex
-sort key and the finite difference of phi are the references for the term
-order and for derivatives, the term-by-term product of powers is the
-reference for MPoly.substitute, the eager fold, which eliminates every
-symbol from every relation, is the reference for derive.fold_eliminate, and
-the exact count of the preimages of a seeded value is the reference for
-funcspec.order.
+content recursion is the gcd oracle, the left-to-right mgcd fold over the
+coefficients is the reference for resultants.content_and_primitive, the
+term-by-term float evaluation is the reference for MPoly.evaluate and
+evaluate_with_magnitude, the grlex sort key and the finite difference of phi
+are the references for the term order and for derivatives, the term-by-term
+product of powers is the reference for MPoly.substitute, the eager fold,
+which eliminates every symbol from every relation, is the reference for
+derive.fold_eliminate, and the exact count of the preimages of a seeded
+value is the reference for funcspec.order.
 """
 
 import random
@@ -228,6 +229,19 @@ def prs_gcd(p: MPoly, q: MPoly) -> MPoly:
     if b.degree_in(name) == 0:
         return cont
     return (cont * _prs_gcd_primitive(a, b, name)).canonicalize()
+
+
+def content_fold(p: MPoly, name: str):
+    """resultants.content_and_primitive by an mgcd fold over the nonzero
+    coefficients in the variable, lowest power first."""
+    coeffs = [c for c in p.coeffs_in(name) if not c.is_zero()]
+    cont = coeffs[0]
+    for c in coeffs[1:]:
+        if cont.is_constant():
+            break
+        cont = mgcd(cont, c)
+    cont = cont.canonicalize() if not cont.is_constant() else MPoly.const(p.variables, 1)
+    return cont, divide_exact(p, cont)
 
 
 def _content_and_primitive(p: MPoly, name: str):

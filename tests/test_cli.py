@@ -315,6 +315,28 @@ def test_verify_g_file_not_utf8_exit_2(tmp_path):
     assert str(g_file) in report["message"]
 
 
+@pytest.mark.parametrize("mu", ["0", "0*i"])
+def test_zero_mu_exits_2(tmp_path, mu):
+    spec = tmp_path / "mu0.spec"
+    spec.write_text(f"class: exp\nphi: t\nmu: {mu}\n", encoding="utf-8")
+    proc = run_cli("derive", str(spec), "--json", expect_code=2)
+    report = validate_report(proc.stdout)
+    assert report["status"] == "parse-error"
+    assert report["message"].startswith("mu = 0")
+
+
+@pytest.mark.parametrize("candidate", ["0", "x - x"])
+def test_verify_zero_candidate_exits_2_before_sampling(monkeypatch, capsys, candidate):
+    import addtheo.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("sampled a zero candidate")
+
+    monkeypatch.setattr(cli, "sample_graph", never)
+    assert cli.main(["verify", spec_path("cos.spec"), "--g", candidate]) == 2
+    assert "error: the candidate G is the zero polynomial" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args, option", [
     (("reduce-f", "F", "--x0", "abc", "--y0", "1"), "--x0"),
     (("reduce-f", "F", "--x0", "1", "--y0", "1/0"), "--y0"),

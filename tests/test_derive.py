@@ -4,9 +4,11 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from addtheo import derive
 from addtheo.derive import (
+    _pivot_eliminant,
     base_law,
     derivative_relation,
     derive_addition_theorem,
@@ -41,9 +43,10 @@ from addtheo.numeric import (
     wp_prime_eval,
 )
 from addtheo.poly import MPoly, divide_exact
+from addtheo.resultants import content_and_primitive
 
 from conftest import ROOT, spec_text
-from oracles import eager_fold_eliminate, phi_derivative_numeric
+from oracles import eager_fold_eliminate, phi_derivative_numeric, sylvester_resultant
 
 CFG = EvalConfig()
 
@@ -206,6 +209,51 @@ def test_lazy_step_skips_the_unused_result(monkeypatch, name, calls):
     counted, _ = _count_resultants(monkeypatch)
     eliminate(spec)
     assert len(counted) == calls
+
+
+def test_last_resultant_of_wp_prime_reads_the_primitive_partner(monkeypatch):
+    # the chord law degenerates on p1 = p2, so the last partner carries the
+    # content (y - x)^3 in p1: 60 terms, 25 in its primitive part
+    counted, _ = _count_resultants(monkeypatch)
+    eliminate(parse_spec(spec_text("wp-prime.spec")))
+    partner, _, name = counted[-1]
+    assert name == "p1" and len(partner) == 25
+    assert content_and_primitive(partner, "p1")[0].is_constant()
+
+
+@st.composite
+def planted_content_pairs(draw):
+    """(c, A, B): a non-constant content c(x, y), and A and B of degree 1-4
+    in s with coefficients in x, y."""
+    ring = ("x", "y", "s")
+    nonzero = st.integers(-4, 4).filter(bool)
+
+    def in_s(degree):
+        terms = draw(st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, degree - 1)),
+            nonzero, max_size=4,
+        ))
+        terms[(draw(st.integers(0, 1)), draw(st.integers(0, 1)), degree)] = draw(nonzero)
+        return MPoly(ring, terms)
+
+    c = MPoly(ring, draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0)), nonzero,
+        min_size=1, max_size=3,
+    )))
+    assume(not c.is_constant())
+    return c, in_s(draw(st.integers(1, 4))), in_s(draw(st.integers(1, 4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_content_pairs())
+def test_content_first_last_step_matches_sylvester(case):
+    # res(c*A, B) = c^deg(B) * res(A, B): the content is taken out of the
+    # partner and its power multiplied back in
+    c, partner, pivot = case
+    expected = sylvester_resultant(c * partner, pivot, "s")
+    assume(not expected.is_zero())
+    got = _pivot_eliminant(c * partner, pivot, None, "s", content_first=True)
+    assert got == expected.canonicalize()
 
 
 VALID_BUNDLED = [

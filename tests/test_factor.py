@@ -226,6 +226,31 @@ def test_lift_runs_once_at_the_image_with_fewest_factors(monkeypatch):
     assert sorted(f.to_text() for f in found) == ["x^2 - 4*y", "x^2 - y"]
 
 
+def test_irreducible_input_skips_the_undo_substitution(monkeypatch):
+    # the leading coefficient y forces a shear; the irreducible image proves
+    # the input irreducible, and undoing the shear would only rebuild it
+    undone = []
+    real = factor_module._shear_to_constant_lc
+
+    def recording(g, main, others, attempt):
+        work, undo = real(g, main, others, attempt)
+        if work is None:
+            return work, undo
+
+        def counted(f):
+            undone.append(f)
+            return undo(f)
+
+        return work, counted
+
+    monkeypatch.setattr(factor_module, "_shear_to_constant_lc", recording)
+    ring = ("y", "x")
+    y, x = (MPoly.var(ring, n) for n in ring)
+    g = (y * x**2 - y - 1).canonicalize()
+    assert factor_module._factor_squarefree(g) == [g]
+    assert undone == []
+
+
 @st.composite
 def linear_factors(draw):
     """1-3 distinct canonical polynomials a*v + b in 2-3 variables, with v the

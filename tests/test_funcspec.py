@@ -39,6 +39,13 @@ def test_constant_phi_rejected():
         parse_spec("class: rational\nphi: 7\n")
 
 
+@pytest.mark.parametrize("mu", ["0", "0*i", "0/3"])
+def test_zero_mu_rejected(mu):
+    # t = e^(0*u) = 1 makes every phi(t) a constant function of u
+    with pytest.raises(SpecValidationError, match="constant"):
+        parse_spec(f"class: exp\nphi: t\nmu: {mu}\n")
+
+
 def test_wrong_symbol_for_class():
     with pytest.raises(ExprSyntaxError, match="unknown symbol"):
         parse_spec("class: exp\nphi: u + 1\n")

@@ -14,10 +14,10 @@ from addtheo.derive import derive_addition_theorem
 from addtheo.exprparse import parse_polynomial
 from addtheo.funcspec import parse_spec
 from addtheo.poly import MPoly, divide_exact
-from addtheo.resultants import mgcd, squarefree
+from addtheo.resultants import content_and_primitive, mgcd, squarefree
 
 from conftest import ROOT, SPECS
-from oracles import prs_gcd
+from oracles import content_fold, prs_gcd
 
 RINGS = (("x",), ("x", "y"), ("x", "y", "z"))
 FACTOR_HEAVY = (
@@ -90,6 +90,29 @@ def test_mgcd_matches_the_prs_oracle(pair):
     g = mgcd(p, q)
     assert g == prs_gcd(p, q)  # both canonical: equal up to a unit
     assert divide_exact(p, g) is not None and divide_exact(q, g) is not None
+
+
+@st.composite
+def planted_contents(draw):
+    """A polynomial in x, y, z as a content in x, y times 1-4 coefficients
+    of the powers of z; the content may be constant."""
+    ring = ("x", "y", "z")
+    bivariate = st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0)),
+        st.integers(-5, 5).filter(bool), min_size=1, max_size=3,
+    ).map(lambda terms: MPoly(ring, terms))
+    z = MPoly.var(ring, "z")
+    coeffs = draw(st.lists(bivariate, min_size=1, max_size=4))
+    body = sum((c * z**i for i, c in enumerate(coeffs)), MPoly.zero(ring))
+    return draw(bivariate) * body
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_contents())
+def test_content_matches_the_left_to_right_fold(p):
+    # the sparsest-first trial division must find the gcd the fold finds,
+    # also when the sparsest coefficient is not the content
+    assert content_and_primitive(p, "z") == content_fold(p, "z")
 
 
 @pytest.mark.parametrize("case", range(2), ids=["coprime-u2", "wp-squared"])
