@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .derive import derive_addition_theorem, eliminate, prune, reduce_f_to_g
+from .derive import eliminate, prune, reduce_f_to_g
 from .errors import (
     AddTheoError,
     DegenerateEliminationError,
@@ -31,8 +31,15 @@ from .errors import (
 )
 from .exprparse import parse_polynomial
 from .funcspec import FuncSpec, parse_spec
-from .laws import degree_report, full_substitution_group, k_relation, same_theorem
+from .laws import (
+    degree_report,
+    derive_addition_theorem,
+    full_substitution_group,
+    k_relation,
+    same_theorem,
+)
 from .numeric import EvalConfig, class_tolerance, relative_residual, sample_graph
+from .poly import MPoly
 
 _PARSE_ERRORS = (ExprSyntaxError, MonomialOverflowError, SpecValidationError)
 _DEGENERATE_ERRORS = (
@@ -101,6 +108,36 @@ def _fmt_complex(z: complex) -> str:
     return f"{re:.6g}{sign}{abs(im):.6g}i"
 
 
+def _json(value):
+    """A record as JSON data: fields by name, with lam written as "lambda";
+    polynomials as text, complex numbers as [re, im], tuples as lists."""
+    if hasattr(value, "_asdict"):
+        return {"lambda" if k == "lam" else k: _json(v) for k, v in value._asdict().items()}
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    if isinstance(value, MPoly):
+        return value.to_text()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
+
+
+def _theorem_json(theorem):
+    law = theorem.law
+    return {
+        "class": theorem.spec.cls.value,
+        "spec": theorem.spec.serialize(),
+        "G": theorem.G.to_text(),
+        "degrees": list(law.actual),
+        "nu": law.nu,
+        "lambda0": law.lambda0,
+        "predicted_degree": law.predicted,
+        "max_residual": theorem.max_residual,
+        "samples": theorem.samples,
+        "seed": theorem.seed,
+    }
+
+
 def cmd_derive(args):
     spec = _load_spec(args.spec)
     cfg = _config(spec, args)
@@ -110,7 +147,7 @@ def cmd_derive(args):
         print(f"trace (non-contractual): eliminant = {raw.to_text()}", file=sys.stderr)
     theorem = prune(raw, spec, cfg, law, verify_samples=args.samples)
     lines = [theorem.G.to_text()]
-    return lines, {"theorem": theorem.to_json_dict()}
+    return lines, {"theorem": _theorem_json(theorem)}
 
 
 def cmd_verify(args):
@@ -157,17 +194,17 @@ def cmd_verify(args):
 
 def cmd_degrees(args):
     spec = _load_spec(args.spec)
-    theorem = None
     if args.derive:
-        theorem = derive_addition_theorem(spec, _config(spec, args), verify_samples=args.samples)
-    report = degree_report(spec, theorem)
+        report = derive_addition_theorem(spec, _config(spec, args), verify_samples=args.samples).law
+    else:
+        report = degree_report(spec)
     line = (
         f"m={report.m} nu={report.nu} lambda0={report.lambda0} "
         f"predicted={report.predicted}"
     )
     if report.actual is not None:
         line += " actual=" + ",".join(str(d) for d in report.actual)
-    return [line], {"degrees": report.to_json_dict()}
+    return [line], {"degrees": _json(report)}
 
 
 def cmd_symmetry(args):
@@ -179,7 +216,7 @@ def cmd_symmetry(args):
         f"multipliers={mults} lambda0={report.lambda0} "
         f"group={group} lambda={report.lam} beta_search={report.beta_search}"
     )
-    return [line], {"symmetry": report.to_json_dict()}
+    return [line], {"symmetry": _json(report)}
 
 
 def cmd_krel(args):
@@ -191,7 +228,7 @@ def cmd_krel(args):
         rel.K.to_text(),
         "degrees=" + ",".join(str(d) for d in rel.degrees) + f" lambda={rel.lam}",
     ]
-    return lines, {"k_relation": rel.to_json_dict(), "theorem": theorem.to_json_dict()}
+    return lines, {"k_relation": _json(rel), "theorem": _theorem_json(theorem)}
 
 
 def cmd_reduce_f(args):
@@ -204,14 +241,14 @@ def cmd_same(args):
     spec_a = _load_spec(args.spec_a)
     spec_b = _load_spec(args.spec_b)
     cfg = _config(spec_a, args)
-    verdict = same_theorem(spec_a, spec_b, cfg)
+    verdict = same_theorem(spec_a, spec_b, cfg, verify_samples=args.samples)
     if not verdict.same:
         line = "same=false"
     elif verdict.alpha is None:
         line = "same=true alpha=unresolved"
     else:
         line = f"same=true alpha={_fmt_complex(verdict.alpha)}"
-    return [line], {"same_theorem": verdict.to_json_dict()}
+    return [line], {"same_theorem": _json(verdict)}
 
 
 def _build_parser():

@@ -41,7 +41,6 @@ from .funcspec import FuncSpec, FunctionClass, curve_polynomial
 from .numeric import (
     PRIMES,
     EvalConfig,
-    class_tolerance,
     graph_points_mod,
     relative_residual,
     sample_graph,
@@ -66,65 +65,46 @@ _ELIM_ORDER = {
 }
 
 
-class BaseLaw(NamedTuple):
-    cls: FunctionClass
-    variables: tuple
-    relations: tuple
+class DegreeReport(NamedTuple):
+    m: int
+    nu: int
+    lambda0: int
+    predicted: int
+    actual: tuple | None = None  # a derived G's degrees in x, y, z
 
 
 class _TheoremFields(NamedTuple):
     G: MPoly
-    deg_x: int
-    deg_y: int
-    deg_z: int
+    law: DegreeReport  # the law checked, with actual filled in by prune
     spec: FuncSpec
     max_residual: float
     samples: int
     seed: int
-    nu: int
-    lambda0: int
-    predicted_degree: int
 
 
 class AdditionTheorem(_TheoremFields):
-    """A derived G with its evidence and its degree law; equal degrees are
-    checked on construction."""
+    """A derived G with its evidence and the degree law it was checked
+    against; equal degrees are checked on construction."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not (self.deg_x == self.deg_y == self.deg_z):
-            raise DegreeLawError(
-                f"addition theorem degrees differ: "
-                f"({self.deg_x}, {self.deg_y}, {self.deg_z})"
-            )
+        if len(set(self.law.actual)) != 1:
+            raise DegreeLawError(f"addition theorem degrees differ: {self.law.actual}")
         return self
 
-    def to_json_dict(self):
-        return {
-            "class": self.spec.cls.value,
-            "spec": self.spec.serialize(),
-            "G": self.G.to_text(),
-            "degrees": [self.deg_x, self.deg_y, self.deg_z],
-            "nu": self.nu,
-            "lambda0": self.lambda0,
-            "predicted_degree": self.predicted_degree,
-            "max_residual": self.max_residual,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
 
-
-def base_law(cls: FunctionClass, g2=None, g3=None) -> BaseLaw:
-    """The functional relations tying the uniformizer at u, v, and u+v."""
+def base_law(cls: FunctionClass, g2=None, g3=None) -> tuple:
+    """The functional relations tying the uniformizer at u, v, and u+v, over
+    the slot variables of cls."""
     slots = _SLOT_VARS[cls]
     if cls is FunctionClass.RATIONAL_OF_U:
         u1, u2, u3 = (MPoly.var(slots, s) for s in slots)
-        return BaseLaw(cls, slots, (u3 - u1 - u2,))
+        return (u3 - u1 - u2,)
     if cls is FunctionClass.RATIONAL_OF_EXP:
         t1, t2, t3 = (MPoly.var(slots, s) for s in slots)
-        return BaseLaw(cls, slots, (t3 - t1 * t2,))
+        return (t3 - t1 * t2,)
     if g2 is None or g3 is None:
         raise AddTheoError("elliptic base law needs g2 and g3")
     if g2**3 - 27 * g3**2 == 0:
@@ -137,7 +117,7 @@ def base_law(cls: FunctionClass, g2=None, g3=None) -> BaseLaw:
     relations = [chord_sum, collinear]
     for p, q in ((p1, q1), (p2, q2), (p3, q3)):
         relations.append(q**2 - (4 * p**3 - g2 * p - g3))
-    return BaseLaw(cls, slots, tuple(relations))
+    return tuple(relations)
 
 
 def _pivot_key(sym):
@@ -266,10 +246,9 @@ def _value_relations(spec: FuncSpec, ring):
 def eliminate(spec: FuncSpec) -> MPoly:
     """The raw eliminant: a nonzero polynomial in (x, y, z) vanishing on the
     graph, before spurious factors are removed."""
-    law = base_law(spec.cls, spec.g2, spec.g3)
     ring = ("x", "y", "z") + _SLOT_VARS[spec.cls]
     relations = _value_relations(spec, ring)
-    relations.extend(r.embed(ring) for r in law.relations)
+    relations.extend(r.embed(ring) for r in base_law(spec.cls, spec.g2, spec.g3))
     final = fold_eliminate(relations, _ELIM_ORDER[spec.cls])
     return final.restrict(("x", "y", "z")).canonicalize()
 
@@ -308,9 +287,9 @@ def certify(g: MPoly, points, tol: float, what: str) -> float:
     return max_res
 
 
-def prune(eliminant: MPoly, spec: FuncSpec, cfg: EvalConfig, law, verify_samples: int = 200) -> AdditionTheorem:
+def prune(eliminant: MPoly, spec: FuncSpec, cfg: EvalConfig, law: DegreeReport, verify_samples: int = 200) -> AdditionTheorem:
     """Select the unique irreducible factor vanishing on the graph, check its
-    z-degree against the degree law `law` (a laws.DegreeReport of spec), then
+    z-degree against the degree law `law` (a DegreeReport of spec), then
     certify it on complex graph samples."""
     if eliminant.is_zero():
         raise PruningError("eliminant is zero")
@@ -331,30 +310,9 @@ def prune(eliminant: MPoly, spec: FuncSpec, cfg: EvalConfig, law, verify_samples
     samples = sample_graph(spec, verify_samples, cfg, salt=103)
     points = [{"x": s.x, "y": s.y, "z": s.z} for s in samples]
     max_res = certify(g, points, cfg.tol, "derived theorem")
-    return AdditionTheorem(
-        G=g,
-        deg_x=g.degree_in("x"),
-        deg_y=g.degree_in("y"),
-        deg_z=deg_z,
-        spec=spec,
-        max_residual=max_res,
-        samples=verify_samples,
-        seed=cfg.seed,
-        nu=law.nu,
-        lambda0=law.lambda0,
-        predicted_degree=law.predicted,
-    )
-
-
-def derive_addition_theorem(spec: FuncSpec, cfg: EvalConfig | None = None, verify_samples: int = 200) -> AdditionTheorem:
-    """Check the degree law's inputs, then derive, prune, degree-check and
-    verify the addition theorem."""
-    from .laws import degree_report
-
-    if cfg is None:
-        cfg = EvalConfig(tol=class_tolerance(spec))
-    law = degree_report(spec)
-    return prune(eliminate(spec), spec, cfg, law, verify_samples)
+    actual = (g.degree_in("x"), g.degree_in("y"), deg_z)
+    return AdditionTheorem(G=g, law=law._replace(actual=actual), spec=spec,
+                           max_residual=max_res, samples=verify_samples, seed=cfg.seed)
 
 
 # ----------------------------------------------------------------------

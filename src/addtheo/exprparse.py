@@ -116,6 +116,10 @@ def _check_products(op, *pairs):
         )
 
 
+def _shown(tok, what="") -> str:
+    return "end of input" if tok.kind == "end" else f"{what}{tok.value!r}"
+
+
 class _Parser:
     def __init__(self, tokens, variables):
         self.tokens = tokens
@@ -135,7 +139,7 @@ class _Parser:
         tok = self.advance()
         if tok.kind != kind:
             raise ExprSyntaxError(
-                f"expected {kind!r}, found {tok.value!r}", tok.line, tok.column
+                f"expected {kind!r}, found {_shown(tok)}", tok.line, tok.column
             )
         return tok
 
@@ -233,9 +237,7 @@ class _Parser:
             value = self.expr()
             self.expect(")")
             return value
-        raise ExprSyntaxError(
-            f"unexpected token {tok.value!r}", tok.line, tok.column
-        )
+        raise ExprSyntaxError(f"unexpected {_shown(tok, 'token ')}", tok.line, tok.column)
 
 
 def parse_fraction(text, variables, line=1, column=1):

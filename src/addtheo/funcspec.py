@@ -52,10 +52,6 @@ def curve_polynomial(g2: Fraction, g3: Fraction, variables=("p", "q")) -> MPoly:
     return q**2 - 4 * p**3 + g2 * p + g3
 
 
-class OrderData(NamedTuple):
-    nu: int
-
-
 class FuncSpec(NamedTuple):
     cls: FunctionClass
     numerator: MPoly
@@ -234,7 +230,7 @@ def _minimal_uniformizer(num: MPoly, den: MPoly, mu):
 # ----------------------------------------------------------------------
 
 
-def order(spec: FuncSpec) -> OrderData:
+def order(spec: FuncSpec) -> int:
     """The order nu: how many incongruent arguments map to a generic value.
 
     For the coprime N/D that make_spec leaves: max(deg N, deg D) (rational and
@@ -242,8 +238,8 @@ def order(spec: FuncSpec) -> OrderData:
     in c (elliptic class); docs/decisions.md section 10.
     """
     if spec.cls is FunctionClass.ELLIPTIC:
-        return OrderData(nu=_elliptic_order(spec))
-    return OrderData(nu=max(spec.numerator.total_degree(), spec.denominator.total_degree()))
+        return _elliptic_order(spec)
+    return max(spec.numerator.total_degree(), spec.denominator.total_degree())
 
 
 def _elliptic_order(spec: FuncSpec) -> int:

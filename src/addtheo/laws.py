@@ -19,6 +19,8 @@ them.  Both searches are exact:
 
 Degree predictions follow m*nu^2/lambda0 for the addition theorem and
 m*nu^3/lambda for the four-variable K-relation (docs/decisions.md, section 2).
+derive_addition_theorem forms the first law before derive eliminates, and
+the theorem it returns carries that law.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
-from .derive import AdditionTheorem, certify, derive_addition_theorem, graph_factor
+from .derive import AdditionTheorem, DegreeReport, certify, eliminate, graph_factor, prune
 from .errors import AddTheoError, DegreeLawError, PruningError
 from .factor import factor_univariate
 from .funcspec import FuncSpec, FunctionClass, curve_polynomial, order
@@ -87,34 +89,6 @@ class SymmetryReport(NamedTuple):
     lam: int | None = None
     beta_search: str | None = None
 
-    def to_json_dict(self):
-        return {
-            "multipliers": [list(a) for a in self.multipliers],
-            "lambda0": self.lambda0,
-            "group_alphas": None
-            if self.group_alphas is None
-            else [list(a) for a in self.group_alphas],
-            "lambda": self.lam,
-            "beta_search": self.beta_search,
-        }
-
-
-class DegreeReport(NamedTuple):
-    m: int
-    nu: int
-    lambda0: int
-    predicted: int
-    actual: tuple | None = None
-
-    def to_json_dict(self):
-        return {
-            "m": self.m,
-            "nu": self.nu,
-            "lambda0": self.lambda0,
-            "predicted": self.predicted,
-            "actual": None if self.actual is None else list(self.actual),
-        }
-
 
 class KRelation(NamedTuple):
     K: MPoly
@@ -124,30 +98,11 @@ class KRelation(NamedTuple):
     samples: int
     seed: int
 
-    def to_json_dict(self):
-        return {
-            "K": self.K.to_text(),
-            "degrees": list(self.degrees),
-            "lambda": self.lam,
-            "max_residual": self.max_residual,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
 
 class SameTheoremResult(NamedTuple):
     same: bool
     alpha: complex | None = None
     warning: str | None = None
-
-    def to_json_dict(self):
-        return {
-            "same": self.same,
-            "alpha": None
-            if self.alpha is None
-            else [self.alpha.real, self.alpha.imag],
-            "warning": self.warning,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -323,19 +278,24 @@ def full_substitution_group(spec: FuncSpec) -> SymmetryReport:
 
 
 # ----------------------------------------------------------------------
-# degree report
+# degree law and the derived theorem
 # ----------------------------------------------------------------------
 
 
-def degree_report(spec: FuncSpec, theorem: AdditionTheorem | None = None) -> DegreeReport:
-    """The law m*nu^2/lambda0 of spec; given spec's derived theorem, the law
-    it carries and its degrees."""
-    if theorem is not None:
-        return DegreeReport(1, theorem.nu, theorem.lambda0, theorem.predicted_degree,
-                            (theorem.deg_x, theorem.deg_y, theorem.deg_z))
-    nu = order(spec).nu
+def degree_report(spec: FuncSpec) -> DegreeReport:
+    """The law m*nu^2/lambda0 of spec."""
+    nu = order(spec)
     lam0 = multiplier_group(spec).lambda0
     return DegreeReport(m=1, nu=nu, lambda0=lam0, predicted=predicted_degree(1, nu, lam0))
+
+
+def derive_addition_theorem(spec: FuncSpec, cfg: EvalConfig | None = None, verify_samples: int = 200) -> AdditionTheorem:
+    """Form the degree law, then derive, prune, degree-check and verify the
+    addition theorem; theorem.law holds the law with G's degrees."""
+    if cfg is None:
+        cfg = EvalConfig(tol=class_tolerance(spec))
+    law = degree_report(spec)
+    return prune(eliminate(spec), spec, cfg, law, verify_samples)
 
 
 # ----------------------------------------------------------------------
@@ -390,11 +350,11 @@ def k_relation(
     if len(set(degrees)) != 1:
         raise DegreeLawError(f"K degrees differ across variables: {degrees}")
     lam = full_substitution_group(spec).lam
-    expected = predicted_k_degree(1, theorem.nu, lam)
+    expected = predicted_k_degree(1, theorem.law.nu, lam)
     if any(d != expected for d in degrees):
         raise DegreeLawError(
             f"K degrees {degrees} do not match m*nu^3/lambda = {expected} "
-            f"(nu={theorem.nu}, lambda={lam}); the selected relation has "
+            f"(nu={theorem.law.nu}, lambda={lam}); the selected relation has "
             f"{len(K)} terms"
         )
     max_res = certify(K, sample(verify_samples, cfg, 303, 3, point), cfg.tol, "K")
@@ -475,14 +435,17 @@ def _exact_alpha(spec_a: FuncSpec, spec_b: FuncSpec) -> complex | None:
     return _principal_root(k, 1 / c if elliptic else c)  # elliptic solves s = 1/alpha
 
 
-def same_theorem(spec_a: FuncSpec, spec_b: FuncSpec, cfg: EvalConfig | None = None) -> SameTheoremResult:
+def same_theorem(spec_a: FuncSpec, spec_b: FuncSpec, cfg: EvalConfig | None = None,
+                 verify_samples: int = 200) -> SameTheoremResult:
     """Decide whether two functions satisfy the same canonical theorem and,
-    if so, solve exactly for a constant alpha with phi_a(alpha*u) = phi_b(u)."""
+    if so, solve exactly for a constant alpha with phi_a(alpha*u) = phi_b(u).
+    Each G is certified on verify_samples complex points."""
     if spec_a.cls is not spec_b.cls:
         return SameTheoremResult(same=False)
     if cfg is None:
         cfg = EvalConfig(tol=class_tolerance(spec_a))
-    if derive_addition_theorem(spec_a, cfg).G != derive_addition_theorem(spec_b, cfg).G:
+    g_a, g_b = (derive_addition_theorem(s, cfg, verify_samples).G for s in (spec_a, spec_b))
+    if g_a != g_b:
         return SameTheoremResult(same=False)
     alpha = _exact_alpha(spec_a, spec_b)
     if alpha is None:
@@ -496,12 +459,6 @@ def same_theorem(spec_a: FuncSpec, spec_b: FuncSpec, cfg: EvalConfig | None = No
 
 def check_rational_expressibility(spec: FuncSpec, cfg: EvalConfig | None = None) -> bool:
     """True iff phi(u+v) is a rational function of phi(u), phi(v) alone,
-    i.e. the derived theorem is linear in the sum slot (which forces
-    m = nu = 1)."""
-    theorem = derive_addition_theorem(spec, cfg)
-    expressible = theorem.deg_z == 1
-    if expressible and theorem.nu != 1:
-        raise AddTheoError(
-            f"degree 1 theorem with nu = {theorem.nu}: internal inconsistency"
-        )
-    return expressible
+    i.e. the derived theorem is linear in the sum slot; its degree law
+    nu^2/lambda0 = 1 forces nu = 1."""
+    return derive_addition_theorem(spec, cfg).law.actual[2] == 1

@@ -22,7 +22,8 @@ def spec_text(name: str) -> str:
 @pytest.fixture(scope="session")
 def theorems():
     """Session cache of derived addition theorems, keyed by spec text."""
-    from addtheo import derive_addition_theorem, parse_spec
+    from addtheo.funcspec import parse_spec
+    from addtheo.laws import derive_addition_theorem
 
     cache = {}
 

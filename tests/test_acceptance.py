@@ -80,7 +80,7 @@ def test_criterion_02_cosh_cos_law():
     golden = "2*x*y*z - z^2 - y^2 - x^2 + 1"
     assert proc.stdout == golden + "\n"
     spec = parse_spec(spec_text("cosh.spec"))
-    assert order(spec).nu == 2
+    assert order(spec) == 2
     assert multiplier_group(spec).lambda0 == 2
     assert predicted_degree(1, 2, 2) == 2
     # mu-independence: the same G verifies for cosh (mu = 1) and cos (mu = i)
@@ -94,8 +94,8 @@ def _elliptic_criterion(theorems, name, label):
     started = time.monotonic()
     theorem = bundle_theorem(theorems, name)
     elapsed = time.monotonic() - started
-    assert (theorem.deg_x, theorem.deg_y, theorem.deg_z) == (2, 2, 2)
-    assert theorem.predicted_degree == 2
+    assert theorem.law.actual == (2, 2, 2)
+    assert theorem.law.predicted == 2
     assert is_irreducible(theorem.G)
     g = theorem.G
     swapped = g.substitute(
@@ -166,10 +166,10 @@ def test_criterion_06_degree_law_regression(theorems):
     for name in BUNDLED:
         spec = parse_spec(spec_text(name))
         theorem = bundle_theorem(theorems, name)
-        nu = order(spec).nu
+        nu = order(spec)
         lam0 = multiplier_group(spec).lambda0
         predicted = predicted_degree(1, nu, lam0)
-        rows.append((name, nu, lam0, predicted, (theorem.deg_x, theorem.deg_y, theorem.deg_z)))
+        rows.append((name, nu, lam0, predicted, theorem.law.actual))
     bad = [r for r in rows if r[4] != (r[3], r[3], r[3])]
     assert not bad, f"degree-law mismatches: {bad}"
     record(
@@ -200,7 +200,7 @@ def test_criterion_07b_k_relation_elliptic(theorems):
     theorem = theorems(text)
     rel = k_relation(theorem, spec, EvalConfig(tol=1e-6))
     elapsed = time.monotonic() - started
-    nu = order(spec).nu
+    nu = order(spec)
     lam = full_substitution_group(spec).lam
     assert rel.lam == lam
     assert rel.degrees == (nu**3 // lam,) * 4 == (4, 4, 4, 4)
@@ -304,7 +304,7 @@ def test_criterion_13_rational_expressibility(theorems):
     for name in BUNDLED:
         spec = parse_spec(spec_text(name))
         theorem = bundle_theorem(theorems, name)
-        expressible = theorem.deg_z == 1
+        expressible = theorem.law.actual[2] == 1
         assert expressible == check_rational_expressibility(parse_spec(spec_text(name)))
         if expressible:
             got_true.add(name)

@@ -394,3 +394,78 @@ def test_max_residual_is_bit_identical(capsys, command, key, expected):
     assert cli.main(argv) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert repr((result[key] if key else result)["max_residual"]) == expected
+
+
+# the whole --json result of each report kind at seed 0, floats as printed:
+# a change to a record or to the JSON rule must keep every byte
+RESULT_PINS = [
+    (("derive", "wp-generic"), {"theorem": {
+        "G": "y^2*z^2 - 2*x*y*z^2 + x^2*z^2 - 2*x*y^2*z - 2*x^2*y*z + x^2*y^2"
+             " + 2*y*z + 2*x*z + 2*x*y + z + y + x + 1",
+        "class": "elliptic", "degrees": [2, 2, 2], "lambda0": 2,
+        "max_residual": 9.857059451651346e-16, "nu": 2, "predicted_degree": 2,
+        "samples": 200, "seed": 0, "spec": "class: elliptic\nphi: p\ng2: 4\ng3: 1\n",
+    }}),
+    (("degrees", "cos", "--derive"), {"degrees": {
+        "actual": [2, 2, 2], "lambda0": 2, "m": 1, "nu": 2, "predicted": 2,
+    }}),
+    (("degrees", "wp-squared"), {"degrees": {
+        "actual": None, "lambda0": 4, "m": 1, "nu": 4, "predicted": 4,
+    }}),
+    (("symmetry", "wp-squared"), {"symmetry": {
+        "beta_search": "2-division", "group_alphas": [[1, 0], [2, 1], [4, 1], [4, 3]],
+        "lambda": 4, "lambda0": 4, "multipliers": [[1, 0], [2, 1], [4, 1], [4, 3]],
+    }}),
+    (("krel", "cosh"), {
+        "k_relation": {
+            "K": "4*x1^3*x2*x3*x4 - 4*x1^2*x2^2*x3^2 - 4*x1^2*x2^2*x4^2"
+                 " - 4*x1^2*x3^2*x4^2 + 4*x1*x2^3*x3*x4 + 4*x1*x2*x3^3*x4"
+                 " + 4*x1*x2*x3*x4^3 - 4*x2^2*x3^2*x4^2 - x1^4 + 2*x1^2*x2^2"
+                 " + 2*x1^2*x3^2 + 2*x1^2*x4^2 - 8*x1*x2*x3*x4 - x2^4"
+                 " + 2*x2^2*x3^2 + 2*x2^2*x4^2 - x3^4 + 2*x3^2*x4^2 - x4^4",
+            "degrees": [4, 4, 4, 4], "lambda": 2, "max_residual": 6.186840139471051e-16,
+            "samples": 200, "seed": 0,
+        },
+        "theorem": {
+            "G": "2*x*y*z - z^2 - y^2 - x^2 + 1", "class": "exp", "degrees": [2, 2, 2],
+            "lambda0": 2, "max_residual": 3.2918765759232863e-16, "nu": 2,
+            "predicted_degree": 2, "samples": 200, "seed": 0,
+            "spec": "class: exp\nphi: (t^2 + 1)/(2*t)\n",
+        },
+    }),
+    (("same", "cos", "cosh"), {"same_theorem": {
+        "alpha": [0.0, -1.0], "same": True, "warning": None,
+    }}),
+]
+
+
+@pytest.mark.parametrize("command, expected", RESULT_PINS,
+                         ids=[" ".join(c) for c, _ in RESULT_PINS])
+def test_json_result_is_pinned(capsys, command, expected):
+    import addtheo.cli as cli
+
+    verb, *rest = command
+    argv = [verb] + [spec_path(f"{a}.spec") if not a.startswith("--") else a for a in rest]
+    assert cli.main(argv + ["--json", "--seed", "0"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    # compared as text, so 1 and 1.0 differ
+    assert json.dumps(result, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_same_draws_the_requested_samples(monkeypatch, capsys):
+    import addtheo.cli as cli
+    from addtheo import derive
+
+    draws = []
+    real = derive.sample_graph
+
+    def counting(spec, n, *args, **kwargs):
+        draws.append(n)
+        return real(spec, n, *args, **kwargs)
+
+    monkeypatch.setattr(derive, "sample_graph", counting)
+    argv = ["same", spec_path("cos.spec"), spec_path("cosh.spec"), "--samples", "3", "--json"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["samples"] == 3 and report["result"]["same_theorem"]["same"] is True
+    assert draws == [3, 3]  # one certification of each G

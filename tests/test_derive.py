@@ -6,12 +6,11 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from addtheo import derive
+from addtheo import derive, laws
 from addtheo.derive import (
     _pivot_eliminant,
     base_law,
     derivative_relation,
-    derive_addition_theorem,
     eliminate,
     fold_eliminate,
     phi_prime,
@@ -29,7 +28,8 @@ from addtheo.errors import (
 from addtheo.exprparse import parse_polynomial
 from addtheo.funcspec import FunctionClass, parse_spec
 from addtheo.factor import factor
-from addtheo.laws import DegreeReport, degree_report
+from addtheo.derive import DegreeReport
+from addtheo.laws import degree_report, derive_addition_theorem
 from addtheo.numeric import (
     PRIMES,
     EvalConfig,
@@ -55,15 +55,13 @@ WP_LEM = "class: elliptic\ng2: 4\ng3: 0\nphi: p\n"
 
 
 def test_base_law_rational_and_exp():
-    law = base_law(FunctionClass.RATIONAL_OF_U)
-    assert [r.to_text() for r in law.relations] == ["u3 - u2 - u1"]
-    law = base_law(FunctionClass.RATIONAL_OF_EXP)
-    (rel,) = law.relations
+    assert [r.to_text() for r in base_law(FunctionClass.RATIONAL_OF_U)] == ["u3 - u2 - u1"]
+    (rel,) = base_law(FunctionClass.RATIONAL_OF_EXP)
     assert abs(rel.evaluate({"t1": cmath.exp(0.3), "t2": cmath.exp(0.5), "t3": cmath.exp(0.8)})) < 1e-12
 
 
 def test_base_law_elliptic_vanishes_numerically():
-    law = base_law(FunctionClass.ELLIPTIC, Q(4), Q(1))
+    relations = base_law(FunctionClass.ELLIPTIC, Q(4), Q(1))
     rng = random.Random(17)
     checked = 0
     while checked < 50:
@@ -77,7 +75,7 @@ def test_base_law_elliptic_vanishes_numerically():
         for name, arg in (("1", u), ("2", v), ("3", u + v)):
             point["p" + name] = wp_eval(Q(4), Q(1), arg, CFG)
             point["q" + name] = wp_prime_eval(Q(4), Q(1), arg, CFG)
-        for rel in law.relations:
+        for rel in relations:
             assert relative_residual(rel, point) < 1e-9
         checked += 1
 
@@ -315,13 +313,13 @@ def test_prune_no_survivor():
 def test_derive_golden_exp(theorems):
     theorem = theorems("class: exp\nphi: t\n")
     assert theorem.G.to_text() == "x*y - z"
-    assert (theorem.deg_x, theorem.deg_y, theorem.deg_z) == (1, 1, 1)
+    assert theorem.law.actual == (1, 1, 1)
 
 
 def test_derive_golden_cosh(theorems):
     theorem = theorems(COSH)
     assert theorem.G.to_text() == "2*x*y*z - z^2 - y^2 - x^2 + 1"
-    assert theorem.predicted_degree == 2
+    assert theorem.law.predicted == 2
 
 
 def test_derive_tanh(theorems):
@@ -330,12 +328,12 @@ def test_derive_tanh(theorems):
     ring = theorem.G.variables
     x, y, z = (MPoly.var(ring, n) for n in ("x", "y", "z"))
     assert theorem.G == (x * y * z + z - x - y).canonicalize()
-    assert (theorem.deg_x, theorem.deg_y, theorem.deg_z) == (1, 1, 1)
+    assert theorem.law.actual == (1, 1, 1)
 
 
 def test_derive_elliptic_lemniscatic(theorems):
     theorem = theorems(WP_LEM)
-    assert (theorem.deg_x, theorem.deg_y, theorem.deg_z) == (2, 2, 2)
+    assert theorem.law.actual == (2, 2, 2)
     # the classical symmetric form: (xy + yz + zx + g2/4)^2 = (x+y+z)(4xyz - g3)
     ring = theorem.G.variables
     x, y, z = (MPoly.var(ring, n) for n in ("x", "y", "z"))
@@ -412,7 +410,7 @@ def test_degree_law_guard_is_enforced(monkeypatch):
     # an artificial mismatch must raise, not warn, and before certification
     spec = parse_spec(WP_LEM)
     theorem = derive_addition_theorem(spec)
-    assert theorem.predicted_degree == theorem.deg_z == 2
+    assert theorem.law.predicted == theorem.law.actual[2] == 2
     monkeypatch.setattr(derive, "sample_graph", None)  # certification would call it
     with pytest.raises(DegreeLawError, match=r"derived degree 2 does not match .* = 4 "
                        r"\(nu=2, lambda0=1\)"):
@@ -422,7 +420,7 @@ def test_degree_law_guard_is_enforced(monkeypatch):
 def test_theorem_with_unequal_degrees_is_rejected():
     g = parse_polynomial("x*y - z", ("x", "y", "z"))
     with pytest.raises(DegreeLawError, match="addition theorem degrees differ"):
-        derive.AdditionTheorem(g, 2, 2, 1, parse_spec(COSH), 0.0, 1, 0, 1, 1, 1)
+        derive.AdditionTheorem(g, DegreeReport(1, 1, 1, 1, (2, 2, 1)), parse_spec(COSH), 0.0, 1, 0)
 
 
 def test_records_are_read_only(theorems):
@@ -438,17 +436,16 @@ def test_degree_law_check_fills_in_the_law(theorems):
     checked = prune(eliminate(spec), spec, CFG, law, verify_samples=50)
     assert type(checked) is derive.AdditionTheorem
     assert checked.G == theorems(COSH).G
-    assert (checked.deg_x, checked.deg_y, checked.deg_z) == (2, 2, 2)
+    assert checked.law == law._replace(actual=(2, 2, 2))
+    assert (law.nu, law.lambda0, law.predicted) == (2, 2, 2)
     assert checked.max_residual < CFG.tol
     assert (checked.samples, checked.seed) == (50, 0)
-    assert (checked.nu, checked.lambda0, checked.predicted_degree) == (
-        law.nu, law.lambda0, law.predicted) == (2, 2, 2)
 
 
 def test_degree_law_is_formed_before_elimination(monkeypatch):
     # u^40000 has a law whose scaling condition overflows the monomial field;
     # derive stops there and never reaches the resultants
-    monkeypatch.setattr(derive, "eliminate", None)
+    monkeypatch.setattr(laws, "eliminate", None)
     with pytest.raises(MonomialOverflowError, match="monomial field"):
         derive_addition_theorem(parse_spec("class: rational\nphi: u^40000\n"))
 
@@ -557,7 +554,7 @@ def test_bad_first_prime_falls_back_to_the_next(monkeypatch):
     monkeypatch.setattr(derive, "graph_points_mod", spy)
     theorem = derive_addition_theorem(spec)
     assert tried == [(PRIMES[0], True), (PRIMES[1], False)]
-    assert theorem.deg_z == theorem.predicted_degree == 4
+    assert theorem.law.actual[2] == theorem.law.predicted == 4
 
 
 @pytest.mark.parametrize("text", [

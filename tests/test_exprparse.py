@@ -117,3 +117,31 @@ def test_power_within_the_bounds_still_parses():
     assert parse_fraction("u^60000/u^60000", ("u",)) == (u**60000, u**60000)
     with pytest.raises(ExprSyntaxError, match="power too large"):
         parse_fraction("2^65536", ("u",))  # 65537 bits
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x+", "line 1, column 3: unexpected end of input"),
+    ("", "line 1, column 1: unexpected end of input"),
+    ("(x", "line 1, column 3: expected ')', found end of input"),
+])
+def test_end_of_input_is_named(text, message):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_polynomial(text, ("x", "y", "z"))
+    assert str(err.value) == message
+
+
+def test_empty_phi_line_names_the_end_of_input():
+    from addtheo.funcspec import parse_spec
+
+    with pytest.raises(ExprSyntaxError, match="^line 2, column 1: unexpected end of input$"):
+        parse_spec("class: exp\nphi:\n")
+
+
+@pytest.mark.parametrize("candidate", ["x+", "(x", ""])
+def test_end_of_input_in_a_candidate_exits_2(capsys, candidate):
+    import addtheo.cli as cli
+    from conftest import spec_path
+
+    assert cli.main(["verify", spec_path("cos.spec"), "--g", candidate]) == 2
+    err = capsys.readouterr().err
+    assert "end of input" in err and "None" not in err

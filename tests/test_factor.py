@@ -1,12 +1,13 @@
-import importlib
 import math
 import random
+import types
 from datetime import timedelta
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import addtheo.factor as factor_module
 from addtheo.errors import AddTheoError
 from addtheo.factor import (
     _lift_factors,
@@ -19,8 +20,13 @@ from addtheo.poly import MPoly
 from addtheo.resultants import mgcd
 
 RING = ("x", "y", "z")
-# the module, which the package's `factor` function shadows as an attribute
-factor_module = importlib.import_module("addtheo.factor")
+
+
+def test_factor_module_is_not_shadowed_by_its_function():
+    import addtheo.factor as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.factor is factor
 
 
 def xyz():

@@ -105,12 +105,12 @@ def test_serialize_roundtrip_bundled():
 
 
 def test_order_examples():
-    assert order(parse_spec("class: exp\nphi: t\n")).nu == 1
-    assert order(parse_spec("class: elliptic\ng2: 4\ng3: 0\nphi: p\n")).nu == 2
-    assert order(parse_spec("class: elliptic\ng2: 4\ng3: 0\nphi: q\n")).nu == 3
-    assert order(parse_spec("class: exp\nphi: (t^2+1)/(2*t)\n")).nu == 2
-    assert order(parse_spec("class: elliptic\ng2: 4\ng3: 0\nphi: p^2\n")).nu == 4
-    assert order(parse_spec("class: rational\nphi: (2*u+1)/(u-1)\n")).nu == 1
+    assert order(parse_spec("class: exp\nphi: t\n")) == 1
+    assert order(parse_spec("class: elliptic\ng2: 4\ng3: 0\nphi: p\n")) == 2
+    assert order(parse_spec("class: elliptic\ng2: 4\ng3: 0\nphi: q\n")) == 3
+    assert order(parse_spec("class: exp\nphi: (t^2+1)/(2*t)\n")) == 2
+    assert order(parse_spec("class: elliptic\ng2: 4\ng3: 0\nphi: p^2\n")) == 4
+    assert order(parse_spec("class: rational\nphi: (2*u+1)/(u-1)\n")) == 1
 
 
 def test_order_moebius_invariance():
@@ -122,10 +122,10 @@ def test_order_moebius_invariance():
     ]
     for text in cases:
         spec = parse_spec(text)
-        base = order(spec).nu
+        base = order(spec)
         inv = make_spec(spec.cls, spec.denominator, spec.numerator,
                         mu=spec.mu, g2=spec.g2, g3=spec.g3)
-        assert order(inv).nu == base
+        assert order(inv) == base
         shifted = make_spec(
             spec.cls,
             spec.numerator + 3 * spec.denominator,
@@ -134,7 +134,7 @@ def test_order_moebius_invariance():
             g2=spec.g2,
             g3=spec.g3,
         )
-        assert order(shifted).nu == base
+        assert order(shifted) == base
 
 
 BUNDLED_NU = {
@@ -155,29 +155,39 @@ BUNDLED_NU = {
 @pytest.mark.parametrize("name", sorted(BUNDLED_NU))
 def test_preimage_count_matches_order(name):
     spec = parse_spec(spec_text(name))
-    assert preimage_count(spec) == order(spec).nu == BUNDLED_NU[name]
+    assert preimage_count(spec) == order(spec) == BUNDLED_NU[name]
 
 
 # every CLI process pays for what `import addtheo.cli` loads: no runtime
 # dependency, no dataclasses (which pulls in inspect, ast, dis and tokenize),
 # and json only when a --json report is printed
-@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect", "json"])
-def test_cli_import_leaves_module_out(module):
+def _loads_in_a_fresh_process(imported, module) -> bool:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, addtheo.cli; print({module!r} in sys.modules)"],
+        [sys.executable, "-c", f"import sys, {imported}; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout in ("True\n", "False\n"), proc.stdout
+    return proc.stdout == "True\n"
+
+
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect", "json"])
+def test_cli_import_leaves_module_out(module):
+    assert not _loads_in_a_fresh_process("addtheo.cli", module)
+
+
+def test_derive_import_leaves_laws_out():
+    # laws builds on derive, never the reverse, and the package imports no module
+    assert not _loads_in_a_fresh_process("addtheo.derive", "addtheo.laws")
 
 
 def test_common_zero_of_numerator_and_denominator_is_not_a_preimage():
     # N = p + q and D = p - 1 both vanish at the curve point (1, -1); phi has
     # simple poles at O and (1, 1) only, so its order is 2
     spec = parse_spec("class: elliptic\ng2: 1\ng3: 2\nphi: (p+q)/(p-1)\n")
-    assert preimage_count(spec) == order(spec).nu == 2
+    assert preimage_count(spec) == order(spec) == 2
 
 
 def test_order_is_the_generic_fibre_at_a_critical_value():
@@ -186,7 +196,7 @@ def test_order_is_the_generic_fibre_at_a_critical_value():
     # still has two points
     spec = parse_spec("class: rational\nphi: u^2 + 671563/565570\n")
     assert preimage_count(spec) == 1
-    assert order(spec).nu == 2
+    assert order(spec) == 2
 
 
 def _poly(coeffs, variables, name):
@@ -224,4 +234,4 @@ def test_order_matches_the_preimage_count(case):
         spec = make_spec(cls, num, den, g2=g2, g3=g3)
     except SpecValidationError:
         assume(False)
-    assert order(spec).nu == preimage_count(spec)
+    assert order(spec) == preimage_count(spec)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from addtheo import resultants
-from addtheo.derive import derive_addition_theorem
+from addtheo.laws import derive_addition_theorem
 from addtheo.exprparse import parse_polynomial
 from addtheo.funcspec import parse_spec
 from addtheo.poly import MPoly, divide_exact
