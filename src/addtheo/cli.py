@@ -38,7 +38,14 @@ from .laws import (
     k_relation,
     same_theorem,
 )
-from .numeric import EvalConfig, class_tolerance, relative_residual, sample_graph
+from .numeric import (
+    PRIMES,
+    EvalConfig,
+    class_tolerance,
+    graph_points_mod,
+    relative_residual,
+    sample_graph,
+)
 from .poly import MPoly
 
 _PARSE_ERRORS = (ExprSyntaxError, MonomialOverflowError, SpecValidationError)
@@ -73,9 +80,9 @@ def _check_options(args):
         raise SpecValidationError(f"--samples must be positive, got {args.samples}")
     if args.tol is not None and not 0 < args.tol < 1:
         raise SpecValidationError(f"--tol must lie in (0, 1), got {args.tol}")
-    if args.command == "reduce-f":
-        args.x0 = _rational(args.x0, "--x0")
-        args.y0 = _rational(args.y0, "--y0")
+    for flag, options in _COMMANDS[args.command][2]:
+        if options.get("rational"):
+            setattr(args, flag[2:], _rational(getattr(args, flag[2:]), flag))
 
 
 def _load_spec(path) -> FuncSpec:
@@ -83,8 +90,7 @@ def _load_spec(path) -> FuncSpec:
 
 
 def _config(spec, args) -> EvalConfig:
-    tol = class_tolerance(spec, getattr(args, "tol", None))
-    return EvalConfig(tol=tol, seed=getattr(args, "seed", 0))
+    return EvalConfig(tol=class_tolerance(spec, args.tol), seed=args.seed)
 
 
 def _alpha_name(descriptor) -> str:
@@ -173,23 +179,35 @@ def cmd_verify(args):
         if res > worst_res:
             worst_res = res
             worst = s
-    ok = worst_res < cfg.tol
+    if worst_res >= cfg.tol:
+        raise VerificationError(
+            f"max_residual={worst_res:.3e} exceeds tol={cfg.tol:.1e} at "
+            f"u={_fmt_complex(worst.u)} v={_fmt_complex(worst.v)}"
+        )
+    # the verdict: exact vanishing at the points of the first good prime
+    # (docs/decisions.md section 7); g is canonical, so it has no denominator
+    for prime in PRIMES:
+        points = graph_points_mod(spec, cfg, 8, prime)
+        if points is not None:
+            break
+    else:
+        raise VerificationError("no prime tried reduces the spec, so G cannot be checked exactly")
+    for x, y, z in points:
+        if g.evaluate_mod({"x": x, "y": y, "z": z}, prime):
+            raise VerificationError(
+                f"G does not vanish on the graph mod {prime} at (x, y, z) = ({x}, {y}, {z})"
+            )
     result = {
         "G": g.to_text(),
         "max_residual": worst_res,
         "tol": cfg.tol,
-        "ok": ok,
+        "ok": True,
         "worst_sample": {
             "u": [worst.u.real, worst.u.imag],
             "v": [worst.v.real, worst.v.imag],
         },
     }
-    if ok:
-        return [f"ok max_residual={worst_res:.3e}"], result
-    raise VerificationError(
-        f"max_residual={worst_res:.3e} exceeds tol={cfg.tol:.1e} at "
-        f"u={_fmt_complex(worst.u)} v={_fmt_complex(worst.v)}"
-    )
+    return [f"ok max_residual={worst_res:.3e}"], result
 
 
 def cmd_degrees(args):
@@ -251,66 +269,52 @@ def cmd_same(args):
     return [line], {"same_theorem": _json(verdict)}
 
 
+# Each subcommand once: its handler, its help, and its positionals and
+# options in usage order; the _COMMON options follow them.  An option marked
+# "rational" is converted by _check_options, so a bad value gets a report
+# like any other invalid input rather than an argparse usage error.
+_COMMON = (
+    ("--json", dict(action="store_true", help="print a JSON run report")),
+    ("--seed", dict(type=int, default=0, help="sampling seed (default 0)")),
+    ("--tol", dict(type=float, default=None,
+                   help="identity tolerance (default 1e-9; 1e-6 for elliptic specs)")),
+    ("--samples", dict(type=int, default=200, help="verification sample count (default 200)")),
+)
+_COMMANDS = {
+    "derive": (cmd_derive, "derive the canonical addition theorem", (
+        ("spec", {}),
+        ("--trace", dict(action="store_true", help="dump the raw eliminant to stderr")),
+    )),
+    "verify": (cmd_verify, "check a candidate theorem against samples", (
+        ("spec", {}),
+        ("--g", dict(required=True, help="polynomial in x, y, z (inline or a file path)")),
+    )),
+    "degrees": (cmd_degrees, "order, multiplier count, and degree prediction", (
+        ("spec", {}),
+        ("--derive", dict(action="store_true", help="also derive and report actual degrees")),
+    )),
+    "symmetry": (cmd_symmetry, "multipliers and the substitution group", (("spec", {}),)),
+    "krel": (cmd_krel, "derive the four-variable K-relation", (("spec", {}),)),
+    "reduce-f": (cmd_reduce_f, "reduce a mixed relation F to a chi-relation", (
+        ("f", dict(help="file containing a polynomial in X, Y, Z")),
+        ("--x0", dict(required=True, help="base value phi(a), a rational", rational=True)),
+        ("--y0", dict(required=True, help="base value psi(b), a rational", rational=True)),
+    )),
+    "same": (cmd_same, "decide whether two specs share one theorem",
+             (("spec_a", {}), ("spec_b", {}))),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="addtheo",
         description="derive and verify algebraic addition theorems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--json", action="store_true", help="print a JSON run report")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=None,
-            help="identity tolerance (default 1e-9; 1e-6 for elliptic specs)",
-        )
-        p.add_argument(
-            "--samples", type=int, default=200, help="verification sample count (default 200)"
-        )
-
-    p = sub.add_parser("derive", help="derive the canonical addition theorem")
-    p.add_argument("spec")
-    p.add_argument("--trace", action="store_true", help="dump the raw eliminant to stderr")
-    common(p)
-    p.set_defaults(func=cmd_derive)
-
-    p = sub.add_parser("verify", help="check a candidate theorem against samples")
-    p.add_argument("spec")
-    p.add_argument("--g", required=True, help="polynomial in x, y, z (inline or a file path)")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("degrees", help="order, multiplier count, and degree prediction")
-    p.add_argument("spec")
-    p.add_argument("--derive", action="store_true", help="also derive and report actual degrees")
-    common(p)
-    p.set_defaults(func=cmd_degrees)
-
-    p = sub.add_parser("symmetry", help="multipliers and the substitution group")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(func=cmd_symmetry)
-
-    p = sub.add_parser("krel", help="derive the four-variable K-relation")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(func=cmd_krel)
-
-    p = sub.add_parser("reduce-f", help="reduce a mixed relation F to a chi-relation")
-    p.add_argument("f", help="file containing a polynomial in X, Y, Z")
-    p.add_argument("--x0", required=True, help="base value phi(a), a rational")
-    p.add_argument("--y0", required=True, help="base value psi(b), a rational")
-    common(p)
-    p.set_defaults(func=cmd_reduce_f)
-
-    p = sub.add_parser("same", help="decide whether two specs share one theorem")
-    p.add_argument("spec_a")
-    p.add_argument("spec_b")
-    common(p)
-    p.set_defaults(func=cmd_same)
+    for name, (_, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments + _COMMON:
+            p.add_argument(flag, **{k: v for k, v in options.items() if k != "rational"})
     return parser
 
 
@@ -318,13 +322,13 @@ def _report(args, status, result=None, message=None):
     report = {
         "command": args.command,
         "specs": [
-            value
-            for key in ("spec", "spec_a", "spec_b", "f")
-            if (value := getattr(args, key, None)) is not None
+            getattr(args, name)
+            for name, _ in _COMMANDS[args.command][2]
+            if not name.startswith("-")
         ],
-        "seed": getattr(args, "seed", 0),
-        "tol": getattr(args, "tol", None),
-        "samples": getattr(args, "samples", None),
+        "seed": args.seed,
+        "tol": args.tol,
+        "samples": args.samples,
         "status": status,
     }
     if result is not None:
@@ -340,7 +344,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         _check_options(args)
-        lines, result = args.func(args)
+        lines, result = _COMMANDS[args.command][0](args)
         status, code, message = "ok", 0, None
     except _PARSE_ERRORS as exc:
         lines, result = None, None
@@ -352,7 +356,7 @@ def main(argv=None) -> int:
         lines, result = None, None
         status, code, message = "verification-failed", 1, str(exc)
     elapsed_ms = int(1000 * (time.monotonic() - started))
-    if getattr(args, "json", False):
+    if args.json:
         import json  # only a report needs it; see docs/decisions.md section 6
 
         print(json.dumps(_report(args, status, result, message), sort_keys=True, indent=2))

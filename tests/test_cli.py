@@ -1,16 +1,23 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ROOT, SRC, spec_path
 
 SCHEMA = json.loads(
     (SRC / "addtheo" / "schema" / "report.schema.json").read_text(encoding="utf-8")
 )
+GOLDEN_G = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))["derive"]
+# the bundled specs; the other golden keys are inline specs such as "exp: t^2"
+BUNDLED_G = sorted(name for name in GOLDEN_G if ":" not in name)
 
 
 def run_cli(*args, expect_code=0, timeout=300):
@@ -75,6 +82,22 @@ def test_derive_trace_eliminates_once(monkeypatch, capsys):
     assert capsys.readouterr().out == "2*x*y*z - z^2 - y^2 - x^2 + 1\n"
 
 
+def test_derive_trace_comes_before_a_failed_degree_law(tmp_path, capsys):
+    # phi is invariant under a half-period translation, which the law does
+    # not count yet (ROADMAP item 7): the eliminant is printed, then pruning
+    # fails the law
+    import addtheo.cli as cli
+
+    spec = tmp_path / "isogeny.spec"
+    spec.write_text("class: elliptic\ng2: -8/3\ng3: 28/27\n"
+                    "phi: ((p-1/3)^2 + (p-1/3) + 1)/(p-1/3)\n", encoding="utf-8")
+    assert cli.main(["derive", str(spec), "--trace"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    trace = err.index("trace (non-contractual): eliminant = ")
+    assert trace < err.index("error: derived degree 2 does not match the degree law")
+
+
 def test_derive_trace_stderr_and_identical_stdout():
     plain = run_cli("derive", spec_path("cosh.spec"))
     traced = run_cli("derive", spec_path("cosh.spec"), "--trace")
@@ -107,6 +130,49 @@ def test_verify_ok_and_fail():
     assert proc.stdout.startswith("ok max_residual=")
     proc = run_cli("verify", spec_path("exp-t.spec"), "--g", "x + y - z", expect_code=1)
     assert "exceeds tol" in proc.stderr
+
+
+@pytest.mark.parametrize("spec, candidate", [
+    ("cos", "2*x*y*z - z^2 - y^2 - x^2 + 1 + x/1000000000000"),
+    ("wp-generic", GOLDEN_G["wp-generic"] + " + x/10000000000"),
+])
+def test_verify_rejects_a_candidate_that_only_nearly_vanishes(spec, candidate):
+    # the float residual of each is below the class tolerance; exact
+    # vanishing mod p decides, and the message names the prime and the point
+    proc = run_cli("verify", spec_path(f"{spec}.spec"), "--g", candidate, expect_code=1)
+    assert proc.stdout == ""
+    assert "error: G does not vanish on the graph mod 2305843009213693951 at (x, y, z) = (" in proc.stderr
+
+
+def _verify_code(spec, candidate):
+    import addtheo.cli as cli
+
+    return cli.main(["verify", spec_path(f"{spec}.spec"), "--g", candidate])
+
+
+small_rational = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@settings(max_examples=25, deadline=timedelta(seconds=5))
+@given(name=st.sampled_from(BUNDLED_G), c=small_rational, k=small_rational,
+       i=st.integers(0, 3), j=st.integers(0, 3))
+def test_verify_accepts_exactly_the_multiples_of_g(name, c, k, i, j):
+    g = GOLDEN_G[name]
+    assert _verify_code(name, f"{g} + ({c})*x^{i}*y^{j}") == 1
+    assert _verify_code(name, f"({k})*({g})") == 0
+    assert _verify_code(name, f"({g})*(x - y)") == 0
+
+
+def test_verify_needs_a_prime_that_reduces_the_spec(tmp_path, capsys):
+    # every prime tried divides phi's denominator, so vanishing cannot be
+    # decided exactly, and a candidate that is right is not accepted either
+    import addtheo.cli as cli
+    from addtheo.numeric import PRIMES
+
+    spec = tmp_path / "all-bad.spec"
+    spec.write_text(f"class: rational\nphi: u/{math.prod(PRIMES)}\n", encoding="utf-8")
+    assert cli.main(["verify", str(spec), "--g", "z - y - x"]) == 1
+    assert "error: no prime tried reduces the spec" in capsys.readouterr().err
 
 
 def test_verify_g_from_file(tmp_path):
@@ -469,3 +535,72 @@ def test_same_draws_the_requested_samples(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["samples"] == 3 and report["result"]["same_theorem"]["same"] is True
     assert draws == [3, 3]  # one certification of each G
+
+
+# the grammar of each subcommand: its usage line at 80 columns, and the
+# namespace of one command line, which carries every default
+GRAMMAR_PINS = {
+    "derive": (
+        ["S"],
+        "usage: addtheo derive [-h] [--trace] [--json] [--seed SEED] [--tol TOL]\n"
+        "                      [--samples SAMPLES]\n"
+        "                      spec\n",
+        {"spec": "S", "trace": False},
+    ),
+    "verify": (
+        ["S", "--g", "G"],
+        "usage: addtheo verify [-h] --g G [--json] [--seed SEED] [--tol TOL]\n"
+        "                      [--samples SAMPLES]\n"
+        "                      spec\n",
+        {"spec": "S", "g": "G"},
+    ),
+    "degrees": (
+        ["S"],
+        "usage: addtheo degrees [-h] [--derive] [--json] [--seed SEED] [--tol TOL]\n"
+        "                       [--samples SAMPLES]\n"
+        "                       spec\n",
+        {"spec": "S", "derive": False},
+    ),
+    "symmetry": (
+        ["S"],
+        "usage: addtheo symmetry [-h] [--json] [--seed SEED] [--tol TOL]\n"
+        "                        [--samples SAMPLES]\n"
+        "                        spec\n",
+        {"spec": "S"},
+    ),
+    "krel": (
+        ["S"],
+        "usage: addtheo krel [-h] [--json] [--seed SEED] [--tol TOL]\n"
+        "                    [--samples SAMPLES]\n"
+        "                    spec\n",
+        {"spec": "S"},
+    ),
+    "reduce-f": (
+        ["F", "--x0", "1/2", "--y0", "3"],
+        "usage: addtheo reduce-f [-h] --x0 X0 --y0 Y0 [--json] [--seed SEED]\n"
+        "                        [--tol TOL] [--samples SAMPLES]\n"
+        "                        f\n",
+        {"f": "F", "x0": "1/2", "y0": "3"},
+    ),
+    "same": (
+        ["A", "B"],
+        "usage: addtheo same [-h] [--json] [--seed SEED] [--tol TOL]\n"
+        "                    [--samples SAMPLES]\n"
+        "                    spec_a spec_b\n",
+        {"spec_a": "A", "spec_b": "B"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", GRAMMAR_PINS)
+def test_subcommand_grammar_is_pinned(monkeypatch, command):
+    import addtheo.cli as cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(GRAMMAR_PINS)
+    argv, usage, fields = GRAMMAR_PINS[command]
+    assert subparsers.choices[command].format_usage() == usage
+    common = {"json": False, "seed": 0, "tol": None, "samples": 200}
+    assert vars(parser.parse_args([command, *argv])) == {"command": command, **fields, **common}
