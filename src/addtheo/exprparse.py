@@ -81,6 +81,14 @@ def _tokenize(text, line=1, column=1):
     return tokens
 
 
+def _times(a, b):
+    """a*b, skipping a factor that is the constant one, as most denominators
+    of a parse are."""
+    if a.is_one():
+        return b
+    return a if b.is_one() else a * b
+
+
 class _Frac:
     """Fraction of two MPoly values (no cancellation during parsing)."""
 
@@ -91,13 +99,14 @@ class _Frac:
         self.den = den
 
     def __add__(self, other):
-        return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)
+        num = _times(self.num, other.den) + _times(other.num, self.den)
+        return _Frac(num, _times(self.den, other.den))
 
     def __sub__(self, other):
-        return _Frac(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + -other
 
     def __mul__(self, other):
-        return _Frac(self.num * other.num, self.den * other.den)
+        return _Frac(_times(self.num, other.num), _times(self.den, other.den))
 
     def __neg__(self):
         return _Frac(-self.num, self.den)
@@ -108,7 +117,8 @@ class _Frac:
 
 def _check_products(op, *pairs):
     """Raise at the operator before a product of the pairs passes the largest
-    total degree a monomial field holds."""
+    total degree a monomial field holds; a product with a constant cannot."""
+    pairs = [(a, b) for a, b in pairs if not (a.is_constant() or b.is_constant())]
     if any(a.total_degree() + b.total_degree() > _MAX_DEGREE for a, b in pairs):
         raise ExprSyntaxError(
             f"operands of {op.kind!r} too large: past total degree {_MAX_DEGREE}",
@@ -173,7 +183,7 @@ class _Parser:
                 if rhs.num.is_zero():
                     raise ExprSyntaxError("division by zero", op.line, op.column)
                 _check_products(op, (value.num, rhs.den), (value.den, rhs.num))
-                value = _Frac(value.num * rhs.den, value.den * rhs.num)
+                value = value * _Frac(rhs.den, rhs.num)
         return value
 
     def unary(self):
@@ -202,7 +212,7 @@ class _Parser:
                     "exponent must be a non-negative integer", tok.line, tok.column
                 )
             k = tok.value
-            for poly in (base.num, base.den) if k > 1 else ():
+            for poly in (p for p in (base.num, base.den) if k > 1 and not p.is_one()):
                 den = poly.content().denominator  # the common denominator; 1 for 0
                 # the integers of poly^k stay below (terms * largest integer)^k
                 size = max(len(poly), 1) * max([den] + [int(abs(c) * den) for _, c in poly.items()])

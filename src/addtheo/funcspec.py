@@ -45,10 +45,9 @@ _UNIFORMIZER = {
 }
 
 
-def curve_polynomial(g2: Fraction, g3: Fraction, variables=("p", "q")) -> MPoly:
-    """q^2 - (4p^3 - g2*p - g3) over the given (p, q) ring."""
-    p = MPoly.var(variables, variables[0])
-    q = MPoly.var(variables, variables[1])
+def curve_polynomial(g2: Fraction, g3: Fraction) -> MPoly:
+    """q^2 - (4p^3 - g2*p - g3) over the ring (p, q)."""
+    p, q = (MPoly.var(("p", "q"), name) for name in "pq")
     return q**2 - 4 * p**3 + g2 * p + g3
 
 
@@ -71,7 +70,7 @@ class FuncSpec(NamedTuple):
     def serialize(self) -> str:
         lines = [f"class: {self.cls.value}"]
         num = self.numerator.to_text()
-        if self.denominator.is_constant() and self.denominator.constant_value() == 1:
+        if self.denominator.is_one():
             lines.append(f"phi: {num}")
         else:
             lines.append(f"phi: ({num})/({self.denominator.to_text()})")

@@ -36,7 +36,6 @@ from .errors import AddTheoError, DegreeLawError, PruningError
 from .factor import factor_univariate
 from .funcspec import FuncSpec, FunctionClass, curve_polynomial, order
 from .numeric import (
-    EXACT_POINTS,
     EvalConfig,
     class_tolerance,
     guarded,
@@ -303,14 +302,14 @@ def derive_addition_theorem(spec: FuncSpec, cfg: EvalConfig | None = None, verif
 # ----------------------------------------------------------------------
 
 
-def k_points_mod(spec: FuncSpec, cfg: EvalConfig, salt: int, prime: int, n: int = EXACT_POINTS):
+def k_points_mod(spec: FuncSpec, cfg: EvalConfig, salt: int, prime: int):
     """Exact quadruples phi(a), phi(b), phi(c), phi(a + b - c) mod prime, or
     None when prime is bad for spec."""
 
     def point(f, a, b, c):
         return tuple(f.phi(v) for v in (a, b, c, f.add(f.add(a, b), f.neg(c))))
 
-    return sample_mod(spec, cfg, salt, 3, point, prime, n)
+    return sample_mod(spec, cfg, salt, 3, point, prime)
 
 
 def k_relation(
@@ -337,10 +336,10 @@ def k_relation(
     def point(u, v, w):
         """Quadruples phi(u), phi(v), phi(w), phi(t) with u + v = w + t."""
         t = u + v - w
-        if not in_window(t, cfg):
+        if not in_window(t):
             return None
-        vals = [phi_eval(spec, arg, cfg) for arg in (u, v, w, t)]
-        return dict(zip(("x1", "x2", "x3", "x4"), vals)) if guarded(cfg, *vals) else None
+        vals = [phi_eval(spec, arg) for arg in (u, v, w, t)]
+        return dict(zip(("x1", "x2", "x3", "x4"), vals)) if guarded(*vals) else None
 
     K = graph_factor(
         eliminant, ("x1", "x2", "x3", "x4"),

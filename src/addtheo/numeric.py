@@ -7,9 +7,9 @@ origin,
     c_2 = g2/20,  c_3 = g3/28,
     c_k = 3 / ((2k+1)(k-3)) * sum_{m=2}^{k-2} c_m c_{k-m}   for k >= 4,
 
-truncated at a configurable number of terms, with wp and wp' summed in one
-pass.  Sampling is restricted to a radius window where the truncation error is
-far below the identity tolerances, so no period computation is ever needed.
+truncated at SERIES_TERMS terms, with wp and wp' summed in one pass.  Sampling
+is restricted to a radius window where the truncation error is far below the
+identity tolerances, so no period computation is ever needed.
 All randomness is derived from an explicit seed, per sample index, so runs are
 reproducible and could be parallelized without changing results.
 
@@ -34,29 +34,31 @@ from .funcspec import FuncSpec, FunctionClass
 Q = Fraction
 
 
+# The sampling method is part of the output contract (docs/decisions.md
+# section 1): every max_residual in a --json report depends on the first three.
+# Each is read at call time.
+SERIES_TERMS = 30
+SAMPLE_RADIUS = (0.05, 0.25)
+POLE_GUARD = 1e6
+# exact points per prime; a wrong factor vanishes at one with probability about deg/p
+EXACT_POINTS = 8
+
+
 class _EvalFields(NamedTuple):
-    series_terms: int = 30
     tol: float = 1e-9
     seed: int = 0
-    sample_radius: tuple = (0.05, 0.25)
-    pole_guard: float = 1e6
 
 
 class EvalConfig(_EvalFields):
-    """The evaluation settings, range-checked on construction (`_replace`
-    skips the checks)."""
+    """The certification tolerance and the seed, range-checked on
+    construction (`_replace` skips the check)."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.series_terms < 10:
-            raise AddTheoError("series_terms must be at least 10")
         if not (0 < self.tol < 1):
             raise AddTheoError("tol must lie in (0, 1)")
-        lo, hi = self.sample_radius
-        if not (0 < lo < hi <= 0.5):
-            raise AddTheoError("sample_radius must satisfy 0 < lo < hi <= 0.5")
         return self
 
 
@@ -86,26 +88,26 @@ def _wp_table(g2, g3, terms: int):
     return tuple(table)
 
 
-def _check_range(u: complex, cfg: EvalConfig):
+def _check_range(u: complex):
     if u == 0:
         raise AddTheoError("wp pole at u = 0")
-    lo, hi = cfg.sample_radius
+    lo, hi = SAMPLE_RADIUS
     r = abs(u)
     if r < lo * 0.5 or r > hi * 1.0000001:
         raise AddTheoError(
-            f"|u| = {r:.4g} outside the configured evaluation range [{lo}, {hi}]"
+            f"|u| = {r:.4g} outside the evaluation range [{lo}, {hi}]"
         )
 
 
-def wp_pair(g2, g3, u: complex, cfg: EvalConfig):
+def wp_pair(g2, g3, u: complex):
     """(wp(u), wp'(u)) for invariants (g2, g3) from one pass over the
     truncated Laurent series and its termwise derivative."""
-    _check_range(u, cfg)
+    _check_range(u)
     u2 = u * u
     wp = 1 / u2
     dwp = -2 / (u * u * u)
     upow, dpow = u2, u
-    for c, dc in _wp_table(g2, g3, cfg.series_terms):
+    for c, dc in _wp_table(g2, g3, SERIES_TERMS):
         wp += c * upow
         upow *= u2
         dwp += dc * dpow
@@ -113,29 +115,29 @@ def wp_pair(g2, g3, u: complex, cfg: EvalConfig):
     return wp, dwp
 
 
-def wp_eval(g2, g3, u: complex, cfg: EvalConfig) -> complex:
+def wp_eval(g2, g3, u: complex) -> complex:
     """Weierstrass wp(u) for invariants (g2, g3), truncated Laurent series."""
-    return wp_pair(g2, g3, u, cfg)[0]
+    return wp_pair(g2, g3, u)[0]
 
 
-def wp_prime_eval(g2, g3, u: complex, cfg: EvalConfig) -> complex:
+def wp_prime_eval(g2, g3, u: complex) -> complex:
     """Termwise derivative of the wp series."""
-    return wp_pair(g2, g3, u, cfg)[1]
+    return wp_pair(g2, g3, u)[1]
 
 
-def phi_eval(spec: FuncSpec, u: complex, cfg: EvalConfig) -> complex:
+def phi_eval(spec: FuncSpec, u: complex) -> complex:
     """Evaluate phi at u; raises near poles so callers can resample."""
     if spec.cls is FunctionClass.RATIONAL_OF_U:
         point = {"u": u}
     elif spec.cls is FunctionClass.RATIONAL_OF_EXP:
         point = {"t": cmath.exp(spec.mu_value * u)}
     else:
-        pval, qval = wp_pair(spec.g2, spec.g3, u, cfg)
+        pval, qval = wp_pair(spec.g2, spec.g3, u)
         point = {"p": pval, "q": qval}
-    den = spec.denominator.evaluate(point)
+    den = spec.denominator.evaluate_with_magnitude(point)[0]
     if abs(den) < 1e-12:
         raise AddTheoError("phi evaluated too close to a pole")
-    return spec.numerator.evaluate(point) / den
+    return spec.numerator.evaluate_with_magnitude(point)[0] / den
 
 
 def _draw(rng, lo: float, hi: float) -> complex:
@@ -144,21 +146,21 @@ def _draw(rng, lo: float, hi: float) -> complex:
     return r * cmath.exp(1j * theta)
 
 
-def in_window(s: complex, cfg: EvalConfig) -> bool:
-    """True when |s| lies in the configured sampling radius window."""
-    lo, hi = cfg.sample_radius
+def in_window(s: complex) -> bool:
+    """True when |s| lies in the sampling radius window."""
+    lo, hi = SAMPLE_RADIUS
     return lo <= abs(s) <= hi
 
 
-def guarded(cfg: EvalConfig, *values) -> bool:
+def guarded(*values) -> bool:
     """The pole-guard test: True when every value stays within the guard."""
-    return all(abs(v) <= cfg.pole_guard for v in values)
+    return all(abs(v) <= POLE_GUARD for v in values)
 
 
 def sample(n: int, cfg: EvalConfig, salt: int, arity: int, point, draw=None):
     """Draw n deterministic points, each built as point(*draws) from `arity`
     arguments.  An argument is draw(rng) when draw is given, else a complex
-    number in the radius window cfg.sample_radius.
+    number in the radius window SAMPLE_RADIUS.
 
     Index i draws from its own stream seeded by (seed, salt, i), so the list
     does not depend on evaluation order.  draw or point rejects a draw by
@@ -169,7 +171,7 @@ def sample(n: int, cfg: EvalConfig, salt: int, arity: int, point, draw=None):
     if n < 1:
         raise AddTheoError("sample count must be positive")
     if draw is None:
-        lo, hi = cfg.sample_radius
+        lo, hi = SAMPLE_RADIUS
 
         def draw(rng):
             # _draw is looked up per call, so perfbench's tracer sees each one
@@ -195,7 +197,7 @@ def sample(n: int, cfg: EvalConfig, salt: int, arity: int, point, draw=None):
     return out
 
 
-def sample_graph(spec: FuncSpec, n: int, cfg: EvalConfig, salt: int = 0):
+def sample_graph(spec: FuncSpec, n: int, cfg: EvalConfig, salt: int):
     """Draw n deterministic samples (u, v, phi(u), phi(v), phi(u+v)).
 
     Draws whose sum leaves the radius window, whose arguments nearly
@@ -204,10 +206,10 @@ def sample_graph(spec: FuncSpec, n: int, cfg: EvalConfig, salt: int = 0):
 
     def point(u, v):
         s = u + v
-        if not in_window(s, cfg) or abs(u - v) < 1e-3:
+        if not in_window(s) or abs(u - v) < 1e-3:
             return None
-        x, y, z = (phi_eval(spec, arg, cfg) for arg in (u, v, s))
-        return GraphSample(u=u, v=v, x=x, y=y, z=z) if guarded(cfg, x, y, z) else None
+        x, y, z = (phi_eval(spec, arg) for arg in (u, v, s))
+        return GraphSample(u=u, v=v, x=x, y=y, z=z) if guarded(x, y, z) else None
 
     return sample(n, cfg, salt, 2, point)
 
@@ -233,8 +235,6 @@ def class_tolerance(spec: FuncSpec, override=None) -> float:
 # Mersenne primes, tried in this order; each is 3 mod 4, so a square root
 # mod p is one pow
 PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
-# points per prime; a wrong factor vanishes at one with probability about deg/p
-EXACT_POINTS = 8
 
 
 def bad_prime(spec: FuncSpec, prime: int) -> bool:
@@ -316,22 +316,20 @@ class Residues:
         return self.ratio(self.spec.numerator, self.spec.denominator, a)
 
 
-def sample_mod(
-    spec: FuncSpec, cfg: EvalConfig, salt: int, arity: int, point, prime: int, n: int = EXACT_POINTS
-):
-    """n exact points mod prime, each point(residues, *values) from `arity`
-    uniformizer values drawn through sample's per-index streams; None when
-    prime is bad for spec."""
+def sample_mod(spec: FuncSpec, cfg: EvalConfig, salt: int, arity: int, point, prime: int):
+    """EXACT_POINTS exact points mod prime, each point(residues, *values) from
+    `arity` uniformizer values drawn through sample's per-index streams; None
+    when prime is bad for spec."""
     if bad_prime(spec, prime):
         return None
     field = Residues(spec, prime)
-    return sample(n, cfg, salt, arity, lambda *values: point(field, *values), draw=field.draw)
+    return sample(EXACT_POINTS, cfg, salt, arity, lambda *v: point(field, *v), draw=field.draw)
 
 
-def graph_points_mod(spec: FuncSpec, cfg: EvalConfig, salt: int, prime: int, n: int = EXACT_POINTS):
+def graph_points_mod(spec: FuncSpec, cfg: EvalConfig, salt: int, prime: int):
     """Exact graph points (phi(a), phi(b), phi(a + b)) mod prime, or None."""
 
     def point(f, a, b):
         return f.phi(a), f.phi(b), f.phi(f.add(a, b))
 
-    return sample_mod(spec, cfg, salt, 2, point, prime, n)
+    return sample_mod(spec, cfg, salt, 2, point, prime)

@@ -144,6 +144,9 @@ class MPoly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
+    def is_one(self) -> bool:
+        return self.den == 1 and self.terms == {0: 1}
+
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Q(0)
@@ -323,6 +326,11 @@ class MPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if len(self.terms) == 1:
+            # a monomial: n times the packed key multiplies every field by n
+            ((m, c),) = self.terms.items()
+            _check_degree((m >> (len(self.variables) * FIELD_BITS)) * n)
+            return MPoly._new(self.variables, {m * n: c**n}, self.den**n)
         result = MPoly.const(self.variables, 1)
         base = self
         while n:
@@ -578,23 +586,11 @@ class MPoly:
         self._plan = (list(slots), rows)
         return self._plan
 
-    def evaluate(self, point) -> complex:
-        """Evaluate at a complex point, summing in descending term order; a
-        variable missing from the point raises KeyError."""
-        powers, rows = self._evaluation_plan()
-        names = self.variables
-        pw = [complex(point[names[i]]) ** e for i, e in powers]
-        total = 0j
-        for _, val, _, fields in rows:
-            for k in fields:
-                val *= pw[k]
-            total += val
-        return total
-
     def evaluate_with_magnitude(self, point):
-        """(evaluate(point), largest absolute single-term contribution), from
-        one walk of the terms; the magnitude turns residuals into relative
-        ones."""
+        """(value at a complex point, largest absolute single-term
+        contribution), from one walk of the terms in descending order; the
+        magnitude turns residuals into relative ones.  A variable missing from
+        the point raises KeyError."""
         powers, rows = self._evaluation_plan()
         names = self.variables
         pw, pa = [], []
@@ -703,7 +699,7 @@ def pseudo_rem(p: MPoly, q: MPoly, name: str) -> MPoly:
         return p
     qc = q.coeffs_in(name)
     lq = qc[-1]
-    monic = lq == MPoly.const(q.variables, 1)
+    monic = lq.is_one()
     rem = p.coeffs_in(name)
     for k in range(dp, dq - 1, -1):
         # the top coefficient cancels exactly: lq*top - top*lq

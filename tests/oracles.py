@@ -4,9 +4,9 @@ None of this is used by the package itself: the Sylvester determinant is the
 resultant cross-check, the subresultant remainder sequence with its own
 content recursion is the gcd oracle, the left-to-right mgcd fold over the
 coefficients is the reference for resultants.content_and_primitive, the
-term-by-term float evaluation is the reference for MPoly.evaluate and
-evaluate_with_magnitude, the grlex sort key and the finite difference of phi
-are the references for the term order and for derivatives, the term-by-term
+term-by-term float evaluation is the reference for
+MPoly.evaluate_with_magnitude, the grlex sort key and the finite difference
+of phi are the references for the term order and for derivatives, the term-by-term
 product of powers is the reference for MPoly.substitute, the eager fold,
 which eliminates every symbol from every relation, is the reference for
 derive.fold_eliminate, and the exact count of the preimages of a seeded
@@ -29,14 +29,15 @@ def grlex_key(mono):
     return (sum(mono), mono[::-1])
 
 
-def phi_derivative_numeric(spec, u: complex, cfg, h: float = 1e-5) -> complex:
+def phi_derivative_numeric(spec, u: complex, h: float = 1e-5) -> complex:
     """Central finite difference, for independent derivative checks."""
-    return (phi_eval(spec, u + h, cfg) - phi_eval(spec, u - h, cfg)) / (2 * h)
+    return (phi_eval(spec, u + h) - phi_eval(spec, u - h)) / (2 * h)
 
 
 def evaluate_reference(p: MPoly, point) -> complex:
-    """MPoly.evaluate term by term: descending grlex order, each coefficient
-    as a correctly rounded float, powers multiplied in variable order."""
+    """The value of MPoly.evaluate_with_magnitude term by term: descending
+    grlex order, each coefficient as a correctly rounded float, powers
+    multiplied in variable order."""
     total = 0j
     for mono, c in sorted(p.items(), key=lambda t: grlex_key(t[0]), reverse=True):
         val = complex(c.numerator / c.denominator)

@@ -32,6 +32,7 @@ from addtheo.laws import (
     predicted_degree,
     same_theorem,
 )
+from addtheo import numeric
 from addtheo.numeric import (
     EvalConfig,
     phi_eval,
@@ -150,8 +151,8 @@ def test_criterion_05_symmetry_table():
                 r = 0.05 + 0.2 * rng.random()
                 u = r * cmath.exp(2j * cmath.pi * rng.random())
                 try:
-                    a = phi_eval(spec, alpha * u, CFG)
-                    b = phi_eval(spec, u, CFG)
+                    a = phi_eval(spec, alpha * u)
+                    b = phi_eval(spec, u)
                 except Exception:
                     continue
                 if max(abs(a), abs(b)) > 1e5:
@@ -250,9 +251,9 @@ def test_criterion_10_same_theorem(theorems):
     g = theorems(lem).G
     for s in sample_graph(spec, 50, CFG, salt=1010):
         point = {
-            "x": phi_eval(spec, -s.u, CFG),
-            "y": phi_eval(spec, -s.v, CFG),
-            "z": phi_eval(spec, -(s.u + s.v), CFG),
+            "x": phi_eval(spec, -s.u),
+            "y": phi_eval(spec, -s.v),
+            "z": phi_eval(spec, -(s.u + s.v)),
         }
         assert relative_residual(g, point) < 1e-9
     record(True, "criterion 10: same-theorem verdicts, alpha ~ 2, negated-argument closure")
@@ -271,8 +272,8 @@ def test_criterion_11_derivative_relations():
             r = 0.06 + 0.15 * rng.random()
             u = r * cmath.exp(2j * cmath.pi * rng.random())
             try:
-                xval = phi_eval(spec, u, CFG)
-                dval = phi_derivative_numeric(spec, u, CFG)
+                xval = phi_eval(spec, u)
+                dval = phi_derivative_numeric(spec, u)
             except Exception:
                 continue
             assert relative_residual(rel, {"x": xval, "d": dval}) < 1e-5
@@ -280,20 +281,20 @@ def test_criterion_11_derivative_relations():
     record(True, "criterion 11: derivative relations exact and confirmed by finite differences")
 
 
-def test_criterion_12_numeric_kernel():
+def test_criterion_12_numeric_kernel(monkeypatch):
     rng = random.Random(99)
+    monkeypatch.setattr(numeric, "SAMPLE_RADIUS", (0.01, 0.25))
     for g2, g3 in ((Q(4), Q(0)), (Q(4), Q(1))):
-        wide = EvalConfig(sample_radius=(0.01, 0.25))
         for _ in range(60):
             r = 0.05 + 0.2 * rng.random()
             u = r * cmath.exp(2j * cmath.pi * rng.random())
-            p = wp_eval(g2, g3, u, CFG)
-            dp = wp_prime_eval(g2, g3, u, CFG)
+            p = wp_eval(g2, g3, u)
+            dp = wp_prime_eval(g2, g3, u)
             residual = abs(dp * dp - (4 * p**3 - complex(g2) * p - complex(g3)))
             assert residual / max(1.0, abs(dp * dp)) < 1e-9
             # homogeneity with s = 2
-            lhs = wp_eval(g2 / 16, g3 / 64, u, wide)
-            rhs = wp_eval(g2, g3, u / 2, wide) / 4
+            lhs = wp_eval(g2 / 16, g3 / 64, u)
+            rhs = wp_eval(g2, g3, u / 2) / 4
             assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-9
     record(True, "criterion 12: wp differential equation and homogeneity below 1e-9")
 

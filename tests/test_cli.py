@@ -150,6 +150,15 @@ def _verify_code(spec, candidate):
     return cli.main(["verify", spec_path(f"{spec}.spec"), "--g", candidate])
 
 
+@pytest.mark.xfail(strict=True, reason="the exact verdict uses a fixed prime, so a multiple "
+                   "of G mod that prime passes it (ROADMAP item 8)")
+def test_verify_rejects_a_multiple_of_g_mod_the_prime():
+    # 10^30*G + (2^61 - 1)*x is 10^30*G mod 2^61 - 1, and its residual is
+    # about 1.2e-12, below the class tolerance
+    g = "1000000000000000000000000000000*(2*x*y*z - z^2 - y^2 - x^2 + 1)"
+    assert _verify_code("cos", f"{g} + 2305843009213693951*x") == 1
+
+
 small_rational = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
 
 

@@ -1,6 +1,8 @@
 import pytest
 from fractions import Fraction as Q
 
+from hypothesis import given, settings, strategies as st
+
 from addtheo.errors import ExprSyntaxError
 from addtheo.exprparse import parse_fraction, parse_polynomial
 from addtheo.poly import MPoly
@@ -145,3 +147,17 @@ def test_end_of_input_in_a_candidate_exits_2(capsys, candidate):
     assert cli.main(["verify", spec_path("cos.spec"), "--g", candidate]) == 2
     err = capsys.readouterr().err
     assert "end of input" in err and "None" not in err
+
+
+coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool)
+term_dicts = st.dictionaries(
+    st.tuples(*[st.integers(0, 9)] * 3), coefficients, min_size=1, max_size=30
+)
+
+
+@settings(max_examples=80, deadline=2000)
+@given(term_dicts)
+def test_canonical_text_parses_back(terms):
+    # to_text is the form derive prints and verify reads back
+    p = MPoly(("x", "y", "z"), terms)
+    assert parse_polynomial(p.to_text(), ("x", "y", "z")) == p

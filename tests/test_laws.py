@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from addtheo import laws
+from addtheo import laws, numeric
 from addtheo.errors import AddTheoError, DegreeLawError, SpecValidationError
 from addtheo.funcspec import FunctionClass, make_spec, order, parse_spec
 from addtheo.laws import (
@@ -58,8 +58,8 @@ def test_multipliers_verified_numerically(text, expected):
             r = 0.05 + 0.2 * rng.random()
             u = r * cmath.exp(2j * cmath.pi * rng.random())
             try:
-                a = phi_eval(spec, alpha * u, CFG)
-                b = phi_eval(spec, u, CFG)
+                a = phi_eval(spec, alpha * u)
+                b = phi_eval(spec, u)
             except AddTheoError:
                 continue
             if max(abs(a), abs(b)) > 1e5:
@@ -302,7 +302,7 @@ def test_k_relation_elliptic_true_shape(theorems, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["exp-t", "cos", "wp-generic"])
-def test_k_relation_vanishes_at_exact_k_points(theorems, name):
+def test_k_relation_vanishes_at_exact_k_points(theorems, name, monkeypatch):
     text = spec_text(f"{name}.spec")
     spec = parse_spec(text)
     theorem = theorems(text)
@@ -310,7 +310,8 @@ def test_k_relation_vanishes_at_exact_k_points(theorems, name):
     K = k_relation(theorem, spec, cfg, verify_samples=20).K
     names = ("x1", "x2", "x3", "x4")
     prime = PRIMES[0]
-    points = k_points_mod(spec, cfg, 301, prime, n=50)
+    monkeypatch.setattr(numeric, "EXACT_POINTS", 50)
+    points = k_points_mod(spec, cfg, 301, prime)
     assert len(set(points)) == 50
     for pt in points:
         assert K.evaluate_mod(dict(zip(names, pt)), prime) == 0
@@ -503,7 +504,7 @@ def _numerically_invariant(spec, alpha, radius):
             2j * cmath.pi * rng.random()
         )
         try:
-            a, b = phi_eval(spec, alpha * u, CFG), phi_eval(spec, u, CFG)
+            a, b = phi_eval(spec, alpha * u), phi_eval(spec, u)
         except AddTheoError:
             continue
         if abs(a - b) > 1e-8 * max(abs(a), abs(b)):

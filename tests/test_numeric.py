@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from addtheo import cli
+from addtheo import cli, numeric
 from addtheo.derive import base_law
 from addtheo.errors import AddTheoError, SamplingError
 from addtheo.funcspec import parse_spec
@@ -38,104 +38,106 @@ def _window_points(n, seed=3):
 
 def test_wp_leading_terms_hand_oracle():
     # 1/u^2 + (g2/20) u^2 + (g3/28) u^4 for small u
-    val = wp_eval(Q(4), Q(0), 0.1, CFG)
+    val = wp_eval(Q(4), Q(0), 0.1)
     assert abs(val - (100 + 0.2 * 0.01)) < 1e-6
 
 
-def test_wp_pole_normalization():
+def test_wp_pole_normalization(monkeypatch):
     # |u^2 wp(u) - 1| = |c2 u^4 + ...| = g2/20 * 1e-8 at |u| = 0.01
     u = 0.01
-    cfg = EvalConfig(sample_radius=(0.005, 0.25))
-    assert abs(u * u * wp_eval(Q(1), Q(1), u, cfg) - 1) < 1e-9
+    monkeypatch.setattr(numeric, "SAMPLE_RADIUS", (0.005, 0.25))
+    assert abs(u * u * wp_eval(Q(1), Q(1), u) - 1) < 1e-9
 
 
 def test_wp_parity():
     for u in _window_points(10):
-        assert abs(wp_eval(Q(4), Q(1), -u, CFG) - wp_eval(Q(4), Q(1), u, CFG)) < 1e-10
-        assert abs(wp_prime_eval(Q(4), Q(1), -u, CFG) + wp_prime_eval(Q(4), Q(1), u, CFG)) < 1e-10
+        assert abs(wp_eval(Q(4), Q(1), -u) - wp_eval(Q(4), Q(1), u)) < 1e-10
+        assert abs(wp_prime_eval(Q(4), Q(1), -u) + wp_prime_eval(Q(4), Q(1), u)) < 1e-10
 
 
 @pytest.mark.parametrize("g2,g3", [(Q(4), Q(0)), (Q(4), Q(1))])
 def test_wp_differential_equation(g2, g3):
     for u in _window_points(100, seed=5):
-        p = wp_eval(g2, g3, u, CFG)
-        dp = wp_prime_eval(g2, g3, u, CFG)
+        p = wp_eval(g2, g3, u)
+        dp = wp_prime_eval(g2, g3, u)
         lhs = dp * dp
         rhs = 4 * p**3 - complex(g2) * p - complex(g3)
         assert abs(lhs - rhs) / max(1.0, abs(lhs)) < 1e-9
 
 
 @pytest.mark.parametrize("g2,g3", [(Q(4), Q(0)), (Q(4), Q(1))])
-def test_wp_homogeneity(g2, g3):
+def test_wp_homogeneity(g2, g3, monkeypatch):
     # wp(s*u; s^-4 g2, s^-6 g3) = s^-2 wp(u; g2, g3) with s = 2
     s = 2
-    cfg_wide = EvalConfig(sample_radius=(0.01, 0.25))
+    monkeypatch.setattr(numeric, "SAMPLE_RADIUS", (0.01, 0.25))
     for u in _window_points(12, seed=9):
         u = u / 2
-        lhs = wp_eval(g2 / s**4, g3 / s**6, s * u, cfg_wide)
-        rhs = wp_eval(g2, g3, u, cfg_wide) / s**2
+        lhs = wp_eval(g2 / s**4, g3 / s**6, s * u)
+        rhs = wp_eval(g2, g3, u) / s**2
         assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-9
 
 
-def test_wp_series_self_consistency():
-    dense = EvalConfig(series_terms=60)
-    for u in _window_points(10, seed=13):
-        a = wp_eval(Q(4), Q(16), u, CFG)
-        b = wp_eval(Q(4), Q(16), u, dense)
+def test_wp_series_self_consistency(monkeypatch):
+    points = _window_points(10, seed=13)
+    short = [wp_eval(Q(4), Q(16), u) for u in points]
+    monkeypatch.setattr(numeric, "SERIES_TERMS", 60)
+    for u, a in zip(points, short):
+        b = wp_eval(Q(4), Q(16), u)
         assert abs(a - b) / abs(b) < 1e-12
 
 
 def test_wp_pole_and_range_errors():
     with pytest.raises(AddTheoError, match="pole"):
-        wp_eval(Q(4), Q(0), 0, CFG)
+        wp_eval(Q(4), Q(0), 0)
     with pytest.raises(AddTheoError, match="range"):
-        wp_eval(Q(4), Q(0), 0.8, CFG)
+        wp_eval(Q(4), Q(0), 0.8)
 
 
 def test_phi_eval_examples():
     cosh_spec = parse_spec("class: exp\nphi: (t^2+1)/(2*t)\n")
-    assert abs(phi_eval(cosh_spec, 0.0, CFG) - 1.0) < 1e-12
+    assert abs(phi_eval(cosh_spec, 0.0) - 1.0) < 1e-12
     cos_spec = parse_spec("class: exp\nphi: (t^2+1)/(2*t)\nmu: i\n")
-    assert abs(phi_eval(cos_spec, 0.7, CFG) - cmath.cos(0.7)) < 1e-12
+    assert abs(phi_eval(cos_spec, 0.7) - cmath.cos(0.7)) < 1e-12
     sq = parse_spec("class: rational\nphi: u^2\n")
-    assert phi_eval(sq, 3 + 0j, CFG) == 9
+    assert phi_eval(sq, 3 + 0j) == 9
 
 
 def test_phi_eval_near_pole_raises():
     inv = parse_spec("class: rational\nphi: (u+1)/u\n")
     with pytest.raises(AddTheoError, match="pole"):
-        phi_eval(inv, 0.0, CFG)
+        phi_eval(inv, 0.0)
 
 
 def test_sample_graph_deterministic_and_lawful():
     spec = parse_spec("class: exp\nphi: t\n")
-    a = sample_graph(spec, 20, CFG)
-    b = sample_graph(spec, 20, CFG)
+    a = sample_graph(spec, 20, CFG, salt=0)
+    b = sample_graph(spec, 20, CFG, salt=0)
     assert a == b
     for s in a:
         assert abs(s.z - s.x * s.y) < 1e-12
         assert 0.05 <= abs(s.u + s.v) <= 0.25
-    c = sample_graph(spec, 20, EvalConfig(seed=1))
+    c = sample_graph(spec, 20, EvalConfig(seed=1), salt=0)
     assert c != a
 
 
 def test_elliptic_samples_respect_guard():
     spec = parse_spec("class: elliptic\ng2: 4\ng3: 1\nphi: p\n")
-    for s in sample_graph(spec, 30, CFG):
-        assert max(abs(s.x), abs(s.y), abs(s.z)) <= CFG.pole_guard
+    for s in sample_graph(spec, 30, CFG, salt=0):
+        assert max(abs(s.x), abs(s.y), abs(s.z)) <= numeric.POLE_GUARD
 
 
 @pytest.mark.parametrize("sampler", ["sample_graph", "k_relation", "exact_draws"])
-def test_rejecting_every_draw_raises_sampling_error(sampler, theorems):
+def test_rejecting_every_draw_raises_sampling_error(sampler, theorems, monkeypatch):
     exp_t = "class: exp\nphi: t\n"
     spec = parse_spec(exp_t)
-    guard_all = EvalConfig(pole_guard=1e-30)
+    theorem = theorems(exp_t)
+    monkeypatch.setattr(numeric, "POLE_GUARD", 1e-30)  # every complex value is a pole
     # phi's denominator is 2^61 - 1, so every exact point mod that prime is a
     # pole (selection skips this prime as bad; the sampler does not)
     poles = Residues(parse_spec(f"class: rational\nphi: u^2 + u/{PRIMES[0]}\n"), PRIMES[0])
     calls = {
-        "sample_graph": lambda: sample_graph(spec, 20, guard_all),
-        "k_relation": lambda: k_relation(theorems(exp_t), spec, guard_all),
+        "sample_graph": lambda: sample_graph(spec, 20, CFG, salt=0),
+        "k_relation": lambda: k_relation(theorem, spec, CFG),
         "exact_draws": lambda: sample(20, CFG, 201, 1, poles.phi, draw=poles.draw),
     }
     with pytest.raises(SamplingError):
@@ -171,25 +173,21 @@ def test_class_tolerance_defaults():
 def test_finite_difference_derivative():
     spec = parse_spec("class: exp\nphi: t\n")
     u = 0.1 + 0.05j
-    exact = phi_eval(spec, u, CFG)  # derivative of e^u is itself
-    fd = phi_derivative_numeric(spec, u, CFG)
+    exact = phi_eval(spec, u)  # derivative of e^u is itself
+    fd = phi_derivative_numeric(spec, u)
     assert abs(fd - exact) < 1e-8
 
 
 def test_config_validation():
-    with pytest.raises(AddTheoError):
-        EvalConfig(series_terms=5)
-    with pytest.raises(AddTheoError):
-        EvalConfig(sample_radius=(0.3, 0.2))
+    # the series, the window and the pole guard are module constants
+    assert EvalConfig._fields == ("tol", "seed")
     with pytest.raises(AddTheoError):
         EvalConfig(tol=2.0)
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"series_terms": 9}, "series_terms must be at least 10"),
     ({"tol": 0.0}, r"tol must lie in \(0, 1\)"),
-    ({"sample_radius": (0.1, 0.6)}, "sample_radius must satisfy 0 < lo < hi <= 0.5"),
-], ids=["series_terms", "tol", "sample_radius"])
+], ids=["tol"])
 def test_config_range_checks_name_the_setting(kwargs, message):
     with pytest.raises(AddTheoError, match=message):
         EvalConfig(**kwargs)
