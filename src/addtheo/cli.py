@@ -21,10 +21,8 @@ from .errors import (
     AddTheoError,
     DegenerateEliminationError,
     DegenerateSpecializationError,
-    DegreeLawError,
     ExprSyntaxError,
     MonomialOverflowError,
-    PruningError,
     SamplingError,
     SpecValidationError,
     VerificationError,
@@ -352,7 +350,7 @@ def main(argv=None) -> int:
     except _DEGENERATE_ERRORS as exc:
         lines, result = None, None
         status, code, message = "degenerate", 3, str(exc)
-    except (PruningError, VerificationError, DegreeLawError, AddTheoError) as exc:
+    except AddTheoError as exc:
         lines, result = None, None
         status, code, message = "verification-failed", 1, str(exc)
     elapsed_ms = int(1000 * (time.monotonic() - started))

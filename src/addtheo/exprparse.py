@@ -215,7 +215,7 @@ class _Parser:
             for poly in (p for p in (base.num, base.den) if k > 1 and not p.is_one()):
                 den = poly.content().denominator  # the common denominator; 1 for 0
                 # the integers of poly^k stay below (terms * largest integer)^k
-                size = max(len(poly), 1) * max([den] + [int(abs(c) * den) for _, c in poly.items()])
+                size = max(len(poly), 1) * max(den, int(poly.max_norm() * den))
                 if k * poly.total_degree() > _MAX_DEGREE or k * math.log2(size) >= _MAX_BITS:
                     raise ExprSyntaxError(
                         f"power too large: past total degree {_MAX_DEGREE} "

@@ -136,7 +136,7 @@ def multiplier_group(spec: FuncSpec) -> SymmetryReport:
     """All constants a with phi(a*u) = phi(u), found exactly; lambda0 is
     their count."""
     if spec.cls is FunctionClass.RATIONAL_OF_EXP:
-        if _exp_inversion_condition(spec).specialize("c", 1).is_zero():
+        if _exp_inversion_condition(spec).substitute({"c": 1}).is_zero():
             return SymmetryReport(multipliers=((1, 0), (2, 1)), lambda0=2)
         return SymmetryReport(multipliers=((1, 0),), lambda0=1)
     # the reflexive scaling condition: its roots are the multiplier group
@@ -212,12 +212,9 @@ def _elliptic_substitution_invariant(spec: FuncSpec, k: int, j: int, minpoly) ->
     base = P - e  # p'' denominator; q'' uses its square
     L = max(m[0] + 2 * m[1] for poly in (spec.numerator, spec.denominator) for m, _ in poly.items())
 
-    def hat(src):
-        acc = MPoly.zero(ring)
-        for m, coeff in src.items():
-            a, b = m[0], m[1]
-            acc = acc + coeff * a1**a * a2**b * base ** (L - a - 2 * b)
-        return reduce_all(acc)
+    def hat(src):  # base^L * src(a1/base, a2/base^2)
+        weighted = MPoly(("p", "q", "h"), {(a, b, L - a - 2 * b): c for (a, b), c in src.items()})
+        return reduce_all(weighted.substitute({"p": a1, "q": a2, "h": base}))
 
     condition = reduce_all(hat(spec.numerator) * den - num * hat(spec.denominator))
     return condition.is_zero()
@@ -315,7 +312,7 @@ def k_points_mod(spec: FuncSpec, cfg: EvalConfig, salt: int, prime: int):
 def k_relation(
     theorem: AdditionTheorem,
     spec: FuncSpec,
-    cfg: EvalConfig | None = None,
+    cfg: EvalConfig,
     verify_samples: int = 200,
 ) -> KRelation:
     """The origin-independent relation among phi(u), phi(v), phi(w), phi(t)
@@ -323,8 +320,6 @@ def k_relation(
 
     Its per-variable degrees must agree and equal m*nu^3/lambda; otherwise
     DegreeLawError is raised before the relation is certified."""
-    if cfg is None:
-        cfg = EvalConfig(tol=class_tolerance(spec))
     ring = ("x4", "x3", "x2", "x1", "s")
     g12 = theorem.G.rename({"x": "x1", "y": "x2", "z": "s"}).embed(ring)
     g34 = theorem.G.rename({"x": "x3", "y": "x4", "z": "s"}).embed(ring)
@@ -419,7 +414,7 @@ def _exact_alpha(spec_a: FuncSpec, spec_b: FuncSpec) -> complex | None:
         # minimal uniformizers force t_a(alpha*u) = t_b(u)^r with r = +-1
         if spec_a.numerator * spec_b.denominator == spec_b.numerator * spec_a.denominator:
             r = 1
-        elif _exp_inversion_condition(spec_a, spec_b).specialize("c", 1).is_zero():
+        elif _exp_inversion_condition(spec_a, spec_b).substitute({"c": 1}).is_zero():
             r = -1
         else:
             return None
@@ -434,15 +429,13 @@ def _exact_alpha(spec_a: FuncSpec, spec_b: FuncSpec) -> complex | None:
     return _principal_root(k, 1 / c if elliptic else c)  # elliptic solves s = 1/alpha
 
 
-def same_theorem(spec_a: FuncSpec, spec_b: FuncSpec, cfg: EvalConfig | None = None,
+def same_theorem(spec_a: FuncSpec, spec_b: FuncSpec, cfg: EvalConfig,
                  verify_samples: int = 200) -> SameTheoremResult:
     """Decide whether two functions satisfy the same canonical theorem and,
     if so, solve exactly for a constant alpha with phi_a(alpha*u) = phi_b(u).
     Each G is certified on verify_samples complex points."""
     if spec_a.cls is not spec_b.cls:
         return SameTheoremResult(same=False)
-    if cfg is None:
-        cfg = EvalConfig(tol=class_tolerance(spec_a))
     g_a, g_b = (derive_addition_theorem(s, cfg, verify_samples).G for s in (spec_a, spec_b))
     if g_a != g_b:
         return SameTheoremResult(same=False)

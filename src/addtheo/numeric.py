@@ -115,16 +115,6 @@ def wp_pair(g2, g3, u: complex):
     return wp, dwp
 
 
-def wp_eval(g2, g3, u: complex) -> complex:
-    """Weierstrass wp(u) for invariants (g2, g3), truncated Laurent series."""
-    return wp_pair(g2, g3, u)[0]
-
-
-def wp_prime_eval(g2, g3, u: complex) -> complex:
-    """Termwise derivative of the wp series."""
-    return wp_pair(g2, g3, u)[1]
-
-
 def phi_eval(spec: FuncSpec, u: complex) -> complex:
     """Evaluate phi at u; raises near poles so callers can resample."""
     if spec.cls is FunctionClass.RATIONAL_OF_U:

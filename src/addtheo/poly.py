@@ -469,7 +469,8 @@ class MPoly:
         Unlisted variables stay themselves.  The result lives in the ring of
         the first substituted polynomial if any, else in self's ring; all
         polynomial values must share one ring that contains the untouched
-        variables.  Evaluation is by Horner's rule in each substituted
+        variables.  Rational values go first, one variable per pass over the
+        terms; polynomial values then go by Horner's rule in each substituted
         variable that occurs, the untouched variables moving into the result
         ring by name.
         """
@@ -479,13 +480,38 @@ class MPoly:
         for v in self.variables:
             if v not in assignment and v not in target:
                 raise ValueError(f"variable {v} missing from target ring")
-        used = self.used_variables()
-        steps = [
-            (v, val if isinstance(val, MPoly) else Q(*_ratio(val)))
-            for v, val in assignment.items()
-            if v in used
-        ]
-        return self._horner(steps, target)
+        poly, steps = self, []
+        for v, val in assignment.items():
+            if isinstance(val, MPoly):
+                steps.append((v, val))
+            elif v in self.variables:
+                poly = poly._substitute_number(v, *_ratio(val))
+        used = poly.used_variables() if steps else ()
+        return poly._horner([(v, val) for v, val in steps if v in used], target)
+
+    def _substitute_number(self, name, num, den) -> "MPoly":
+        """self at name = num/den, in the same ring, over self.den * den^top:
+        num is raised only to the exponents e that occur, each from the last,
+        times den^(top - e)."""
+        s = self._shift(name)
+        exps = sorted({(m >> s) & _MASK for m in self.terms}) or [0]
+        top = exps[-1]
+        if not top:
+            return self
+        powers, prev, power = {}, 0, 1
+        for e in exps:
+            power *= num ** (e - prev)
+            powers[e], prev = power * den ** (top - e), e
+        step = _var_key(len(self.variables), self.variables.index(name))
+        res = {}
+        get = res.get
+        for m, c in self.terms.items():
+            e = (m >> s) & _MASK
+            k = m - e * step
+            res[k] = get(k, 0) + c * powers[e]
+        return MPoly._new(
+            self.variables, {m: c for m, c in res.items() if c}, self.den * den**top
+        )
 
     def _horner(self, steps, target) -> "MPoly":
         """self with each (name, value) of steps substituted, in target."""
@@ -498,23 +524,6 @@ class MPoly:
             if c.terms:
                 acc = acc + c._horner(inner, target)
         return acc
-
-    def specialize(self, name, value: int) -> "MPoly":
-        """self with an integer substituted for one variable, in the same ring;
-        value is raised only to the exponents that occur, each from the last."""
-        s = self._shift(name)
-        step = _var_key(len(self.variables), self.variables.index(name))
-        powers, prev, power = {}, 0, 1
-        for e in sorted({(m >> s) & _MASK for m in self.terms}):
-            power *= value ** (e - prev)
-            powers[e], prev = power, e
-        res = {}
-        get = res.get
-        for m, c in self.terms.items():
-            e = (m >> s) & _MASK
-            k = m - e * step
-            res[k] = get(k, 0) + c * powers[e]
-        return MPoly._new(self.variables, {m: c for m, c in res.items() if c}, self.den)
 
     # ------------------------------------------------------------------
     # univariate views

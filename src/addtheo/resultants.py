@@ -121,7 +121,7 @@ def _heuristic_gcd(a: MPoly, b: MPoly):
             base = 2 * int(max(fa.max_norm(), fb.max_norm())) + 2
             # each try grows the points by Char, Geddes & Gonnet's step
             xi = base * 73794**attempt // 27011**attempt + rng.randrange(base)
-            fa, fb = fa.specialize(v, xi), fb.specialize(v, xi)
+            fa, fb = fa.substitute({v: xi}), fb.substitute({v: xi})
             points.append(xi)
         gamma = gcd(int(fa.constant_value()), int(fb.constant_value()))
         cand = _from_digits(gamma, names, points, limits, a.variables)

@@ -39,8 +39,7 @@ from addtheo.numeric import (
     phi_eval,
     relative_residual,
     sample_graph,
-    wp_eval,
-    wp_prime_eval,
+    wp_pair,
 )
 from addtheo.poly import MPoly, divide_exact
 from addtheo.resultants import content_and_primitive
@@ -74,8 +73,7 @@ def test_base_law_elliptic_vanishes_numerically():
             continue
         point = {}
         for name, arg in (("1", u), ("2", v), ("3", u + v)):
-            point["p" + name] = wp_eval(Q(4), Q(1), arg)
-            point["q" + name] = wp_prime_eval(Q(4), Q(1), arg)
+            point["p" + name], point["q" + name] = wp_pair(Q(4), Q(1), arg)
         for rel in relations:
             assert relative_residual(rel, point) < 1e-9
         checked += 1
@@ -571,7 +569,7 @@ def test_phi_prime_matches_finite_differences(text):
     w, d2 = phi_prime(spec)
     for u in (0.11 + 0.07j, -0.08 + 0.13j, 0.2 - 0.05j):
         if spec.cls is FunctionClass.ELLIPTIC:
-            point = {"p": wp_eval(spec.g2, spec.g3, u), "q": wp_prime_eval(spec.g2, spec.g3, u)}
+            point = dict(zip("pq", wp_pair(spec.g2, spec.g3, u)))
         else:
             point = {spec.uniformizer[0]: u if spec.cls is FunctionClass.RATIONAL_OF_U else cmath.exp(u)}
         exact = w.evaluate_with_magnitude(point)[0] / d2.evaluate_with_magnitude(point)[0]

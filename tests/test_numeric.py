@@ -18,8 +18,7 @@ from addtheo.numeric import (
     relative_residual,
     sample,
     sample_graph,
-    wp_eval,
-    wp_prime_eval,
+    wp_pair,
 )
 from conftest import spec_text
 from oracles import phi_derivative_numeric
@@ -38,7 +37,7 @@ def _window_points(n, seed=3):
 
 def test_wp_leading_terms_hand_oracle():
     # 1/u^2 + (g2/20) u^2 + (g3/28) u^4 for small u
-    val = wp_eval(Q(4), Q(0), 0.1)
+    val = wp_pair(Q(4), Q(0), 0.1)[0]
     assert abs(val - (100 + 0.2 * 0.01)) < 1e-6
 
 
@@ -46,20 +45,19 @@ def test_wp_pole_normalization(monkeypatch):
     # |u^2 wp(u) - 1| = |c2 u^4 + ...| = g2/20 * 1e-8 at |u| = 0.01
     u = 0.01
     monkeypatch.setattr(numeric, "SAMPLE_RADIUS", (0.005, 0.25))
-    assert abs(u * u * wp_eval(Q(1), Q(1), u) - 1) < 1e-9
+    assert abs(u * u * wp_pair(Q(1), Q(1), u)[0] - 1) < 1e-9
 
 
 def test_wp_parity():
     for u in _window_points(10):
-        assert abs(wp_eval(Q(4), Q(1), -u) - wp_eval(Q(4), Q(1), u)) < 1e-10
-        assert abs(wp_prime_eval(Q(4), Q(1), -u) + wp_prime_eval(Q(4), Q(1), u)) < 1e-10
+        assert abs(wp_pair(Q(4), Q(1), -u)[0] - wp_pair(Q(4), Q(1), u)[0]) < 1e-10
+        assert abs(wp_pair(Q(4), Q(1), -u)[1] + wp_pair(Q(4), Q(1), u)[1]) < 1e-10
 
 
 @pytest.mark.parametrize("g2,g3", [(Q(4), Q(0)), (Q(4), Q(1))])
 def test_wp_differential_equation(g2, g3):
     for u in _window_points(100, seed=5):
-        p = wp_eval(g2, g3, u)
-        dp = wp_prime_eval(g2, g3, u)
+        p, dp = wp_pair(g2, g3, u)
         lhs = dp * dp
         rhs = 4 * p**3 - complex(g2) * p - complex(g3)
         assert abs(lhs - rhs) / max(1.0, abs(lhs)) < 1e-9
@@ -72,25 +70,25 @@ def test_wp_homogeneity(g2, g3, monkeypatch):
     monkeypatch.setattr(numeric, "SAMPLE_RADIUS", (0.01, 0.25))
     for u in _window_points(12, seed=9):
         u = u / 2
-        lhs = wp_eval(g2 / s**4, g3 / s**6, s * u)
-        rhs = wp_eval(g2, g3, u) / s**2
+        lhs = wp_pair(g2 / s**4, g3 / s**6, s * u)[0]
+        rhs = wp_pair(g2, g3, u)[0] / s**2
         assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-9
 
 
 def test_wp_series_self_consistency(monkeypatch):
     points = _window_points(10, seed=13)
-    short = [wp_eval(Q(4), Q(16), u) for u in points]
+    short = [wp_pair(Q(4), Q(16), u)[0] for u in points]
     monkeypatch.setattr(numeric, "SERIES_TERMS", 60)
     for u, a in zip(points, short):
-        b = wp_eval(Q(4), Q(16), u)
+        b = wp_pair(Q(4), Q(16), u)[0]
         assert abs(a - b) / abs(b) < 1e-12
 
 
 def test_wp_pole_and_range_errors():
     with pytest.raises(AddTheoError, match="pole"):
-        wp_eval(Q(4), Q(0), 0)
+        wp_pair(Q(4), Q(0), 0)
     with pytest.raises(AddTheoError, match="range"):
-        wp_eval(Q(4), Q(0), 0.8)
+        wp_pair(Q(4), Q(0), 0.8)
 
 
 def test_phi_eval_examples():

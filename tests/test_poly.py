@@ -144,6 +144,7 @@ def test_substitute_is_simultaneous():
 
 
 SUB_VARS = ("a", "b", "c", "d")
+rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 5))
 
 
 @st.composite
@@ -178,24 +179,49 @@ def test_substitute_matches_the_term_by_term_reference(case):
     assert p.substitute(assignment) == substitute_reference(p, assignment)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    small_polys(SUB_VARS[:n], max_terms=5, max_exp=3000),
-    st.sampled_from(SUB_VARS[:n]),
-    st.integers(-40, 40),
-)))
-def test_specialize_matches_substitute(case):
-    # sparse exponents far above 1000: specialize builds only the powers of
-    # the point that occur
-    p, name, k = case
-    assert p.specialize(name, k) == p.substitute({name: k})
+numbers = st.one_of(st.integers(-40, 40), rationals)
+
+
+@st.composite
+def number_substitutions(draw):
+    """A sparse polynomial in 1-4 variables with exponents up to 3000 and
+    integer or rational values, zero and negative ones included, for 1-3 of
+    its variables."""
+    names = SUB_VARS[: draw(st.integers(1, 4))]
+    p = draw(small_polys(names, max_terms=5, max_exp=3000))
+    chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    return p, {name: draw(numbers) for name in chosen}
+
+
+@st.composite
+def mixed_substitutions(draw):
+    """Numbers for some variables and polynomials for others, where each
+    polynomial value reads a variable that also gets a number, in a drawn
+    order."""
+    names = SUB_VARS[: draw(st.integers(2, 4))]
+    p = draw(small_polys(names, max_terms=6))
+    numbered = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names) - 1, unique=True))
+    rest = [name for name in names if name not in numbered]
+    assignment = {name: draw(numbers) for name in numbered}
+    for name in draw(st.lists(st.sampled_from(rest), min_size=1, unique=True)):
+        reads = MPoly.var(names, draw(st.sampled_from(numbered)))
+        assignment[name] = reads + draw(small_polys(names, max_terms=3, max_exp=2))
+    return p, dict(draw(st.permutations(list(assignment.items()))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(number_substitutions(), mixed_substitutions()))
+def test_substitute_numbers_match_the_reference(case):
+    # sparse exponents far above 1000: only the powers that occur are built;
+    # a polynomial value keeps the variables that get numbers as themselves
+    p, assignment = case
+    assert p.substitute(assignment) == substitute_reference(p, assignment)
 
 
 # ----------------------------------------------------------------------
 # kernel properties: every operation agrees with exact Fraction evaluation
 # ----------------------------------------------------------------------
 
-rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 5))
 points = st.fixed_dictionaries({v: rationals for v in V})
 term_dicts = st.dictionaries(
     st.tuples(*[st.integers(0, 3) for _ in V]), rationals, min_size=1, max_size=5
