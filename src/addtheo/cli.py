@@ -12,6 +12,7 @@ and inputs give byte-identical stdout; timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from fractions import Fraction
@@ -368,5 +369,16 @@ def main(argv=None) -> int:
     return code
 
 
+def run():
+    """The process entry: main, then an exit whose collections have nothing
+    to traverse.  gc.freeze moves every tracked object into the permanent
+    generation, which finalization does not collect, so the OS takes the
+    memory back instead (docs/decisions.md section 6).  main itself freezes
+    nothing, because in-process callers rely on collection between calls."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -20,11 +20,11 @@ GOLDEN_G = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="u
 BUNDLED_G = sorted(name for name in GOLDEN_G if ":" not in name)
 
 
-def run_cli(*args, expect_code=0, timeout=300):
+def run_cli(*args, expect_code=0, timeout=300, entry=("-m", "addtheo.cli")):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-m", "addtheo.cli", *args],
+        [sys.executable, *entry, *args],
         capture_output=True,
         text=True,
         cwd=str(ROOT),
@@ -377,6 +377,56 @@ def test_timing_on_stderr_only():
     proc = run_cli("derive", spec_path("exp-t.spec"))
     assert "elapsed_ms" not in proc.stdout
     assert "elapsed_ms=" in proc.stderr
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # in-process callers run many commands in one process and rely on
+    # collection between them; only the process entry run() freezes
+    import gc
+
+    import addtheo.cli as cli
+
+    before = gc.get_freeze_count()
+    assert cli.main(["derive", spec_path("cos.spec")]) == 0
+    assert cli.main(["derive", spec_path("broken.spec"), "--json"]) == 2
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["derive", spec_path("cos.spec")], 0),
+        (["verify", spec_path("exp-t.spec"), "--g", "x + y - z"], 1),
+        (["derive", spec_path("broken.spec"), "--json"], 2),
+        (["reduce-f", "F", "--x0", "0", "--y0", "1"], 3),
+    ],
+)
+def test_run_exits_as_the_module_does(tmp_path, argv, code):
+    f = tmp_path / "f.txt"
+    f.write_text("Z - X*Y\n")
+    argv = [str(f) if arg == "F" else arg for arg in argv]
+    module = run_cli(*argv, expect_code=code)
+    entry = run_cli(*argv, expect_code=code, entry=("-c", "from addtheo.cli import run; run()"))
+    assert entry.stdout == module.stdout
+
+    def untimed(stderr):
+        return [line for line in stderr.splitlines() if not line.startswith("elapsed_ms=")]
+
+    assert untimed(entry.stderr) == untimed(module.stderr)
+
+
+def test_option_values_that_start_with_a_minus_sign(tmp_path, capsys):
+    # argparse reads "--x0 -5/2" as two options; the README's "--x0=-5/2"
+    # form passes the value
+    import addtheo.cli as cli
+
+    f = tmp_path / "f.txt"
+    f.write_text("Z - X*Y\n")
+    assert cli.main(["reduce-f", str(f), "--x0=-5/2", "--y0", "1"]) == 0
+    assert capsys.readouterr().out == "2*z1*z2 + 5*z3\n"
+    g = "--g=-(2*x*y*z - z^2 - y^2 - x^2 + 1)"
+    assert cli.main(["verify", spec_path("cos.spec"), g]) == 0
+    assert capsys.readouterr().out.startswith("ok max_residual=")
 
 
 def test_verify_g_file_not_utf8_exit_2(tmp_path):
