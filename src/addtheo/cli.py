@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import sys
 import time
 from fractions import Fraction
 
-from .derive import eliminate, prune, reduce_f_to_g
 from .errors import (
     AddTheoError,
     DegenerateEliminationError,
@@ -30,22 +30,31 @@ from .errors import (
 )
 from .exprparse import parse_polynomial
 from .funcspec import FuncSpec, parse_spec
-from .laws import (
-    degree_report,
-    derive_addition_theorem,
-    full_substitution_group,
-    k_relation,
-    same_theorem,
-)
-from .numeric import (
-    PRIMES,
-    EvalConfig,
-    class_tolerance,
-    graph_points_mod,
-    relative_residual,
-    sample_graph,
-)
 from .poly import MPoly
+
+
+def _defer(*names):
+    """Put each named submodule in sys.modules, and on the package, with a
+    lazy loader: its code is compiled and run on the first attribute read,
+    so a command runs only the modules it uses (docs/decisions.md section
+    6).  A module imported already is kept, so each name has one module."""
+    package = sys.modules[__package__]
+    for name in names:
+        fullname = f"{__package__}.{name}"
+        if fullname in sys.modules:
+            continue
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        # bound on the package, `from . import name` takes it from there;
+        # the import system would read __spec__ and so run the module
+        setattr(package, name, module)
+
+
+_defer("numeric", "factor", "derive", "laws")
+from . import derive, laws, numeric
 
 _PARSE_ERRORS = (ExprSyntaxError, MonomialOverflowError, SpecValidationError)
 _DEGENERATE_ERRORS = (
@@ -88,8 +97,8 @@ def _load_spec(path) -> FuncSpec:
     return parse_spec(_read_input(path))
 
 
-def _config(spec, args) -> EvalConfig:
-    return EvalConfig(tol=class_tolerance(spec, args.tol), seed=args.seed)
+def _config(spec, args) -> numeric.EvalConfig:
+    return numeric.EvalConfig(tol=numeric.class_tolerance(spec, args.tol), seed=args.seed)
 
 
 def _alpha_name(descriptor) -> str:
@@ -146,11 +155,11 @@ def _theorem_json(theorem):
 def cmd_derive(args):
     spec = _load_spec(args.spec)
     cfg = _config(spec, args)
-    law = degree_report(spec)
-    raw = eliminate(spec)
+    law = laws.degree_report(spec)
+    raw = derive.eliminate(spec)
     if args.trace:
         print(f"trace (non-contractual): eliminant = {raw.to_text()}", file=sys.stderr)
-    theorem = prune(raw, spec, cfg, law, verify_samples=args.samples)
+    theorem = derive.prune(raw, spec, cfg, law, verify_samples=args.samples)
     lines = [theorem.G.to_text()]
     return lines, {"theorem": _theorem_json(theorem)}
 
@@ -170,11 +179,11 @@ def cmd_verify(args):
     if g.is_zero():
         raise SpecValidationError("the candidate G is the zero polynomial, which vanishes everywhere")
     g = g.canonicalize()
-    samples = sample_graph(spec, args.samples, cfg, salt=7)
+    samples = numeric.sample_graph(spec, args.samples, cfg, salt=7)
     worst = None
     worst_res = -1.0
     for s in samples:
-        res = relative_residual(g, {"x": s.x, "y": s.y, "z": s.z})
+        res = numeric.relative_residual(g, {"x": s.x, "y": s.y, "z": s.z})
         if res > worst_res:
             worst_res = res
             worst = s
@@ -185,8 +194,8 @@ def cmd_verify(args):
         )
     # the verdict: exact vanishing at the points of the first good prime
     # (docs/decisions.md section 7); g is canonical, so it has no denominator
-    for prime in PRIMES:
-        points = graph_points_mod(spec, cfg, 8, prime)
+    for prime in numeric.PRIMES:
+        points = numeric.graph_points_mod(spec, cfg, 8, prime)
         if points is not None:
             break
     else:
@@ -212,9 +221,9 @@ def cmd_verify(args):
 def cmd_degrees(args):
     spec = _load_spec(args.spec)
     if args.derive:
-        report = derive_addition_theorem(spec, _config(spec, args), verify_samples=args.samples).law
+        report = laws.derive_addition_theorem(spec, _config(spec, args), verify_samples=args.samples).law
     else:
-        report = degree_report(spec)
+        report = laws.degree_report(spec)
     line = (
         f"m={report.m} nu={report.nu} lambda0={report.lambda0} "
         f"predicted={report.predicted}"
@@ -226,7 +235,7 @@ def cmd_degrees(args):
 
 def cmd_symmetry(args):
     spec = _load_spec(args.spec)
-    report = full_substitution_group(spec)
+    report = laws.full_substitution_group(spec)
     mults = ",".join(_alpha_name(a) for a in report.multipliers)
     group = ",".join(_alpha_name(a) for a in report.group_alphas)
     line = (
@@ -239,8 +248,8 @@ def cmd_symmetry(args):
 def cmd_krel(args):
     spec = _load_spec(args.spec)
     cfg = _config(spec, args)
-    theorem = derive_addition_theorem(spec, cfg, verify_samples=args.samples)
-    rel = k_relation(theorem, spec, cfg, verify_samples=args.samples)
+    theorem = laws.derive_addition_theorem(spec, cfg, verify_samples=args.samples)
+    rel = laws.k_relation(theorem, spec, cfg, verify_samples=args.samples)
     lines = [
         rel.K.to_text(),
         "degrees=" + ",".join(str(d) for d in rel.degrees) + f" lambda={rel.lam}",
@@ -250,7 +259,7 @@ def cmd_krel(args):
 
 def cmd_reduce_f(args):
     F = parse_polynomial(_read_input(args.f).strip(), ("X", "Y", "Z"))
-    rel = reduce_f_to_g(F, args.x0, args.y0)
+    rel = derive.reduce_f_to_g(F, args.x0, args.y0)
     return [rel.to_text()], {"relation": rel.to_text()}
 
 
@@ -258,7 +267,7 @@ def cmd_same(args):
     spec_a = _load_spec(args.spec_a)
     spec_b = _load_spec(args.spec_b)
     cfg = _config(spec_a, args)
-    verdict = same_theorem(spec_a, spec_b, cfg, verify_samples=args.samples)
+    verdict = laws.same_theorem(spec_a, spec_b, cfg, verify_samples=args.samples)
     if not verdict.same:
         line = "same=false"
     elif verdict.alpha is None:

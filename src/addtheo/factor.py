@@ -349,11 +349,6 @@ def factor(p: MPoly):
     return out
 
 
-def is_irreducible(p: MPoly) -> bool:
-    fs = factor(p)
-    return len(fs) == 1 and fs[0][1] == 1
-
-
 def _factor_squarefree(g: MPoly):
     g = g.canonicalize()
     occ = g.used_variables()

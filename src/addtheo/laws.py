@@ -31,19 +31,9 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
-from .derive import AdditionTheorem, DegreeReport, certify, eliminate, graph_factor, prune
+from . import derive, factor, numeric
 from .errors import AddTheoError, DegreeLawError, PruningError
-from .factor import factor_univariate
 from .funcspec import FuncSpec, FunctionClass, curve_polynomial, order
-from .numeric import (
-    EvalConfig,
-    class_tolerance,
-    guarded,
-    in_window,
-    phi_eval,
-    sample,
-    sample_mod,
-)
 from .poly import MPoly, divide_exact, rem_monic
 from .resultants import mgcd, resultant, squarefree_part
 
@@ -51,11 +41,6 @@ from .resultants import mgcd, resultant, squarefree_part
 # ----------------------------------------------------------------------
 # root-of-unity descriptors: (order k, index j) stands for exp(2*pi*i*j/k)
 # ----------------------------------------------------------------------
-
-
-def alpha_complex(descriptor) -> complex:
-    k, j = descriptor
-    return cmath.exp(2j * cmath.pi * j / k)
 
 
 def _unity_group(g: int):
@@ -177,7 +162,7 @@ def _half_period_minimal_polys(g2: Fraction, g3: Fraction):
     e^3 - (g2/4) e - (g3/4) (the half-period p-coordinates)."""
     e = MPoly.var(("e",), "e")
     cubic = e**3 - g2 / 4 * e - g3 / 4
-    return [f * (1 / f.leading_coefficient()) for f in factor_univariate(cubic)]
+    return [f * (1 / f.leading_coefficient()) for f in factor.factor_univariate(cubic)]
 
 
 def _elliptic_substitution_invariant(spec: FuncSpec, k: int, j: int, minpoly) -> bool:
@@ -278,20 +263,21 @@ def full_substitution_group(spec: FuncSpec) -> SymmetryReport:
 # ----------------------------------------------------------------------
 
 
-def degree_report(spec: FuncSpec) -> DegreeReport:
+def degree_report(spec: FuncSpec) -> derive.DegreeReport:
     """The law m*nu^2/lambda0 of spec."""
     nu = order(spec)
     lam0 = multiplier_group(spec).lambda0
-    return DegreeReport(m=1, nu=nu, lambda0=lam0, predicted=predicted_degree(1, nu, lam0))
+    return derive.DegreeReport(m=1, nu=nu, lambda0=lam0, predicted=predicted_degree(1, nu, lam0))
 
 
-def derive_addition_theorem(spec: FuncSpec, cfg: EvalConfig | None = None, verify_samples: int = 200) -> AdditionTheorem:
+def derive_addition_theorem(spec: FuncSpec, cfg: numeric.EvalConfig | None = None,
+                            verify_samples: int = 200) -> derive.AdditionTheorem:
     """Form the degree law, then derive, prune, degree-check and verify the
     addition theorem; theorem.law holds the law with G's degrees."""
     if cfg is None:
-        cfg = EvalConfig(tol=class_tolerance(spec))
+        cfg = numeric.EvalConfig(tol=numeric.class_tolerance(spec))
     law = degree_report(spec)
-    return prune(eliminate(spec), spec, cfg, law, verify_samples)
+    return derive.prune(derive.eliminate(spec), spec, cfg, law, verify_samples)
 
 
 # ----------------------------------------------------------------------
@@ -299,20 +285,20 @@ def derive_addition_theorem(spec: FuncSpec, cfg: EvalConfig | None = None, verif
 # ----------------------------------------------------------------------
 
 
-def k_points_mod(spec: FuncSpec, cfg: EvalConfig, salt: int, prime: int):
+def k_points_mod(spec: FuncSpec, cfg: numeric.EvalConfig, salt: int, prime: int):
     """Exact quadruples phi(a), phi(b), phi(c), phi(a + b - c) mod prime, or
     None when prime is bad for spec."""
 
     def point(f, a, b, c):
         return tuple(f.phi(v) for v in (a, b, c, f.add(f.add(a, b), f.neg(c))))
 
-    return sample_mod(spec, cfg, salt, 3, point, prime)
+    return numeric.sample_mod(spec, cfg, salt, 3, point, prime)
 
 
 def k_relation(
-    theorem: AdditionTheorem,
+    theorem: derive.AdditionTheorem,
     spec: FuncSpec,
-    cfg: EvalConfig,
+    cfg: numeric.EvalConfig,
     verify_samples: int = 200,
 ) -> KRelation:
     """The origin-independent relation among phi(u), phi(v), phi(w), phi(t)
@@ -331,12 +317,12 @@ def k_relation(
     def point(u, v, w):
         """Quadruples phi(u), phi(v), phi(w), phi(t) with u + v = w + t."""
         t = u + v - w
-        if not in_window(t):
+        if not numeric.in_window(t):
             return None
-        vals = [phi_eval(spec, arg) for arg in (u, v, w, t)]
-        return dict(zip(("x1", "x2", "x3", "x4"), vals)) if guarded(*vals) else None
+        vals = [numeric.phi_eval(spec, arg) for arg in (u, v, w, t)]
+        return dict(zip(("x1", "x2", "x3", "x4"), vals)) if numeric.guarded(*vals) else None
 
-    K = graph_factor(
+    K = derive.graph_factor(
         eliminant, ("x1", "x2", "x3", "x4"),
         lambda prime: k_points_mod(spec, cfg, 301, prime), "K-relation factor",
     )
@@ -351,7 +337,7 @@ def k_relation(
             f"(nu={theorem.law.nu}, lambda={lam}); the selected relation has "
             f"{len(K)} terms"
         )
-    max_res = certify(K, sample(verify_samples, cfg, 303, 3, point), cfg.tol, "K")
+    max_res = derive.certify(K, numeric.sample(verify_samples, cfg, 303, 3, point), cfg.tol, "K")
     return KRelation(
         K=K,
         degrees=degrees,
@@ -429,7 +415,7 @@ def _exact_alpha(spec_a: FuncSpec, spec_b: FuncSpec) -> complex | None:
     return _principal_root(k, 1 / c if elliptic else c)  # elliptic solves s = 1/alpha
 
 
-def same_theorem(spec_a: FuncSpec, spec_b: FuncSpec, cfg: EvalConfig,
+def same_theorem(spec_a: FuncSpec, spec_b: FuncSpec, cfg: numeric.EvalConfig,
                  verify_samples: int = 200) -> SameTheoremResult:
     """Decide whether two functions satisfy the same canonical theorem and,
     if so, solve exactly for a constant alpha with phi_a(alpha*u) = phi_b(u).
@@ -447,10 +433,3 @@ def same_theorem(spec_a: FuncSpec, spec_b: FuncSpec, cfg: EvalConfig,
             "phi_a(alpha*u) = phi_b(u) has no root alpha",
         )
     return SameTheoremResult(same=True, alpha=alpha)
-
-
-def check_rational_expressibility(spec: FuncSpec, cfg: EvalConfig | None = None) -> bool:
-    """True iff phi(u+v) is a rational function of phi(u), phi(v) alone,
-    i.e. the derived theorem is linear in the sum slot; its degree law
-    nu^2/lambda0 = 1 forces nu = 1."""
-    return derive_addition_theorem(spec, cfg).law.actual[2] == 1

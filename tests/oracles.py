@@ -10,15 +10,21 @@ of phi are the references for the term order and for derivatives, the term-by-te
 product of powers is the reference for MPoly.substitute, the eager fold,
 which eliminates every symbol from every relation, is the reference for
 derive.fold_eliminate, and the exact count of the preimages of a seeded
-value is the reference for funcspec.order.
+value is the reference for funcspec.order.  The last three are test
+predicates over the package's results: the complex value of a root-of-unity
+descriptor, irreducibility by factoring, and rational expressibility by the
+degree of G in z.
 """
 
+import cmath
 import random
 from fractions import Fraction
 
 from addtheo.derive import _monic, _pivot_eliminant, _pivot_key
 from addtheo.errors import AddTheoError, DegenerateEliminationError
+from addtheo.factor import factor
 from addtheo.funcspec import FunctionClass, curve_polynomial
+from addtheo.laws import derive_addition_theorem
 from addtheo.numeric import phi_eval
 from addtheo.poly import MPoly, divide_exact, pseudo_rem
 from addtheo.resultants import mgcd, resultant, squarefree_part
@@ -276,3 +282,21 @@ def _prs_gcd_primitive(a: MPoly, b: MPoly, name: str) -> MPoly:
             h = divide_exact(g**delta, h ** (delta - 1))
             if h is None:
                 raise AddTheoError("inexact division in gcd remainder sequence")
+
+
+def alpha_complex(descriptor) -> complex:
+    """exp(2*pi*i*j/k) for the root-of-unity descriptor (k, j)."""
+    k, j = descriptor
+    return cmath.exp(2j * cmath.pi * j / k)
+
+
+def is_irreducible(p: MPoly) -> bool:
+    fs = factor(p)
+    return len(fs) == 1 and fs[0][1] == 1
+
+
+def check_rational_expressibility(spec) -> bool:
+    """True iff phi(u+v) is a rational function of phi(u), phi(v) alone,
+    i.e. the derived theorem is linear in the sum slot; its degree law
+    nu^2/lambda0 = 1 forces nu = 1."""
+    return derive_addition_theorem(spec).law.actual[2] == 1

@@ -18,14 +18,16 @@ import pytest
 
 from conftest import SPECS, spec_path, spec_text
 from test_cli import run_cli
-from oracles import phi_derivative_numeric
-
-from addtheo.exprparse import parse_polynomial
-from addtheo.factor import is_irreducible
-from addtheo.funcspec import parse_spec, order
-from addtheo.laws import (
+from oracles import (
     alpha_complex,
     check_rational_expressibility,
+    is_irreducible,
+    phi_derivative_numeric,
+)
+
+from addtheo.exprparse import parse_polynomial
+from addtheo.funcspec import parse_spec, order
+from addtheo.laws import (
     full_substitution_group,
     k_relation,
     multiplier_group,

@@ -75,7 +75,6 @@ def test_derive_trace_eliminates_once(monkeypatch, capsys):
         calls.append(spec)
         return real(spec)
 
-    monkeypatch.setattr(cli, "eliminate", counting)
     monkeypatch.setattr(derive, "eliminate", counting)
     assert cli.main(["derive", spec_path("cosh.spec"), "--trace"]) == 0
     assert len(calls) == 1
@@ -415,6 +414,48 @@ def test_run_exits_as_the_module_does(tmp_path, argv, code):
     assert untimed(entry.stderr) == untimed(module.stderr)
 
 
+# cli defers four modules (docs/decisions.md section 6): each is in
+# sys.modules from the start, and a plain module once its code has run
+DEFERRED = ("numeric", "factor", "derive", "laws")
+RAN_DEFERRED = (
+    "import sys, types\n"
+    "import addtheo.cli as cli\n"
+    "if sys.argv[1:]:\n"
+    "    cli.main(sys.argv[1:])\n"
+    "print(*[name for name in " + repr(DEFERRED) + "\n"
+    "        if type(sys.modules['addtheo.' + name]) is types.ModuleType])\n"
+)
+
+
+@pytest.mark.parametrize("argv, ran", [
+    ((), ()),
+    (("derive", spec_path("broken.spec")), ()),
+    (("verify", spec_path("cos.spec"), "--g", GOLDEN_G["cos"]), ("numeric",)),
+    (("symmetry", spec_path("cos.spec")), ("laws",)),
+    (("symmetry", spec_path("wp-prime.spec")), ("factor", "laws")),
+    (("derive", spec_path("cos.spec")), DEFERRED),
+], ids=["import", "derive-broken", "verify-cos", "symmetry-cos", "symmetry-wp-prime",
+        "derive-cos"])
+def test_each_command_runs_only_the_modules_it_uses(argv, ran):
+    proc = run_cli(*argv, entry=("-c", RAN_DEFERRED))
+    assert proc.stdout.splitlines()[-1].split() == list(ran)
+
+
+def test_cli_keeps_a_deferred_module_imported_before_it(monkeypatch):
+    # a library user or a test that imported derive first, then cli, sees one
+    # module object, not a second, lazy one
+    import importlib
+
+    import addtheo
+    from addtheo import derive
+
+    # a second import of cli; both entries get the first one back afterwards
+    monkeypatch.delitem(sys.modules, "addtheo.cli", raising=False)
+    monkeypatch.setattr(addtheo, "cli", None, raising=False)
+    cli = importlib.import_module("addtheo.cli")
+    assert cli.derive is derive is sys.modules["addtheo.derive"]
+
+
 def test_option_values_that_start_with_a_minus_sign(tmp_path, capsys):
     # argparse reads "--x0 -5/2" as two options; the README's "--x0=-5/2"
     # form passes the value
@@ -453,11 +494,12 @@ def test_zero_mu_exits_2(tmp_path, mu):
 @pytest.mark.parametrize("candidate", ["0", "x - x"])
 def test_verify_zero_candidate_exits_2_before_sampling(monkeypatch, capsys, candidate):
     import addtheo.cli as cli
+    from addtheo import numeric
 
     def never(*args, **kwargs):
         raise AssertionError("sampled a zero candidate")
 
-    monkeypatch.setattr(cli, "sample_graph", never)
+    monkeypatch.setattr(numeric, "sample_graph", never)
     assert cli.main(["verify", spec_path("cos.spec"), "--g", candidate]) == 2
     assert "error: the candidate G is the zero polynomial" in capsys.readouterr().err
 
@@ -485,11 +527,12 @@ def test_bad_option_values_exit_2_before_computing(tmp_path, args, option):
 
 def test_bad_sample_count_stops_before_elimination(monkeypatch, capsys):
     import addtheo.cli as cli
+    from addtheo import derive
 
     def never(spec):
         raise AssertionError("eliminated before the options were checked")
 
-    monkeypatch.setattr(cli, "eliminate", never)
+    monkeypatch.setattr(derive, "eliminate", never)
     assert cli.main(["derive", spec_path("cos.spec"), "--samples", "-3"]) == 2
     assert "error: --samples must be positive" in capsys.readouterr().err
 

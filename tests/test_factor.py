@@ -14,10 +14,11 @@ from addtheo.factor import (
     _try_factor_monic,
     factor,
     factor_univariate,
-    is_irreducible,
 )
 from addtheo.poly import MPoly
 from addtheo.resultants import mgcd
+
+from oracles import is_irreducible
 
 RING = ("x", "y", "z")
 

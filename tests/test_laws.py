@@ -10,8 +10,6 @@ from addtheo import laws, numeric
 from addtheo.errors import AddTheoError, DegreeLawError, SpecValidationError
 from addtheo.funcspec import FunctionClass, make_spec, order, parse_spec
 from addtheo.laws import (
-    alpha_complex,
-    check_rational_expressibility,
     degree_report,
     full_substitution_group,
     k_points_mod,
@@ -25,6 +23,7 @@ from addtheo.numeric import PRIMES, EvalConfig, Residues, class_tolerance, phi_e
 from addtheo.poly import MPoly
 
 from conftest import spec_text
+from oracles import alpha_complex, check_rational_expressibility
 
 CFG = EvalConfig()
 
