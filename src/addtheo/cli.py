@@ -18,16 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import (
-    AddTheoError,
-    DegenerateEliminationError,
-    DegenerateSpecializationError,
-    ExprSyntaxError,
-    MonomialOverflowError,
-    SamplingError,
-    SpecValidationError,
-    VerificationError,
-)
+from .errors import AddTheoError, SpecValidationError, VerificationError
 from .exprparse import parse_polynomial
 from .funcspec import FuncSpec, parse_spec
 from .poly import MPoly
@@ -55,13 +46,6 @@ def _defer(*names):
 
 _defer("numeric", "factor", "derive", "laws")
 from . import derive, laws, numeric
-
-_PARSE_ERRORS = (ExprSyntaxError, MonomialOverflowError, SpecValidationError)
-_DEGENERATE_ERRORS = (
-    DegenerateEliminationError,
-    DegenerateSpecializationError,
-    SamplingError,
-)
 
 
 def _read_input(path) -> str:
@@ -152,16 +136,15 @@ def _theorem_json(theorem):
     }
 
 
+def _trace_eliminant(raw):
+    print(f"trace (non-contractual): eliminant = {raw.to_text()}", file=sys.stderr)
+
+
 def cmd_derive(args):
     spec = _load_spec(args.spec)
-    cfg = _config(spec, args)
-    law = laws.degree_report(spec)
-    raw = derive.eliminate(spec)
-    if args.trace:
-        print(f"trace (non-contractual): eliminant = {raw.to_text()}", file=sys.stderr)
-    theorem = derive.prune(raw, spec, cfg, law, verify_samples=args.samples)
-    lines = [theorem.G.to_text()]
-    return lines, {"theorem": _theorem_json(theorem)}
+    trace = _trace_eliminant if args.trace else None
+    theorem = laws.derive_addition_theorem(spec, _config(spec, args), args.samples, trace)
+    return [theorem.G.to_text()], {"theorem": _theorem_json(theorem)}
 
 
 def cmd_verify(args):
@@ -249,7 +232,7 @@ def cmd_krel(args):
     spec = _load_spec(args.spec)
     cfg = _config(spec, args)
     theorem = laws.derive_addition_theorem(spec, cfg, verify_samples=args.samples)
-    rel = laws.k_relation(theorem, spec, cfg, verify_samples=args.samples)
+    rel = laws.k_relation(theorem, cfg, verify_samples=args.samples)
     lines = [
         rel.K.to_text(),
         "degrees=" + ",".join(str(d) for d in rel.degrees) + f" lambda={rel.lam}",
@@ -354,15 +337,9 @@ def main(argv=None) -> int:
         _check_options(args)
         lines, result = _COMMANDS[args.command][0](args)
         status, code, message = "ok", 0, None
-    except _PARSE_ERRORS as exc:
-        lines, result = None, None
-        status, code, message = "parse-error", 2, str(exc)
-    except _DEGENERATE_ERRORS as exc:
-        lines, result = None, None
-        status, code, message = "degenerate", 3, str(exc)
     except AddTheoError as exc:
         lines, result = None, None
-        status, code, message = "verification-failed", 1, str(exc)
+        status, code, message = exc.status, exc.code, str(exc)
     elapsed_ms = int(1000 * (time.monotonic() - started))
     if args.json:
         import json  # only a report needs it; see docs/decisions.md section 6

@@ -27,8 +27,9 @@ and only until the last step finds a usable pair (docs/decisions.md section 3).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
+from . import factor, numeric
 from .errors import (
     AddTheoError,
     DegenerateEliminationError,
@@ -38,17 +39,11 @@ from .errors import (
     VerificationError,
 )
 from .funcspec import FuncSpec, FunctionClass, curve_polynomial
-from .numeric import (
-    PRIMES,
-    EvalConfig,
-    graph_points_mod,
-    relative_residual,
-    sample_graph,
-    sample_mod,
-)
 from .poly import MPoly, rem_monic
 from .resultants import content_and_primitive, resultant, squarefree_part
-from .factor import factor
+
+if TYPE_CHECKING:  # laws builds on derive, never the reverse
+    from .laws import DegreeReport
 
 Q = Fraction
 
@@ -63,14 +58,6 @@ _ELIM_ORDER = {
     FunctionClass.RATIONAL_OF_EXP: ("t3", "t2", "t1"),
     FunctionClass.ELLIPTIC: ("q3", "q2", "q1", "p3", "p2", "p1"),
 }
-
-
-class DegreeReport(NamedTuple):
-    m: int
-    nu: int
-    lambda0: int
-    predicted: int
-    actual: tuple | None = None  # a derived G's degrees in x, y, z
 
 
 class _TheoremFields(NamedTuple):
@@ -261,9 +248,9 @@ def graph_factor(eliminant: MPoly, names, points, what: str) -> MPoly:
     a prime when it vanishes mod prime at every point; the primes of
     numeric.PRIMES are tried in turn until exactly one factor survives.
     """
-    candidates = [f for f, _ in factor(eliminant)]
+    candidates = [f for f, _ in factor.factor(eliminant)]
     survivors = []
-    for prime in PRIMES:
+    for prime in numeric.PRIMES:
         pts = points(prime)
         if pts is None:
             continue
@@ -279,7 +266,7 @@ def graph_factor(eliminant: MPoly, names, points, what: str) -> MPoly:
 
 def certify(g: MPoly, points, tol: float, what: str) -> float:
     """The largest relative residual of g on fresh points; it must stay below tol."""
-    max_res = max(relative_residual(g, pt) for pt in points)
+    max_res = max(numeric.relative_residual(g, pt) for pt in points)
     if max_res >= tol:
         raise VerificationError(
             f"{what} residual {max_res:.3e} exceeds tolerance {tol:.1e}"
@@ -287,7 +274,8 @@ def certify(g: MPoly, points, tol: float, what: str) -> float:
     return max_res
 
 
-def prune(eliminant: MPoly, spec: FuncSpec, cfg: EvalConfig, law: DegreeReport, verify_samples: int = 200) -> AdditionTheorem:
+def prune(eliminant: MPoly, spec: FuncSpec, cfg: numeric.EvalConfig, law: DegreeReport,
+          verify_samples: int = 200) -> AdditionTheorem:
     """Select the unique irreducible factor vanishing on the graph, check its
     z-degree against the degree law `law` (a DegreeReport of spec), then
     certify it on complex graph samples."""
@@ -296,7 +284,7 @@ def prune(eliminant: MPoly, spec: FuncSpec, cfg: EvalConfig, law: DegreeReport, 
 
     g = graph_factor(
         eliminant, ("x", "y", "z"),
-        lambda prime: graph_points_mod(spec, cfg, 101, prime), "graph component",
+        lambda prime: numeric.graph_points_mod(spec, cfg, 101, prime), "graph component",
     )
     xy = (MPoly.var(g.variables, "x") - MPoly.var(g.variables, "y")).canonicalize()
     if g == xy:
@@ -307,7 +295,7 @@ def prune(eliminant: MPoly, spec: FuncSpec, cfg: EvalConfig, law: DegreeReport, 
             f"derived degree {deg_z} does not match the degree law "
             f"m*nu^2/lambda0 = {law.predicted} (nu={law.nu}, lambda0={law.lambda0})"
         )
-    samples = sample_graph(spec, verify_samples, cfg, salt=103)
+    samples = numeric.sample_graph(spec, verify_samples, cfg, salt=103)
     points = [{"x": s.x, "y": s.y, "z": s.z} for s in samples]
     max_res = certify(g, points, cfg.tol, "derived theorem")
     actual = (g.degree_in("x"), g.degree_in("y"), deg_z)
@@ -382,7 +370,7 @@ def phi_prime(spec: FuncSpec):
     return d(num) * den - num * d(den), den * den
 
 
-def derivative_relation(spec: FuncSpec, cfg: EvalConfig | None = None) -> MPoly:
+def derivative_relation(spec: FuncSpec, cfg: numeric.EvalConfig | None = None) -> MPoly:
     """The algebraic relation between phi and its derivative.
 
     The derivative is phi_prime's: for the exponential class it is taken
@@ -391,7 +379,7 @@ def derivative_relation(spec: FuncSpec, cfg: EvalConfig | None = None) -> MPoly:
     (phi, phi') mod p; cfg supplies only the seed.
     """
     if cfg is None:
-        cfg = EvalConfig()
+        cfg = numeric.EvalConfig()
     ring = ("x", "d") + spec.uniformizer
     w, d2 = phi_prime(spec)
     relations = [
@@ -409,5 +397,6 @@ def derivative_relation(spec: FuncSpec, cfg: EvalConfig | None = None) -> MPoly:
     # the image of u -> (phi, phi') is one irreducible curve
     return graph_factor(
         best, ("x", "d"),
-        lambda prime: sample_mod(spec, cfg, 201, 1, point, prime), "derivative-relation factor",
+        lambda prime: numeric.sample_mod(spec, cfg, 201, 1, point, prime),
+        "derivative-relation factor",
     )

@@ -1,12 +1,16 @@
 """Exception hierarchy shared across the kernel.
 
-The CLI maps these onto exit codes: validation and parse problems exit 2,
-degeneracies exit 3, verification and pruning failures exit 1.
+Each class carries what the CLI reports for it: `status`, the report's
+status, and `code`, the exit code.  Validation and parse problems are
+("parse-error", 2), degeneracies ("degenerate", 3), and every other error,
+verification and pruning failures among them, ("verification-failed", 1).
 """
 
 
 class AddTheoError(Exception):
     """Base class for all kernel errors."""
+
+    status, code = "verification-failed", 1
 
 
 class ZeroPolynomialError(AddTheoError):
@@ -15,6 +19,8 @@ class ZeroPolynomialError(AddTheoError):
 
 class ExprSyntaxError(AddTheoError):
     """Syntax error in an expression or spec file, with position info."""
+
+    status, code = "parse-error", 2
 
     def __init__(self, message, line=None, column=None):
         self.line = line
@@ -27,13 +33,19 @@ class ExprSyntaxError(AddTheoError):
 class SpecValidationError(AddTheoError):
     """A parsed function description violates a structural constraint."""
 
+    status, code = "parse-error", 2
+
 
 class DegenerateEliminationError(AddTheoError):
     """An intermediate resultant collapsed to zero (shared factor)."""
 
+    status, code = "degenerate", 3
+
 
 class DegenerateSpecializationError(AddTheoError):
     """Base-point specialization produced an identity instead of a relation."""
+
+    status, code = "degenerate", 3
 
 
 class PruningError(AddTheoError):
@@ -53,6 +65,10 @@ class SamplingError(AddTheoError):
     """A sampler rejected almost every draw; the message names the last
     rejection."""
 
+    status, code = "degenerate", 3
+
 
 class MonomialOverflowError(AddTheoError):
     """A monomial's total degree does not fit its packed field."""
+
+    status, code = "parse-error", 2

@@ -19,8 +19,9 @@ them.  Both searches are exact:
 
 Degree predictions follow m*nu^2/lambda0 for the addition theorem and
 m*nu^3/lambda for the four-variable K-relation (docs/decisions.md, section 2).
-derive_addition_theorem forms the first law before derive eliminates, and
-the theorem it returns carries that law.
+derive_addition_theorem, the one derivation pipeline (the CLI's derive runs
+it too), forms the first law before derive eliminates, and the theorem it
+returns carries that law.
 """
 
 from __future__ import annotations
@@ -263,21 +264,33 @@ def full_substitution_group(spec: FuncSpec) -> SymmetryReport:
 # ----------------------------------------------------------------------
 
 
-def degree_report(spec: FuncSpec) -> derive.DegreeReport:
+class DegreeReport(NamedTuple):
+    m: int
+    nu: int
+    lambda0: int
+    predicted: int
+    actual: tuple | None = None  # a derived G's degrees in x, y, z
+
+
+def degree_report(spec: FuncSpec) -> DegreeReport:
     """The law m*nu^2/lambda0 of spec."""
     nu = order(spec)
     lam0 = multiplier_group(spec).lambda0
-    return derive.DegreeReport(m=1, nu=nu, lambda0=lam0, predicted=predicted_degree(1, nu, lam0))
+    return DegreeReport(m=1, nu=nu, lambda0=lam0, predicted=predicted_degree(1, nu, lam0))
 
 
 def derive_addition_theorem(spec: FuncSpec, cfg: numeric.EvalConfig | None = None,
-                            verify_samples: int = 200) -> derive.AdditionTheorem:
+                            verify_samples: int = 200, trace=None) -> derive.AdditionTheorem:
     """Form the degree law, then derive, prune, degree-check and verify the
-    addition theorem; theorem.law holds the law with G's degrees."""
+    addition theorem; theorem.law holds the law with G's degrees.  trace, when
+    given, is called with the raw eliminant before it is pruned."""
     if cfg is None:
         cfg = numeric.EvalConfig(tol=numeric.class_tolerance(spec))
     law = degree_report(spec)
-    return derive.prune(derive.eliminate(spec), spec, cfg, law, verify_samples)
+    raw = derive.eliminate(spec)
+    if trace is not None:
+        trace(raw)
+    return derive.prune(raw, spec, cfg, law, verify_samples)
 
 
 # ----------------------------------------------------------------------
@@ -297,15 +310,15 @@ def k_points_mod(spec: FuncSpec, cfg: numeric.EvalConfig, salt: int, prime: int)
 
 def k_relation(
     theorem: derive.AdditionTheorem,
-    spec: FuncSpec,
     cfg: numeric.EvalConfig,
     verify_samples: int = 200,
 ) -> KRelation:
     """The origin-independent relation among phi(u), phi(v), phi(w), phi(t)
-    under u + v = w + t.
+    under u + v = w + t, for the function theorem.spec.
 
     Its per-variable degrees must agree and equal m*nu^3/lambda; otherwise
     DegreeLawError is raised before the relation is certified."""
+    spec = theorem.spec
     ring = ("x4", "x3", "x2", "x1", "s")
     g12 = theorem.G.rename({"x": "x1", "y": "x2", "z": "s"}).embed(ring)
     g34 = theorem.G.rename({"x": "x3", "y": "x4", "z": "s"}).embed(ring)

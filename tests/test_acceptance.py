@@ -200,7 +200,7 @@ def test_criterion_07b_k_relation_elliptic(theorems):
     text = spec_text("wp-lemniscatic.spec")
     spec = parse_spec(text)
     theorem = theorems(text)
-    rel = k_relation(theorem, spec, EvalConfig(tol=1e-6))
+    rel = k_relation(theorem, EvalConfig(tol=1e-6))
     elapsed = time.monotonic() - started
     nu = order(spec)
     lam = full_substitution_group(spec).lam

@@ -372,6 +372,46 @@ def test_json_error_report_validates(tmp_path):
     assert "discriminant" in report["message"]
 
 
+# the status and exit code the errors.py docstring gives each error class
+ERROR_STATUS = {
+    "AddTheoError": ("verification-failed", 1),
+    "ZeroPolynomialError": ("verification-failed", 1),
+    "ExprSyntaxError": ("parse-error", 2),
+    "SpecValidationError": ("parse-error", 2),
+    "MonomialOverflowError": ("parse-error", 2),
+    "DegenerateEliminationError": ("degenerate", 3),
+    "DegenerateSpecializationError": ("degenerate", 3),
+    "SamplingError": ("degenerate", 3),
+    "PruningError": ("verification-failed", 1),
+    "VerificationError": ("verification-failed", 1),
+    "DegreeLawError": ("verification-failed", 1),
+}
+
+
+def test_status_table_names_every_error_class():
+    from addtheo import errors
+
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.AddTheoError)}
+    assert classes == set(ERROR_STATUS)
+
+
+@pytest.mark.parametrize("name", ERROR_STATUS)
+def test_each_error_class_exits_with_its_status(monkeypatch, capsys, name):
+    import addtheo.cli as cli
+    from addtheo import errors
+
+    def raising(args):
+        raise getattr(errors, name)("raised by the handler")
+
+    monkeypatch.setitem(cli._COMMANDS, "derive", (raising, *cli._COMMANDS["derive"][1:]))
+    status, code = ERROR_STATUS[name]
+    assert cli.main(["derive", spec_path("cos.spec"), "--json"]) == code
+    report = validate_report(capsys.readouterr().out)
+    assert (report["status"], report["message"]) == (status, "raised by the handler")
+    assert "result" not in report
+
+
 def test_timing_on_stderr_only():
     proc = run_cli("derive", spec_path("exp-t.spec"))
     assert "elapsed_ms" not in proc.stdout
@@ -433,10 +473,15 @@ RAN_DEFERRED = (
     (("verify", spec_path("cos.spec"), "--g", GOLDEN_G["cos"]), ("numeric",)),
     (("symmetry", spec_path("cos.spec")), ("laws",)),
     (("symmetry", spec_path("wp-prime.spec")), ("factor", "laws")),
+    (("degrees", spec_path("cos.spec")), ("laws",)),
+    (("reduce-f", "F", "--x0", "1", "--y0", "1"), ("derive",)),
     (("derive", spec_path("cos.spec")), DEFERRED),
 ], ids=["import", "derive-broken", "verify-cos", "symmetry-cos", "symmetry-wp-prime",
-        "derive-cos"])
-def test_each_command_runs_only_the_modules_it_uses(argv, ran):
+        "degrees-cos", "reduce-f", "derive-cos"])
+def test_each_command_runs_only_the_modules_it_uses(tmp_path, argv, ran):
+    f = tmp_path / "f.txt"
+    f.write_text("Z - X*Y\n")
+    argv = [str(f) if a == "F" else a for a in argv]
     proc = run_cli(*argv, entry=("-c", RAN_DEFERRED))
     assert proc.stdout.splitlines()[-1].split() == list(ran)
 
@@ -622,16 +667,16 @@ def test_json_result_is_pinned(capsys, command, expected):
 
 def test_same_draws_the_requested_samples(monkeypatch, capsys):
     import addtheo.cli as cli
-    from addtheo import derive
+    from addtheo import numeric
 
     draws = []
-    real = derive.sample_graph
+    real = numeric.sample_graph
 
     def counting(spec, n, *args, **kwargs):
         draws.append(n)
         return real(spec, n, *args, **kwargs)
 
-    monkeypatch.setattr(derive, "sample_graph", counting)
+    monkeypatch.setattr(numeric, "sample_graph", counting)
     argv = ["same", spec_path("cos.spec"), spec_path("cosh.spec"), "--samples", "3", "--json"]
     assert cli.main(argv) == 0
     report = json.loads(capsys.readouterr().out)

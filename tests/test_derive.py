@@ -28,8 +28,7 @@ from addtheo.errors import (
 from addtheo.exprparse import parse_polynomial
 from addtheo.funcspec import FunctionClass, parse_spec
 from addtheo.factor import factor
-from addtheo.derive import DegreeReport
-from addtheo.laws import degree_report, derive_addition_theorem
+from addtheo.laws import DegreeReport, degree_report, derive_addition_theorem
 from addtheo.numeric import (
     PRIMES,
     EvalConfig,
@@ -411,7 +410,7 @@ def test_degree_law_guard_is_enforced(monkeypatch):
     spec = parse_spec(WP_LEM)
     theorem = derive_addition_theorem(spec)
     assert theorem.law.predicted == theorem.law.actual[2] == 2
-    monkeypatch.setattr(derive, "sample_graph", None)  # certification would call it
+    monkeypatch.setattr(numeric, "sample_graph", None)  # certification would call it
     with pytest.raises(DegreeLawError, match=r"derived degree 2 does not match .* = 4 "
                        r"\(nu=2, lambda0=1\)"):
         prune(eliminate(spec), spec, CFG, DegreeReport(1, 2, 1, 4))
@@ -545,14 +544,14 @@ def test_bad_first_prime_falls_back_to_the_next(monkeypatch):
     spec = parse_spec(f"class: rational\nphi: u^2 + u/{PRIMES[0]}\n")
     assert bad_prime(spec, PRIMES[0]) and not bad_prime(spec, PRIMES[1])
     tried = []
-    real = derive.graph_points_mod
+    real = numeric.graph_points_mod
 
     def spy(spec, cfg, salt, prime):
         points = real(spec, cfg, salt, prime)
         tried.append((prime, points is None))
         return points
 
-    monkeypatch.setattr(derive, "graph_points_mod", spy)
+    monkeypatch.setattr(numeric, "graph_points_mod", spy)
     theorem = derive_addition_theorem(spec)
     assert tried == [(PRIMES[0], True), (PRIMES[1], False)]
     assert theorem.law.actual[2] == theorem.law.predicted == 4

@@ -266,14 +266,12 @@ def test_rotations_about_a_rational_point_divide_lambda(outer, num, denom, k):
 
 
 def test_k_relation_exp_and_rational(theorems):
-    spec = parse_spec("class: exp\nphi: t\n")
-    rel = k_relation(theorems("class: exp\nphi: t\n"), spec, CFG)
+    rel = k_relation(theorems("class: exp\nphi: t\n"), CFG)
     assert rel.K.to_text() == "x1*x2 - x3*x4"
     assert rel.degrees == (1, 1, 1, 1)
     assert rel.lam == 1
 
-    spec = parse_spec("class: rational\nphi: u\n")
-    rel = k_relation(theorems("class: rational\nphi: u\n"), spec, CFG)
+    rel = k_relation(theorems("class: rational\nphi: u\n"), CFG)
     assert rel.K.to_text() == "x1 + x2 - x3 - x4"
     assert rel.degrees == (1, 1, 1, 1)
 
@@ -282,10 +280,9 @@ def test_k_relation_elliptic_true_shape(theorems, monkeypatch):
     # the irreducible relation on u+v = w+t samples has per-variable degree
     # nu^3/lambda = 4 (docs/decisions.md, section 2); the strict call returns it
     text = "class: elliptic\ng2: 4\ng3: 0\nphi: p\n"
-    spec = parse_spec(text)
     theorem = theorems(text)
     cfg = EvalConfig(tol=1e-6)
-    rel = k_relation(theorem, spec, cfg)
+    rel = k_relation(theorem, cfg)
     assert rel.degrees == (4, 4, 4, 4)
     assert rel.max_residual < 1e-6
     assert rel.lam == 2
@@ -297,7 +294,7 @@ def test_k_relation_elliptic_true_shape(theorems, monkeypatch):
         lambda s: real(s)._replace(lam=1),
     )
     with pytest.raises(DegreeLawError, match=r"do not match m\*nu\^3/lambda = 8"):
-        k_relation(theorem, spec, cfg)
+        k_relation(theorem, cfg)
 
 
 @pytest.mark.parametrize("name", ["exp-t", "cos", "wp-generic"])
@@ -306,7 +303,7 @@ def test_k_relation_vanishes_at_exact_k_points(theorems, name, monkeypatch):
     spec = parse_spec(text)
     theorem = theorems(text)
     cfg = EvalConfig(tol=class_tolerance(spec))
-    K = k_relation(theorem, spec, cfg, verify_samples=20).K
+    K = k_relation(theorem, cfg, verify_samples=20).K
     names = ("x1", "x2", "x3", "x4")
     prime = PRIMES[0]
     monkeypatch.setattr(numeric, "EXACT_POINTS", 50)
@@ -318,8 +315,7 @@ def test_k_relation_vanishes_at_exact_k_points(theorems, name, monkeypatch):
 
 def test_k_relation_symmetries(theorems):
     text = "class: elliptic\ng2: 4\ng3: 0\nphi: p\n"
-    spec = parse_spec(text)
-    rel = k_relation(theorems(text), spec, EvalConfig(tol=1e-6))
+    rel = k_relation(theorems(text), EvalConfig(tol=1e-6))
     K = rel.K
     ring = K.variables
 
