@@ -96,16 +96,6 @@ def _alpha_name(descriptor) -> str:
     return f"zeta{k}^{j}" if j != 1 else f"zeta{k}"
 
 
-def _fmt_complex(z: complex) -> str:
-    re, im = z.real, z.imag
-    if abs(im) < 5e-7:
-        return f"{re:.6g}"
-    if abs(re) < 5e-7:
-        return f"{im:.6g}i"
-    sign = "+" if im >= 0 else "-"
-    return f"{re:.6g}{sign}{abs(im):.6g}i"
-
-
 def _json(value):
     """A record as JSON data: fields by name, with lam written as "lambda";
     polynomials as text, complex numbers as [re, im], tuples as lists."""
@@ -163,18 +153,7 @@ def cmd_verify(args):
         raise SpecValidationError("the candidate G is the zero polynomial, which vanishes everywhere")
     g = g.canonicalize()
     samples = numeric.sample_graph(spec, args.samples, cfg, salt=7)
-    worst = None
-    worst_res = -1.0
-    for s in samples:
-        res = numeric.relative_residual(g, {"x": s.x, "y": s.y, "z": s.z})
-        if res > worst_res:
-            worst_res = res
-            worst = s
-    if worst_res >= cfg.tol:
-        raise VerificationError(
-            f"max_residual={worst_res:.3e} exceeds tol={cfg.tol:.1e} at "
-            f"u={_fmt_complex(worst.u)} v={_fmt_complex(worst.v)}"
-        )
+    max_res, worst = numeric.certify(g, samples, cfg.tol)
     # the verdict: exact vanishing at the points of the first good prime
     # (docs/decisions.md section 7); g is canonical, so it has no denominator
     for prime in numeric.PRIMES:
@@ -190,15 +169,12 @@ def cmd_verify(args):
             )
     result = {
         "G": g.to_text(),
-        "max_residual": worst_res,
+        "max_residual": max_res,
         "tol": cfg.tol,
         "ok": True,
-        "worst_sample": {
-            "u": [worst.u.real, worst.u.imag],
-            "v": [worst.v.real, worst.v.imag],
-        },
+        "worst_sample": {"u": _json(worst["u"]), "v": _json(worst["v"])},
     }
-    return [f"ok max_residual={worst_res:.3e}"], result
+    return [f"ok max_residual={max_res:.3e}"], result
 
 
 def cmd_degrees(args):
@@ -256,7 +232,7 @@ def cmd_same(args):
     elif verdict.alpha is None:
         line = "same=true alpha=unresolved"
     else:
-        line = f"same=true alpha={_fmt_complex(verdict.alpha)}"
+        line = f"same=true alpha={numeric.fmt_complex(verdict.alpha)}"
     return [line], {"same_theorem": _json(verdict)}
 
 

@@ -8,7 +8,8 @@ factors; pruning keeps the unique irreducible factor that vanishes exactly at
 graph points mod a large prime (docs/decisions.md section 7), exact division
 having already certified that it divides the eliminant.  Its degree is
 checked against the m*nu^2/lambda0 law, formed before elimination, and
-complex graph samples then certify it and give the reported residual.
+numeric.certify then checks it on complex graph samples and gives the
+reported residual.
 
 Elimination order (part of the contract, chosen to keep intermediate degrees
 low): rational u3, u2, u1; exponential t3, t2, t1; elliptic q3, q2, q1, p3,
@@ -36,7 +37,6 @@ from .errors import (
     DegenerateSpecializationError,
     DegreeLawError,
     PruningError,
-    VerificationError,
 )
 from .funcspec import FuncSpec, FunctionClass, curve_polynomial
 from .poly import MPoly, rem_monic
@@ -264,16 +264,6 @@ def graph_factor(eliminant: MPoly, names, points, what: str) -> MPoly:
     raise PruningError(f"ambiguous pruning of the {what}: surviving factors [{texts}]")
 
 
-def certify(g: MPoly, points, tol: float, what: str) -> float:
-    """The largest relative residual of g on fresh points; it must stay below tol."""
-    max_res = max(numeric.relative_residual(g, pt) for pt in points)
-    if max_res >= tol:
-        raise VerificationError(
-            f"{what} residual {max_res:.3e} exceeds tolerance {tol:.1e}"
-        )
-    return max_res
-
-
 def prune(eliminant: MPoly, spec: FuncSpec, cfg: numeric.EvalConfig, law: DegreeReport,
           verify_samples: int = 200) -> AdditionTheorem:
     """Select the unique irreducible factor vanishing on the graph, check its
@@ -296,8 +286,7 @@ def prune(eliminant: MPoly, spec: FuncSpec, cfg: numeric.EvalConfig, law: Degree
             f"m*nu^2/lambda0 = {law.predicted} (nu={law.nu}, lambda0={law.lambda0})"
         )
     samples = numeric.sample_graph(spec, verify_samples, cfg, salt=103)
-    points = [{"x": s.x, "y": s.y, "z": s.z} for s in samples]
-    max_res = certify(g, points, cfg.tol, "derived theorem")
+    max_res = numeric.certify(g, samples, cfg.tol)[0]
     actual = (g.degree_in("x"), g.degree_in("y"), deg_z)
     return AdditionTheorem(G=g, law=law._replace(actual=actual), spec=spec,
                            max_residual=max_res, samples=verify_samples, seed=cfg.seed)

@@ -328,12 +328,13 @@ def k_relation(
     eliminant = eliminant.restrict(("x4", "x3", "x2", "x1"))
 
     def point(u, v, w):
-        """Quadruples phi(u), phi(v), phi(w), phi(t) with u + v = w + t."""
+        """u, v, w and x1..x4 = phi(u), phi(v), phi(w), phi(t) with u + v = w + t."""
         t = u + v - w
         if not numeric.in_window(t):
             return None
         vals = [numeric.phi_eval(spec, arg) for arg in (u, v, w, t)]
-        return dict(zip(("x1", "x2", "x3", "x4"), vals)) if numeric.guarded(*vals) else None
+        keys = ("u", "v", "w", "x1", "x2", "x3", "x4")
+        return dict(zip(keys, (u, v, w, *vals))) if numeric.guarded(*vals) else None
 
     K = derive.graph_factor(
         eliminant, ("x1", "x2", "x3", "x4"),
@@ -350,12 +351,12 @@ def k_relation(
             f"(nu={theorem.law.nu}, lambda={lam}); the selected relation has "
             f"{len(K)} terms"
         )
-    max_res = derive.certify(K, numeric.sample(verify_samples, cfg, 303, 3, point), cfg.tol, "K")
+    samples = numeric.sample(verify_samples, cfg, 303, 3, point)
     return KRelation(
         K=K,
         degrees=degrees,
         lam=lam,
-        max_residual=max_res,
+        max_residual=numeric.certify(K, samples, cfg.tol)[0],
         samples=verify_samples,
         seed=cfg.seed,
     )

@@ -16,8 +16,10 @@ reproducible and could be parallelized without changing results.
 The same sampler draws exact points mod a prime (`Residues`, `sample_mod`):
 there the uniformizer is an element of Z/p or a point of the curve over Z/p,
 u + v is the group law, and phi is evaluated exactly.  Factor selection uses
-these points; complex points only certify and report residuals
-(docs/decisions.md sections 1 and 7).
+these points.  Complex samples, dicts of values by name, only certify: one
+routine, `certify`, gives the largest relative residual of a derived G, its K
+or a user's candidate and fails it at `tol` (docs/decisions.md sections 1
+and 7).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import AddTheoError, SamplingError
+from .errors import AddTheoError, SamplingError, VerificationError
 from .funcspec import FuncSpec, FunctionClass
 
 Q = Fraction
@@ -60,14 +62,6 @@ class EvalConfig(_EvalFields):
         if not (0 < self.tol < 1):
             raise AddTheoError("tol must lie in (0, 1)")
         return self
-
-
-class GraphSample(NamedTuple):
-    u: complex
-    v: complex
-    x: complex
-    y: complex
-    z: complex
 
 
 @lru_cache(maxsize=64)
@@ -188,7 +182,8 @@ def sample(n: int, cfg: EvalConfig, salt: int, arity: int, point, draw=None):
 
 
 def sample_graph(spec: FuncSpec, n: int, cfg: EvalConfig, salt: int):
-    """Draw n deterministic samples (u, v, phi(u), phi(v), phi(u+v)).
+    """Draw n deterministic samples, dicts of u, v and x, y, z = phi(u),
+    phi(v), phi(u+v).
 
     Draws whose sum leaves the radius window, whose arguments nearly
     coincide, or that land near poles are rejected.
@@ -199,15 +194,43 @@ def sample_graph(spec: FuncSpec, n: int, cfg: EvalConfig, salt: int):
         if not in_window(s) or abs(u - v) < 1e-3:
             return None
         x, y, z = (phi_eval(spec, arg) for arg in (u, v, s))
-        return GraphSample(u=u, v=v, x=x, y=y, z=z) if guarded(x, y, z) else None
+        return {"u": u, "v": v, "x": x, "y": y, "z": z} if guarded(x, y, z) else None
 
     return sample(n, cfg, salt, 2, point)
 
 
 def relative_residual(poly, point) -> float:
-    """|poly(point)| scaled by the largest single-term contribution."""
+    """|poly(point)| scaled by the largest single-term contribution; inf when
+    float overflow leaves no ratio (inf/inf), so certification fails."""
     value, scale = poly.evaluate_with_magnitude(point)
-    return abs(value) / max(scale, 1e-300)
+    res = abs(value) / max(scale, 1e-300)
+    return res if res == res else cmath.inf
+
+
+def fmt_complex(z: complex) -> str:
+    """z to six significant digits, a part below 5e-7 left out."""
+    re, im = z.real, z.imag
+    if abs(im) < 5e-7:
+        return f"{re:.6g}"
+    if abs(re) < 5e-7:
+        return f"{im:.6g}i"
+    sign = "+" if im >= 0 else "-"
+    return f"{re:.6g}{sign}{abs(im):.6g}i"
+
+
+def certify(g, samples, tol: float):
+    """(largest relative residual of g, the first sample reaching it) over
+    samples, dicts of values by name; VerificationError unless the residual
+    stays below tol, naming that sample's drawn u, v and, for K, w."""
+    max_res, worst = -1.0, None
+    for s in samples:
+        res = relative_residual(g, s)
+        if res > max_res:
+            max_res, worst = res, s
+    if max_res >= tol:
+        at = " ".join(f"{k}={fmt_complex(worst[k])}" for k in ("u", "v", "w") if k in worst)
+        raise VerificationError(f"max_residual={max_res:.3e} exceeds tol={tol:.1e} at {at}")
+    return max_res, worst
 
 
 def class_tolerance(spec: FuncSpec, override=None) -> float:

@@ -1,10 +1,12 @@
 import argparse
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 
 import pytest
@@ -20,7 +22,32 @@ GOLDEN_G = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="u
 BUNDLED_G = sorted(name for name in GOLDEN_G if ":" not in name)
 
 
-def run_cli(*args, expect_code=0, timeout=300, entry=("-m", "addtheo.cli")):
+def run_cli(*args, expect_code=0):
+    """cli.main(args) in this process, its exit code and output returned as
+    from a fresh process: for tests whose subject is a command's stdout,
+    stderr or exit code.  No assertion reads the two lru_caches (numeric's
+    series table, laws' cyclotomic polynomials), which are pure, so they are
+    not cleared."""
+    import addtheo.cli as cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    proc = subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+    assert proc.returncode == expect_code, (
+        f"exit {proc.returncode} != {expect_code}\nstdout: {proc.stdout}\n"
+        f"stderr: {proc.stderr}"
+    )
+    return proc
+
+
+def run_process(*args, expect_code=0, timeout=300, entry=("-m", "addtheo.cli")):
+    """A fresh Python process, for tests whose subject is the process: its
+    entry and exit, the modules it runs, its hash seed, its wall time, or a
+    timeout that guards against a hang."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
@@ -119,8 +146,9 @@ def test_derive_json_schema_and_content():
 
 
 def test_derive_stdout_deterministic():
-    a = run_cli("derive", spec_path("cosh.spec"), "--json")
-    b = run_cli("derive", spec_path("cosh.spec"), "--json")
+    # two processes, so two hash seeds: no output may follow set or dict order
+    a = run_process("derive", spec_path("cosh.spec"), "--json")
+    b = run_process("derive", spec_path("cosh.spec"), "--json")
     assert a.stdout == b.stdout
 
 
@@ -141,6 +169,16 @@ def test_verify_rejects_a_candidate_that_only_nearly_vanishes(spec, candidate):
     proc = run_cli("verify", spec_path(f"{spec}.spec"), "--g", candidate, expect_code=1)
     assert proc.stdout == ""
     assert "error: G does not vanish on the graph mod 2305843009213693951 at (x, y, z) = (" in proc.stderr
+
+
+def test_verify_fails_a_candidate_whose_residual_overflows(capsys):
+    # a multiple of G whose float values overflow has no finite residual:
+    # the certification must fail it with a message, not raise
+    import addtheo.cli as cli
+
+    g = f"(10^300*x^50 + 1)*({GOLDEN_G['wp-generic']})"
+    assert cli.main(["verify", spec_path("wp-generic.spec"), "--g", g]) == 1
+    assert capsys.readouterr().err.startswith("error: max_residual=inf exceeds tol=1.0e-06 at u=")
 
 
 def _verify_code(spec, candidate):
@@ -330,7 +368,7 @@ def test_oversized_law_stops_before_elimination(tmp_path, command, power):
     # derive forms the law before it eliminates
     big = tmp_path / "big.spec"
     big.write_text(f"class: rational\nphi: u^{power}\n", encoding="utf-8")
-    proc = run_cli(command, str(big), "--json", expect_code=2, timeout=60)
+    proc = run_process(command, str(big), "--json", expect_code=2, timeout=60)
     report = validate_report(proc.stdout)
     assert report["status"] == "parse-error"
     assert "monomial field" in report["message"]
@@ -444,8 +482,8 @@ def test_run_exits_as_the_module_does(tmp_path, argv, code):
     f = tmp_path / "f.txt"
     f.write_text("Z - X*Y\n")
     argv = [str(f) if arg == "F" else arg for arg in argv]
-    module = run_cli(*argv, expect_code=code)
-    entry = run_cli(*argv, expect_code=code, entry=("-c", "from addtheo.cli import run; run()"))
+    module = run_process(*argv, expect_code=code)
+    entry = run_process(*argv, expect_code=code, entry=("-c", "from addtheo.cli import run; run()"))
     assert entry.stdout == module.stdout
 
     def untimed(stderr):
@@ -482,7 +520,7 @@ def test_each_command_runs_only_the_modules_it_uses(tmp_path, argv, ran):
     f = tmp_path / "f.txt"
     f.write_text("Z - X*Y\n")
     argv = [str(f) if a == "F" else a for a in argv]
-    proc = run_cli(*argv, entry=("-c", RAN_DEFERRED))
+    proc = run_process(*argv, entry=("-c", RAN_DEFERRED))
     assert proc.stdout.splitlines()[-1].split() == list(ran)
 
 
@@ -607,6 +645,31 @@ def test_max_residual_is_bit_identical(capsys, command, key, expected):
     assert cli.main(argv) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert repr((result[key] if key else result)["max_residual"]) == expected
+
+
+# the one certification message (numeric.certify) at seed 0: the largest
+# residual, the tolerance and the drawn arguments of the sample reaching it;
+# cosh's G passes at 5e-16 and its K does not
+CERTIFY_FAILURES = [
+    (("derive", "cos", "--tol", "1e-30"), "max_residual=3.321e-16 exceeds tol=1.0e-30 "
+     "at u=-0.0503622+0.0692565i v=-0.141702-0.204065i"),
+    (("krel", "cosh", "--tol", "5e-16"), "max_residual=6.187e-16 exceeds tol=5.0e-16 "
+     "at u=0.235788-0.059542i v=0.0104099-0.090076i w=0.0535992-0.00522589i"),
+    (("verify", "cos", "--tol", "1e-30", "--g", GOLDEN_G["cos"]), "max_residual=4.433e-16 "
+     "exceeds tol=1.0e-30 at u=0.0181333-0.0517197i v=-0.0835898-0.0482861i"),
+]
+
+
+@pytest.mark.parametrize("command, message", CERTIFY_FAILURES,
+                         ids=[" ".join(c[:2]) for c, _ in CERTIFY_FAILURES])
+def test_certification_failure_names_the_worst_sample(capsys, command, message):
+    import addtheo.cli as cli
+
+    verb, name, *rest = command
+    assert cli.main([verb, spec_path(f"{name}.spec"), *rest, "--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == "error: " + message
 
 
 # the whole --json result of each report kind at seed 0, floats as printed:

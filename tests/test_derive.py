@@ -367,7 +367,7 @@ def test_mu_independence(theorems):
     for text in (COSH, "class: exp\nphi: (t^2+1)/(2*t)\nmu: i\n"):
         spec = parse_spec(text)
         for s in sample_graph(spec, 50, CFG, salt=0):
-            assert relative_residual(cosh.G, {"x": s.x, "y": s.y, "z": s.z}) < 1e-9
+            assert relative_residual(cosh.G, {"x": s["x"], "y": s["y"], "z": s["z"]}) < 1e-9
 
 
 def test_multiplier_closure_on_graph(theorems):
@@ -388,9 +388,9 @@ def test_multiplier_closure_on_graph(theorems):
             alpha = alpha_complex(descriptor)
             for s in sample_graph(spec, 20, CFG, salt=0):
                 point = {
-                    "x": phi_eval(spec, alpha * s.u),
-                    "y": phi_eval(spec, alpha * s.v),
-                    "z": phi_eval(spec, alpha * (s.u + s.v)),
+                    "x": phi_eval(spec, alpha * s["u"]),
+                    "y": phi_eval(spec, alpha * s["v"]),
+                    "z": phi_eval(spec, alpha * (s["u"] + s["v"])),
                 }
                 assert relative_residual(theorem.G, point) < tol
 
@@ -400,7 +400,7 @@ def test_graph_vanishing_500(theorems):
     spec = parse_spec(COSH)
     pts = sample_graph(spec, 500, CFG, salt=99)
     worst = max(
-        relative_residual(theorem.G, {"x": s.x, "y": s.y, "z": s.z}) for s in pts
+        relative_residual(theorem.G, {"x": s["x"], "y": s["y"], "z": s["z"]}) for s in pts
     )
     assert worst < 1e-9
 

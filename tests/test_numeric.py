@@ -6,13 +6,14 @@ import pytest
 
 from addtheo import numeric
 from addtheo.derive import base_law
-from addtheo.errors import AddTheoError, SamplingError
+from addtheo.errors import AddTheoError, SamplingError, VerificationError
 from addtheo.funcspec import parse_spec
 from addtheo.laws import k_relation
 from addtheo.numeric import (
     PRIMES,
     EvalConfig,
     Residues,
+    certify,
     class_tolerance,
     phi_eval,
     relative_residual,
@@ -112,8 +113,8 @@ def test_sample_graph_deterministic_and_lawful():
     b = sample_graph(spec, 20, CFG, salt=0)
     assert a == b
     for s in a:
-        assert abs(s.z - s.x * s.y) < 1e-12
-        assert 0.05 <= abs(s.u + s.v) <= 0.25
+        assert abs(s["z"] - s["x"] * s["y"]) < 1e-12
+        assert 0.05 <= abs(s["u"] + s["v"]) <= 0.25
     c = sample_graph(spec, 20, EvalConfig(seed=1), salt=0)
     assert c != a
 
@@ -121,7 +122,7 @@ def test_sample_graph_deterministic_and_lawful():
 def test_elliptic_samples_respect_guard():
     spec = parse_spec("class: elliptic\ng2: 4\ng3: 1\nphi: p\n")
     for s in sample_graph(spec, 30, CFG, salt=0):
-        assert max(abs(s.x), abs(s.y), abs(s.z)) <= numeric.POLE_GUARD
+        assert max(abs(s["x"]), abs(s["y"]), abs(s["z"])) <= numeric.POLE_GUARD
 
 
 @pytest.mark.parametrize("sampler", ["sample_graph", "k_relation", "exact_draws"])
@@ -159,6 +160,47 @@ def test_relative_residual_scales():
     g = x * y - z
     assert relative_residual(g, {"x": 2.0, "y": 3.0, "z": 6.0}) == 0.0
     assert relative_residual(g, {"x": 2.0, "y": 3.0, "z": 5.0}) == pytest.approx(1 / 6)
+
+
+def test_residual_lost_to_float_overflow_is_infinite():
+    from addtheo.poly import MPoly
+
+    ring = ("x", "y", "z")
+    x, y, z = (MPoly.var(ring, n) for n in ring)
+    # x*y overflows in its value and in its magnitude, whose ratio is NaN
+    point = {"u": 0.1, "v": 0.2, "x": 1e200, "y": 1e200, "z": 1.0}
+    assert relative_residual(x * y - z, point) == float("inf")
+    failure = r"^max_residual=inf exceeds tol=1\.0e-09 at u=0\.1 v=0\.2$"
+    with pytest.raises(VerificationError, match=failure):
+        certify(x * y - z, [point], 1e-9)
+
+
+def test_certify_keeps_the_worst_sample():
+    from addtheo.poly import MPoly
+
+    ring = ("x", "y", "z")
+    x, y, z = (MPoly.var(ring, n) for n in ring)
+    # residuals 1/12, 1/6 and 0: the worst sample is neither the first nor the last
+    samples = [
+        {"u": 0.2, "v": 0.1, "x": 2.0, "y": 3.0, "z": 5.5},
+        {"u": 0.1j, "v": 0.3 - 0.2j, "x": 2.0, "y": 3.0, "z": 5.0},
+        {"u": 0.1, "v": 0.2, "x": 2.0, "y": 3.0, "z": 6.0},
+    ]
+    assert certify(x * y - z, samples, 0.5) == (1 / 6, samples[1])
+    with pytest.raises(VerificationError) as failed:
+        certify(x * y - z, samples, 0.1)
+    assert str(failed.value) == "max_residual=1.667e-01 exceeds tol=1.0e-01 at u=0.1i v=0.3-0.2i"
+
+
+def test_certify_names_w_for_a_k_sample():
+    from addtheo.poly import MPoly
+
+    ring = ("x1", "x2", "x3", "x4")
+    x1, x2, x3, x4 = (MPoly.var(ring, n) for n in ring)
+    k_sample = {"u": 0.1, "v": -0.2j, "w": 0.15 + 0.05j, "x1": 1.0, "x2": 2.0, "x3": 1.0, "x4": 1.0}
+    with pytest.raises(VerificationError, match=r"^max_residual=5\.000e-01 exceeds tol=1\.0e-09 "
+                       r"at u=0\.1 v=-0\.2i w=0\.15\+0\.05i$"):
+        certify(x1 + x2 - x3 - x4, [k_sample], 1e-9)
 
 
 def test_class_tolerance_defaults():
