@@ -156,10 +156,8 @@ def cmd_verify(args):
     max_res, worst = numeric.certify(g, samples, cfg.tol)
     # the verdict: exact vanishing at the points of the first good prime
     # (docs/decisions.md section 7); g is canonical, so it has no denominator
-    for prime in numeric.PRIMES:
-        points = numeric.graph_points_mod(spec, cfg, 8, prime)
-        if points is not None:
-            break
+    for prime, points in numeric.exact_points(spec, cfg, 8, 2, numeric.graph_point):
+        break
     else:
         raise VerificationError("no prime tried reduces the spec, so G cannot be checked exactly")
     for x, y, z in points:

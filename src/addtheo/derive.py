@@ -240,20 +240,17 @@ def eliminate(spec: FuncSpec) -> MPoly:
     return final.restrict(("x", "y", "z")).canonicalize()
 
 
-def graph_factor(eliminant: MPoly, names, points, what: str) -> MPoly:
+def graph_factor(eliminant: MPoly, names, pairs, what: str) -> MPoly:
     """The unique irreducible factor of eliminant vanishing on the graph.
 
-    points(prime) returns exact points mod prime as value tuples in `names`
-    order, or None for a prime that is bad for the spec.  A factor survives
-    a prime when it vanishes mod prime at every point; the primes of
-    numeric.PRIMES are tried in turn until exactly one factor survives.
+    pairs yields (prime, points), the points exact mod prime as value tuples
+    in `names` order (numeric.exact_points).  A factor survives a prime when
+    it vanishes mod prime at every point; the pairs are taken in turn until
+    exactly one factor survives.
     """
     candidates = [f for f, _ in factor.factor(eliminant)]
     survivors = []
-    for prime in numeric.PRIMES:
-        pts = points(prime)
-        if pts is None:
-            continue
+    for prime, pts in pairs:
         pts = [dict(zip(names, pt)) for pt in pts]
         survivors = [f for f in candidates if not any(f.evaluate_mod(pt, prime) for pt in pts)]
         if len(survivors) == 1:
@@ -272,10 +269,8 @@ def prune(eliminant: MPoly, spec: FuncSpec, cfg: numeric.EvalConfig, law: Degree
     if eliminant.is_zero():
         raise PruningError("eliminant is zero")
 
-    g = graph_factor(
-        eliminant, ("x", "y", "z"),
-        lambda prime: numeric.graph_points_mod(spec, cfg, 101, prime), "graph component",
-    )
+    pairs = numeric.exact_points(spec, cfg, 101, 2, numeric.graph_point)
+    g = graph_factor(eliminant, ("x", "y", "z"), pairs, "graph component")
     xy = (MPoly.var(g.variables, "x") - MPoly.var(g.variables, "y")).canonicalize()
     if g == xy:
         raise PruningError("graph factor collapsed to x - y")
@@ -384,8 +379,5 @@ def derivative_relation(spec: FuncSpec, cfg: numeric.EvalConfig | None = None) -
         return f.phi(a), f.ratio(w, d2, a)
 
     # the image of u -> (phi, phi') is one irreducible curve
-    return graph_factor(
-        best, ("x", "d"),
-        lambda prime: numeric.sample_mod(spec, cfg, 201, 1, point, prime),
-        "derivative-relation factor",
-    )
+    pairs = numeric.exact_points(spec, cfg, 201, 1, point)
+    return graph_factor(best, ("x", "d"), pairs, "derivative-relation factor")

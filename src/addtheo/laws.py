@@ -298,14 +298,9 @@ def derive_addition_theorem(spec: FuncSpec, cfg: numeric.EvalConfig | None = Non
 # ----------------------------------------------------------------------
 
 
-def k_points_mod(spec: FuncSpec, cfg: numeric.EvalConfig, salt: int, prime: int):
-    """Exact quadruples phi(a), phi(b), phi(c), phi(a + b - c) mod prime, or
-    None when prime is bad for spec."""
-
-    def point(f, a, b, c):
-        return tuple(f.phi(v) for v in (a, b, c, f.add(f.add(a, b), f.neg(c))))
-
-    return numeric.sample_mod(spec, cfg, salt, 3, point, prime)
+def k_point(f: numeric.Residues, a, b, c):
+    """The exact K point phi(a), phi(b), phi(c), phi(a + b - c) mod p."""
+    return tuple(f.phi(v) for v in (a, b, c, f.add(f.add(a, b), f.neg(c))))
 
 
 def k_relation(
@@ -336,10 +331,8 @@ def k_relation(
         keys = ("u", "v", "w", "x1", "x2", "x3", "x4")
         return dict(zip(keys, (u, v, w, *vals))) if numeric.guarded(*vals) else None
 
-    K = derive.graph_factor(
-        eliminant, ("x1", "x2", "x3", "x4"),
-        lambda prime: k_points_mod(spec, cfg, 301, prime), "K-relation factor",
-    )
+    pairs = numeric.exact_points(spec, cfg, 301, 3, k_point)
+    K = derive.graph_factor(eliminant, ("x1", "x2", "x3", "x4"), pairs, "K-relation factor")
     degrees = tuple(K.degree_in(n) for n in ("x1", "x2", "x3", "x4"))
     if len(set(degrees)) != 1:
         raise DegreeLawError(f"K degrees differ across variables: {degrees}")

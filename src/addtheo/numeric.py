@@ -13,13 +13,13 @@ identity tolerances, so no period computation is ever needed.
 All randomness is derived from an explicit seed, per sample index, so runs are
 reproducible and could be parallelized without changing results.
 
-The same sampler draws exact points mod a prime (`Residues`, `sample_mod`):
-there the uniformizer is an element of Z/p or a point of the curve over Z/p,
-u + v is the group law, and phi is evaluated exactly.  Factor selection uses
-these points.  Complex samples, dicts of values by name, only certify: one
-routine, `certify`, gives the largest relative residual of a derived G, its K
-or a user's candidate and fails it at `tol` (docs/decisions.md sections 1
-and 7).
+The same sampler draws exact points mod a prime (`exact_points`, the only
+code that picks the primes): there the uniformizer is an element of Z/p or a
+point of the curve over Z/p, u + v is the group law, and phi is evaluated
+exactly.  Factor selection uses these points.  Complex samples, dicts of
+values by name, only certify: one routine, `certify`, gives the largest
+relative residual of a derived G, its K or a user's candidate and fails it at
+`tol` (docs/decisions.md sections 1 and 7).
 """
 
 from __future__ import annotations
@@ -329,20 +329,18 @@ class Residues:
         return self.ratio(self.spec.numerator, self.spec.denominator, a)
 
 
-def sample_mod(spec: FuncSpec, cfg: EvalConfig, salt: int, arity: int, point, prime: int):
-    """EXACT_POINTS exact points mod prime, each point(residues, *values) from
-    `arity` uniformizer values drawn through sample's per-index streams; None
-    when prime is bad for spec."""
-    if bad_prime(spec, prime):
-        return None
-    field = Residues(spec, prime)
-    return sample(EXACT_POINTS, cfg, salt, arity, lambda *v: point(field, *v), draw=field.draw)
+def exact_points(spec: FuncSpec, cfg: EvalConfig, salt: int, arity: int, point):
+    """Yield (prime, points) for each prime of PRIMES that is good for spec,
+    in order: EXACT_POINTS points, each point(residues, *values) from `arity`
+    uniformizer values drawn through sample's per-index streams.  A prime's
+    points are drawn only when the caller asks for them."""
+    for prime in PRIMES:
+        if not bad_prime(spec, prime):
+            field = Residues(spec, prime)
+            yield prime, sample(EXACT_POINTS, cfg, salt, arity,
+                                lambda *v: point(field, *v), draw=field.draw)
 
 
-def graph_points_mod(spec: FuncSpec, cfg: EvalConfig, salt: int, prime: int):
-    """Exact graph points (phi(a), phi(b), phi(a + b)) mod prime, or None."""
-
-    def point(f, a, b):
-        return f.phi(a), f.phi(b), f.phi(f.add(a, b))
-
-    return sample_mod(spec, cfg, salt, 2, point, prime)
+def graph_point(f: Residues, a, b):
+    """The exact graph point (phi(a), phi(b), phi(a + b)) mod p."""
+    return f.phi(a), f.phi(b), f.phi(f.add(a, b))

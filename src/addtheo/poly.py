@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .errors import MonomialOverflowError, ZeroPolynomialError
 
@@ -590,8 +590,17 @@ class MPoly:
                 e = (m >> (i * FIELD_BITS)) & _MASK
                 if e:
                     fields.append(slots.setdefault((i, e), len(slots)))
-            # int / int is correctly rounded, as float(Fraction) is
-            rows.append((c, complex(c / den), abs(float(c // g) / float(den // g)), fields))
+            # int / int is correctly rounded, as float(Fraction) is; past the
+            # float range a column reads inf, signed as c (den > 0)
+            try:
+                val = c / den
+            except OverflowError:
+                val = inf if c > 0 else -inf
+            try:
+                mag = abs(float(c // g) / float(den // g))
+            except OverflowError:
+                mag = abs(val)
+            rows.append((c, complex(val), mag, fields))
         self._plan = (list(slots), rows)
         return self._plan
 

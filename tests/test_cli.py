@@ -181,6 +181,19 @@ def test_verify_fails_a_candidate_whose_residual_overflows(capsys):
     assert capsys.readouterr().err.startswith("error: max_residual=inf exceeds tol=1.0e-06 at u=")
 
 
+def test_coefficients_past_the_float_range_fail_with_a_message(tmp_path):
+    # 10^400 has no float: its column reads inf, so verify reports an
+    # infinite residual, and every complex value of the derived G exceeds the
+    # pole guard, which is a degeneracy; neither ends in a traceback
+    proc = run_cli("verify", spec_path("cos.spec"), "--g", "10^400*x*y*z - z^2 - y^2 - x^2 + 1",
+                   expect_code=1)
+    assert proc.stderr.startswith("error: max_residual=inf exceeds tol=1.0e-09 at u=")
+    spec = tmp_path / "large.spec"
+    spec.write_text("class: rational\nphi: u^2 + 10^200*u\n", encoding="utf-8")
+    proc = run_cli("derive", str(spec), expect_code=3)
+    assert proc.stderr.startswith("error: spec has dense poles in sampling window\n")
+
+
 def _verify_code(spec, candidate):
     import addtheo.cli as cli
 

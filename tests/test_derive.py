@@ -34,7 +34,8 @@ from addtheo.numeric import (
     EvalConfig,
     bad_prime,
     class_tolerance,
-    graph_points_mod,
+    exact_points,
+    graph_point,
     phi_eval,
     relative_residual,
     sample_graph,
@@ -518,9 +519,9 @@ def test_derived_g_matches_golden(theorems, name):
 def test_golden_g_vanishes_at_exact_graph_points(name, monkeypatch):
     spec = parse_spec(_golden_spec_text(name))
     g = parse_polynomial(GOLDEN["derive"][name], ("x", "y", "z"))
-    prime = PRIMES[0]
     monkeypatch.setattr(numeric, "EXACT_POINTS", 50)
-    points = graph_points_mod(spec, CFG, 101, prime)
+    prime, points = next(exact_points(spec, CFG, 101, 2, graph_point))
+    assert prime == PRIMES[0]
     assert len(set(points)) == 50
     for x, y, z in points:
         assert g.evaluate_mod({"x": x, "y": y, "z": z}, prime) == 0
@@ -531,8 +532,9 @@ def test_spurious_factors_fail_at_the_selection_points(name):
     # these are the golden specs whose eliminant has a factor besides G
     spec = parse_spec(_golden_spec_text(name))
     g = parse_polynomial(GOLDEN["derive"][name], ("x", "y", "z"))
-    prime = PRIMES[0]
-    selection = [dict(zip("xyz", pt)) for pt in graph_points_mod(spec, CFG, 101, prime)]
+    prime, points = next(exact_points(spec, CFG, 101, 2, graph_point))
+    assert prime == PRIMES[0]
+    selection = [dict(zip("xyz", pt)) for pt in points]
     spurious = [f for f, _ in factor(eliminate(spec)) if f != g]
     assert spurious
     for f in spurious:
@@ -544,14 +546,14 @@ def test_bad_first_prime_falls_back_to_the_next(monkeypatch):
     spec = parse_spec(f"class: rational\nphi: u^2 + u/{PRIMES[0]}\n")
     assert bad_prime(spec, PRIMES[0]) and not bad_prime(spec, PRIMES[1])
     tried = []
-    real = numeric.graph_points_mod
+    real = numeric.bad_prime
 
-    def spy(spec, cfg, salt, prime):
-        points = real(spec, cfg, salt, prime)
-        tried.append((prime, points is None))
-        return points
+    def spy(spec, prime):
+        bad = real(spec, prime)
+        tried.append((prime, bad))
+        return bad
 
-    monkeypatch.setattr(numeric, "graph_points_mod", spy)
+    monkeypatch.setattr(numeric, "bad_prime", spy)
     theorem = derive_addition_theorem(spec)
     assert tried == [(PRIMES[0], True), (PRIMES[1], False)]
     assert theorem.law.actual[2] == theorem.law.predicted == 4
@@ -608,13 +610,14 @@ def test_graph_factor_tries_the_next_prime_then_reports_ambiguity():
     # both factors vanish at (1, 1, 1); only the first at (2, 2, 5)
     tried = []
 
-    def points(prime):
-        tried.append(prime)
-        return [(1, 1, 1)] if prime == PRIMES[0] else [(1, 1, 1), (2, 2, 5)]
+    def pairs():
+        for prime in PRIMES:
+            tried.append(prime)
+            yield prime, [(1, 1, 1)] if prime == PRIMES[0] else [(1, 1, 1), (2, 2, 5)]
 
-    assert derive.graph_factor(eliminant, ring, points, "test factor") == first.canonicalize()
+    assert derive.graph_factor(eliminant, ring, pairs(), "test factor") == first.canonicalize()
     assert tried == list(PRIMES[:2])
     with pytest.raises(PruningError, match=r"ambiguous pruning of the test factor: surviving"):
-        derive.graph_factor(eliminant, ring, lambda prime: [(1, 1, 1)], "test factor")
+        derive.graph_factor(eliminant, ring, ((p, [(1, 1, 1)]) for p in PRIMES), "test factor")
     with pytest.raises(PruningError, match="^no test factor found$"):
-        derive.graph_factor(eliminant, ring, lambda prime: None, "test factor")
+        derive.graph_factor(eliminant, ring, iter(()), "test factor")

@@ -12,14 +12,14 @@ from addtheo.funcspec import FunctionClass, make_spec, order, parse_spec
 from addtheo.laws import (
     degree_report,
     full_substitution_group,
-    k_points_mod,
+    k_point,
     k_relation,
     multiplier_group,
     predicted_degree,
     predicted_k_degree,
     same_theorem,
 )
-from addtheo.numeric import PRIMES, EvalConfig, Residues, class_tolerance, phi_eval
+from addtheo.numeric import PRIMES, EvalConfig, Residues, class_tolerance, exact_points, phi_eval
 from addtheo.poly import MPoly
 
 from conftest import spec_text
@@ -305,9 +305,9 @@ def test_k_relation_vanishes_at_exact_k_points(theorems, name, monkeypatch):
     cfg = EvalConfig(tol=class_tolerance(spec))
     K = k_relation(theorem, cfg, verify_samples=20).K
     names = ("x1", "x2", "x3", "x4")
-    prime = PRIMES[0]
     monkeypatch.setattr(numeric, "EXACT_POINTS", 50)
-    points = k_points_mod(spec, cfg, 301, prime)
+    prime, points = next(exact_points(spec, cfg, 301, 3, k_point))
+    assert prime == PRIMES[0]
     assert len(set(points)) == 50
     for pt in points:
         assert K.evaluate_mod(dict(zip(names, pt)), prime) == 0

@@ -249,3 +249,19 @@ def test_exact_elliptic_points_obey_the_curve_and_the_base_law(name):
         # (p3, q3) = P1 + P2 satisfies the chord relations in their sign convention
         values = dict(zip(relations[0].variables, a + b + c))
         assert all(r.evaluate_mod(values, prime) == 0 for r in relations)
+
+
+def test_exact_point_streams_are_pinned():
+    # literal values: a change to the per-index streams, a salt or the order
+    # of a point's arguments changes them
+    from addtheo.laws import k_point
+    from addtheo.numeric import exact_points, graph_point
+
+    cos, cosh = (parse_spec(spec_text(f"{n}.spec")) for n in ("cos", "cosh"))
+    prime, points = next(exact_points(cos, CFG, 101, 2, graph_point))
+    assert prime == PRIMES[0]
+    assert points[0] == (418844907178116187, 548117315376388407, 928839268299428174)
+    prime, points = next(exact_points(cosh, CFG, 301, 3, k_point))
+    assert prime == PRIMES[0]
+    assert points[0] == (2116181389232745520, 1684290471308555415, 609986254240169929,
+                         1674846118240183382)

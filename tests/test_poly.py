@@ -404,3 +404,16 @@ def test_float_evaluation_is_bit_identical_to_the_term_loop(terms, pts):
         value, magnitude = p.evaluate_with_magnitude(pt)
         assert value == evaluate_reference(p, pt)
         assert magnitude == term_magnitude_reference(p, pt)
+
+
+def test_coefficients_past_the_float_range():
+    # 10^400 has no float: the exact evaluation never reads the float
+    # columns, and in the float one its term has an infinite magnitude
+    x, y, z = xyz()
+    p = 10**400 * x * y - z + MPoly.const(V, Q(3, 7))
+    prime = 2**61 - 1
+    point = {"x": 5, "y": 11, "z": 2}
+    expected = (10**400 * 55 - 2) * 7 + 3
+    assert p.evaluate_mod(point, prime) == expected * pow(7, -1, prime) % prime
+    for q in (p, -p):
+        assert q.evaluate_with_magnitude({"x": 1.0, "y": 1.0, "z": 1.0})[1] == cmath.inf
