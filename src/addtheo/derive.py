@@ -39,7 +39,7 @@ from .errors import (
     PruningError,
 )
 from .funcspec import FuncSpec, FunctionClass, curve_polynomial
-from .poly import MPoly, rem_monic
+from .poly import MPoly, divide_exact, rem_monic
 from .resultants import content_and_primitive, resultant, squarefree_part
 
 if TYPE_CHECKING:  # laws builds on derive, never the reverse
@@ -60,26 +60,15 @@ _ELIM_ORDER = {
 }
 
 
-class _TheoremFields(NamedTuple):
+class AdditionTheorem(NamedTuple):
+    """A derived G with its evidence and the degree law prune checked it against."""
+
     G: MPoly
     law: DegreeReport  # the law checked, with actual filled in by prune
     spec: FuncSpec
     max_residual: float
     samples: int
     seed: int
-
-
-class AdditionTheorem(_TheoremFields):
-    """A derived G with its evidence and the degree law it was checked
-    against; equal degrees are checked on construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if len(set(self.law.actual)) != 1:
-            raise DegreeLawError(f"addition theorem degrees differ: {self.law.actual}")
-        return self
 
 
 def base_law(cls: FunctionClass, g2=None, g3=None) -> tuple:
@@ -117,8 +106,6 @@ def _pivot_eliminant(r, pivot, monic_pivot, sym, content_first=False):
     multiplies its deg(pivot)-th power back in (docs/decisions.md section 3)."""
     if monic_pivot is not None:
         r = rem_monic(r, monic_pivot, sym)
-        if r.is_zero():
-            return None  # a multiple of the pivot adds no constraint
     if not r.uses(sym):
         res = r
     elif content_first:
@@ -128,6 +115,8 @@ def _pivot_eliminant(r, pivot, monic_pivot, sym, content_first=False):
     else:
         res = resultant(r, pivot, sym)
     if res.is_zero():
+        if divide_exact(r, pivot) is not None:
+            return None  # a multiple of the pivot adds no constraint
         raise DegenerateEliminationError(
             f"degenerate elimination: common factor eliminating {sym} "
             f"between [{r.to_text()}] and [{pivot.to_text()}]"
@@ -184,7 +173,8 @@ def fold_eliminate(relations, elim_order) -> MPoly:
     which makes each resultant, being in the ideal of its two arguments,
     vanish there too.  When the pivot's leading coefficient in the symbol is
     constant, relations are first reduced modulo the pivot, which keeps
-    degrees in the remaining symbols from compounding.
+    degrees in the remaining symbols from compounding.  A partner that the
+    pivot divides is dropped, whatever the pivot's leading coefficient.
 
     Every symbol but the last two is eliminated from every relation.  On the
     symbol before the last the partners' results are built one at a time, in
@@ -264,25 +254,23 @@ def graph_factor(eliminant: MPoly, names, pairs, what: str) -> MPoly:
 def prune(eliminant: MPoly, spec: FuncSpec, cfg: numeric.EvalConfig, law: DegreeReport,
           verify_samples: int = 200) -> AdditionTheorem:
     """Select the unique irreducible factor vanishing on the graph, check its
-    z-degree against the degree law `law` (a DegreeReport of spec), then
-    certify it on complex graph samples."""
+    z-degree against the degree law `law` (a DegreeReport of spec) and its x
+    and y degrees against z's, then certify it on complex graph samples."""
     if eliminant.is_zero():
         raise PruningError("eliminant is zero")
 
     pairs = numeric.exact_points(spec, cfg, 101, 2, numeric.graph_point)
     g = graph_factor(eliminant, ("x", "y", "z"), pairs, "graph component")
-    xy = (MPoly.var(g.variables, "x") - MPoly.var(g.variables, "y")).canonicalize()
-    if g == xy:
-        raise PruningError("graph factor collapsed to x - y")
-    deg_z = g.degree_in("z")
-    if deg_z != law.predicted:
+    actual = tuple(g.degree_in(v) for v in ("x", "y", "z"))
+    if actual[2] != law.predicted:
         raise DegreeLawError(
-            f"derived degree {deg_z} does not match the degree law "
+            f"derived degree {actual[2]} does not match the degree law "
             f"m*nu^2/lambda0 = {law.predicted} (nu={law.nu}, lambda0={law.lambda0})"
         )
+    if len(set(actual)) != 1:
+        raise DegreeLawError(f"addition theorem degrees differ: {actual}")
     samples = numeric.sample_graph(spec, verify_samples, cfg, salt=103)
     max_res = numeric.certify(g, samples, cfg.tol)[0]
-    actual = (g.degree_in("x"), g.degree_in("y"), deg_z)
     return AdditionTheorem(G=g, law=law._replace(actual=actual), spec=spec,
                            max_residual=max_res, samples=verify_samples, seed=cfg.seed)
 

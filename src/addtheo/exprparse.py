@@ -255,8 +255,6 @@ def parse_fraction(text, variables, line=1, column=1):
     tokens = _tokenize(text, line, column)
     parser = _Parser(tokens, variables)
     value = parser.parse()
-    if value.den.is_zero():
-        raise ExprSyntaxError("division by zero", line, column)
     return value.num, value.den
 
 

@@ -371,15 +371,6 @@ class MPoly:
             return Q(0)
         return Q(gcd(*self.terms.values()), self.den)
 
-    def primitive(self) -> "MPoly":
-        """self divided by its rational content (sign left untouched)."""
-        if not self.terms:
-            return self
-        g = gcd(*self.terms.values())
-        if g == 1 and self.den == 1:
-            return self
-        return MPoly._new(self.variables, {m: c // g for m, c in self.terms.items()})
-
     def max_norm(self) -> Fraction:
         """Largest absolute value of a coefficient."""
         if not self.terms:

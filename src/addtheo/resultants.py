@@ -92,7 +92,7 @@ def mgcd(p: MPoly, q: MPoly) -> MPoly:
     p._check_same_ring(q)
     if p.is_constant() or q.is_constant():
         return MPoly.const(p.variables, 1)
-    a, b = p.primitive(), q.primitive()
+    a, b = p.canonicalize(), q.canonicalize()
     g = _heuristic_gcd(a, b)
     if g is None:
         g = _prs_gcd(a, b)
@@ -127,7 +127,7 @@ def _heuristic_gcd(a: MPoly, b: MPoly):
         cand = _from_digits(gamma, names, points, limits, a.variables)
         if cand is None:
             continue
-        h = cand.primitive()
+        h = cand.canonicalize()
         if h.is_constant():
             return h
         if divide_exact(a, h) is not None and divide_exact(b, h) is not None:
@@ -214,7 +214,7 @@ def squarefree(p: MPoly):
     name = p.used_variables()[-1]
     cont, pp = content_and_primitive(p, name)
     parts = [] if cont.is_constant() else squarefree(cont)
-    parts.extend(_yun(pp.primitive(), name))
+    parts.extend(_yun(pp.canonicalize(), name))
     grouped = {}
     for f, m in parts:
         grouped[m] = grouped[m] * f if m in grouped else f

@@ -240,16 +240,39 @@ def test_verify_g_from_file(tmp_path):
     run_cli("verify", spec_path("exp-t.spec"), "--g", str(g_file))
 
 
-def test_degrees_line():
+def test_degrees_line(tmp_path):
     proc = run_cli("degrees", spec_path("wp-lemniscatic.spec"))
     assert proc.stdout == "m=1 nu=2 lambda0=2 predicted=2\n"
     proc = run_cli("degrees", spec_path("exp-t.spec"), "--derive")
     assert proc.stdout == "m=1 nu=1 lambda0=1 predicted=1 actual=1,1,1\n"
+    # q^2 = 4p^3 - 4p: on the way a partner is a multiple of a pivot whose
+    # leading coefficient is not constant; it is skipped, not degenerate
+    spec = tmp_path / "q2.spec"
+    spec.write_text("class: elliptic\ng2: 4\ng3: 0\nphi: q^2\n", encoding="utf-8")
+    proc = run_cli("degrees", str(spec), "--derive")
+    assert proc.stdout == "m=1 nu=6 lambda0=2 predicted=18 actual=18,18,18\n"
 
 
-def test_symmetry_lines():
+@pytest.mark.parametrize("phi, mu, shown", [
+    ("t", "1/2*i", "class: exp\nphi: t\nmu: 1/2*i\n"),
+    ("t^2", "3", "class: exp\nphi: t\nmu: 6\n"),
+], ids=["imaginary-mu", "power-of-t"])
+def test_derive_report_shows_the_normalized_mu(tmp_path, phi, mu, shown):
+    spec = tmp_path / "exp.spec"
+    spec.write_text(f"class: exp\nphi: {phi}\nmu: {mu}\n", encoding="utf-8")
+    report = validate_report(run_cli("derive", str(spec), "--json").stdout)
+    assert report["result"]["theorem"]["spec"] == shown
+
+
+def test_symmetry_lines(tmp_path):
     proc = run_cli("symmetry", spec_path("wp-prime.spec"))
     assert "lambda0=1" in proc.stdout
+    spec = tmp_path / "zeta3.spec"
+    spec.write_text("class: elliptic\ng2: 0\ng3: 1\nphi: q\n", encoding="utf-8")
+    assert run_cli("symmetry", str(spec)).stdout == (
+        "multipliers=1,zeta3,zeta3^2 lambda0=3 group=1,zeta3,zeta3^2 lambda=3 "
+        "beta_search=2-division\n"
+    )
     proc = run_cli("symmetry", spec_path("wp-squared.spec"))
     assert "multipliers=1,-1,i,-i" in proc.stdout
     assert "lambda0=4" in proc.stdout

@@ -190,12 +190,25 @@ def test_last_step_computes_only_the_cheapest_resultant(monkeypatch):
 
 
 def test_last_step_degenerate_pair_raises_without_fallback(monkeypatch):
-    x, y, s, pivot = _last_step_relations()
-    shared = (x * s - 1) * (s + y)  # the cheapest partner shares the pivot
+    x, y, s, _ = _last_step_relations()
+    pivot = (x * s - 1) * (s - y)  # reducible, leading coefficient x
+    shared = (x * s - 1) * (s**2 + y)  # the cheapest partner shares x*s - 1 only
     calls, _ = _count_resultants(monkeypatch)
     with pytest.raises(DegenerateEliminationError, match="common factor eliminating s"):
-        fold_eliminate([s**3 - y, pivot, shared], ("s",))
+        fold_eliminate([s**4 - y, pivot, shared], ("s",))
     assert len(calls) == 1
+
+
+def test_multiple_of_a_pivot_that_is_not_monic_is_skipped(monkeypatch):
+    # its resultant with the pivot is zero, yet it adds no constraint: the
+    # next partner gives the eliminant
+    x, y, s, pivot = _last_step_relations()
+    multiple = (x * s - 1) * (s + y)
+    assert _pivot_eliminant(multiple, pivot, None, "s") is None
+    calls, real = _count_resultants(monkeypatch)
+    eliminant = fold_eliminate([s**3 - y, pivot, multiple], ("s",))
+    assert [c[0] for c in calls] == [multiple, s**3 - y]
+    assert eliminant == real(s**3 - y, pivot, "s").canonicalize()
 
 
 @pytest.mark.parametrize("name,calls", [("wp-prime", 4), ("wp-squared", 6)])
@@ -272,7 +285,7 @@ def test_lazy_step_builds_past_a_degenerate_last_pair(monkeypatch):
     x, y, s, t = (MPoly.var(ring, n) for n in ring)
     pivot = x * s - 1
     # eliminating t against the pivot t gives first a multiple of the s pivot
-    # x*s - 1, a degenerate pair, then s^2 - y, which is not
+    # x*s - 1, which adds no constraint, then s^2 - y, which does
     shared = t + (x * s - 1) * (s + y)
     cheap = t**2 + s**2 - y
     relations = [cheap, shared, t, pivot]
@@ -417,10 +430,13 @@ def test_degree_law_guard_is_enforced(monkeypatch):
         prune(eliminate(spec), spec, CFG, DegreeReport(1, 2, 1, 4))
 
 
-def test_theorem_with_unequal_degrees_is_rejected():
-    g = parse_polynomial("x*y - z", ("x", "y", "z"))
-    with pytest.raises(DegreeLawError, match="addition theorem degrees differ"):
-        derive.AdditionTheorem(g, DegreeReport(1, 1, 1, 1, (2, 2, 1)), parse_spec(COSH), 0.0, 1, 0)
+def test_prune_rejects_unequal_degrees_before_certification(monkeypatch):
+    # the z-degree meets the law, the x-degree does not match it
+    skew = parse_polynomial("x^2*y - z", ("x", "y", "z"))
+    monkeypatch.setattr(derive, "graph_factor", lambda *args: skew)
+    monkeypatch.setattr(numeric, "sample_graph", None)  # certification would call it
+    with pytest.raises(DegreeLawError, match=r"addition theorem degrees differ: \(2, 1, 1\)"):
+        prune(skew, EXP_T, CFG, EXP_T_LAW)
 
 
 def test_records_are_read_only(theorems):

@@ -49,6 +49,12 @@ def test_division_by_zero_literal():
         parse_fraction("x/(1 - 1)", ("x",))
 
 
+def test_trailing_input_is_reported_with_its_position():
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_fraction("x y", ("x", "y"))
+    assert str(err.value) == "line 1, column 3: unexpected trailing input 'y'"
+
+
 def test_unary_minus_and_precedence():
     p = parse_polynomial("-x^2 + 2*x*-1", ("x",))
     x = MPoly.var(("x",), "x")

@@ -118,7 +118,7 @@ def test_content_matches_the_left_to_right_fold(p):
 @pytest.mark.parametrize("case", range(2), ids=["coprime-u2", "wp-squared"])
 def test_pairs_that_defeat_kronecker_substitution(case):
     p, q, expected = kronecker_pairs()[case]
-    heuristic = resultants._heuristic_gcd(p.primitive(), q.primitive())
+    heuristic = resultants._heuristic_gcd(p.canonicalize(), q.canonicalize())
     assert heuristic is not None and heuristic.canonicalize() == expected
     assert mgcd(p, q) == expected == prs_gcd(p, q)
 
