@@ -13,9 +13,10 @@ them.  Both searches are exact:
 * exponential class: a = -1 acts by t -> c/t, and phi(c/t) = phi(t) holds
   for some c != 0 exactly when the t-coefficients of the condition's
   numerator share a root c != 0; c = 1 is the multiplier test;
-* elliptic translations: half-period translations act through the chord law
-  with the root e of 4T^3 - g2 T - g3 carried symbolically via its minimal
-  polynomial, for each root of unity that preserves the period lattice.
+* elliptic translations: for each minimal polynomial m(e) of the half-period
+  p-coordinates, phi(u + b) is built once over (p, q, e) by the chord law,
+  and phi(a*u + b) = phi(u) is the scaling condition between it and phi,
+  solved like the multipliers; its roots s = 1/a are a coset s^k = +-1.
 
 Degree predictions follow m*nu^2/lambda0 for the addition theorem and
 m*nu^3/lambda for the four-variable K-relation (docs/decisions.md, section 2).
@@ -29,42 +30,24 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import NamedTuple
 
 from . import derive, factor, numeric
 from .errors import AddTheoError, DegreeLawError, PruningError
 from .funcspec import FuncSpec, FunctionClass, curve_polynomial, order
-from .poly import MPoly, divide_exact, rem_monic
+from .poly import MPoly, rem_monic
 from .resultants import mgcd, resultant, squarefree_part
 
 
-# ----------------------------------------------------------------------
-# root-of-unity descriptors: (order k, index j) stands for exp(2*pi*i*j/k)
-# ----------------------------------------------------------------------
-
-
 def _unity_group(g: int):
-    """All g-th roots of unity as (order, primitive index) descriptors."""
+    """All g-th roots of unity as (order, primitive index) descriptors:
+    (k, j) stands for exp(2*pi*i*j/k)."""
     out = []
     for m in range(g):
         d = math.gcd(m, g)
         out.append((g // d, m // d))
     return tuple(sorted(set(out)))
-
-
-@lru_cache(maxsize=32)
-def _cyclotomic(n: int) -> MPoly:
-    """The n-th cyclotomic polynomial, in the one variable w."""
-    poly = MPoly.var(("w",), "w") ** n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = divide_exact(poly, _cyclotomic(d))
-    return poly
-
-
-def _cyclotomic_mpoly(n: int, ring, name) -> MPoly:
-    return _cyclotomic(n).rename({"w": name}).embed(ring)
 
 
 class SymmetryReport(NamedTuple):
@@ -128,8 +111,7 @@ def multiplier_group(spec: FuncSpec) -> SymmetryReport:
     # the reflexive scaling condition: its roots are the multiplier group
     # itself, so the square-free gcd is s^lambda0 - 1 (docs/decisions.md
     # section 9)
-    weights = (2, 3) if spec.cls is FunctionClass.ELLIPTIC else (1,)
-    k, _ = _scaling_condition(spec, spec, weights)
+    k, _ = _scaling_condition(spec, spec)
     return SymmetryReport(multipliers=_unity_group(k), lambda0=k)
 
 
@@ -166,44 +148,24 @@ def _half_period_minimal_polys(g2: Fraction, g3: Fraction):
     return [f * (1 / f.leading_coefficient()) for f in factor.factor_univariate(cubic)]
 
 
-def _elliptic_substitution_invariant(spec: FuncSpec, k: int, j: int, minpoly) -> bool:
-    """Exact test of phi(a*u + b) = phi(u) for a = exp(2*pi*i*j/k) and b a
-    half-period whose p-coordinate e has the given minimal polynomial.  The
-    scalars a^-2, a^-3 are powers of a symbol w reduced modulo the k-th
-    cyclotomic polynomial; e is reduced modulo its minimal polynomial;
-    q-powers are reduced modulo the curve."""
-    ring = ("p", "q", "e", "w")
-    g2, g3 = spec.g2, spec.g3
-    num = spec.numerator.embed(ring)
-    den = spec.denominator.embed(ring)
-    p = MPoly.var(ring, "p")
-    q = MPoly.var(ring, "q")
-    e = MPoly.var(ring, "e")
-    w = MPoly.var(ring, "w")
-    sp = w ** ((-2 * j) % k) if k > 2 else MPoly.const(ring, 1)
-    sq = w ** ((-3 * j) % k) if k > 2 else MPoly.const(ring, 1 if k == 1 else -1)
-    P = sp * p
-    Qv = sq * q
-
-    def reduce_all(poly):
-        poly = rem_monic(poly, curve_polynomial(g2, g3).embed(ring), "q")
-        poly = rem_monic(poly, minpoly.embed(ring), "e")
-        if k > 2:
-            poly = rem_monic(poly, _cyclotomic_mpoly(k, ring, "w"), "w")
-        return poly
-
-    shift = 3 * e**2 - MPoly.const(ring, g2 / 4)
-    a1 = e * P + 2 * e**2 - MPoly.const(ring, g2 / 4)  # p'' numerator
-    a2 = -Qv * shift  # q'' numerator
-    base = P - e  # p'' denominator; q'' uses its square
+def _half_period_translate(spec: FuncSpec, minpoly) -> FuncSpec:
+    """phi(u + b) over (p, q, e) for a half-period b whose p-coordinate e has
+    the given minimal polynomial: the chord law with wp'(b) = 0, q reduced
+    modulo the curve and e modulo the minimal polynomial."""
+    ring = ("p", "q", "e")
+    p, q, e = (MPoly.var(ring, n) for n in ring)
+    a1 = e * p + 2 * e**2 - spec.g2 / 4  # p'' numerator
+    a2 = -q * (3 * e**2 - spec.g2 / 4)  # q'' numerator
+    base = p - e  # p'' denominator; q'' uses its square
     L = max(m[0] + 2 * m[1] for poly in (spec.numerator, spec.denominator) for m, _ in poly.items())
+    curve, minpoly = curve_polynomial(spec.g2, spec.g3).embed(ring), minpoly.embed(ring)
 
     def hat(src):  # base^L * src(a1/base, a2/base^2)
         weighted = MPoly(("p", "q", "h"), {(a, b, L - a - 2 * b): c for (a, b), c in src.items()})
-        return reduce_all(weighted.substitute({"p": a1, "q": a2, "h": base}))
+        translated = weighted.substitute({"p": a1, "q": a2, "h": base})
+        return rem_monic(rem_monic(translated, curve, "q"), minpoly, "e")
 
-    condition = reduce_all(hat(spec.numerator) * den - num * hat(spec.denominator))
-    return condition.is_zero()
+    return spec._replace(numerator=hat(spec.numerator), denominator=hat(spec.denominator))
 
 
 def _fiber_centroid(spec: FuncSpec) -> Fraction:
@@ -241,14 +203,16 @@ def full_substitution_group(spec: FuncSpec) -> SymmetryReport:
             lam=2 if inverted else 1,
             beta_search="roots of unity of order dividing the exponent gcd",
         )
-    minpolys = _half_period_minimal_polys(spec.g2, spec.g3)
+    # phi(a*u + b) = phi(u) is the scaling condition between phi(u + b) and
+    # phi; its roots s = 1/a are a coset s^k = c with c = +-1, which joins
+    # mu_k to the group when c = 1 and mu_2k when c = -1 (docs/decisions.md
+    # section 9)
     alphas = set(base.multipliers)
-    # the roots of unity that preserve the period lattice
-    for k, j in _unity_group(4 if spec.g3 == 0 else 6 if spec.g2 == 0 else 2):
-        if (k, j) not in alphas and any(
-            _elliptic_substitution_invariant(spec, k, j, mp) for mp in minpolys
-        ):
-            alphas.add((k, j))
+    for minpoly in _half_period_minimal_polys(spec.g2, spec.g3):
+        solved = _scaling_condition(_half_period_translate(spec, minpoly), spec)
+        if solved is not None:
+            k, c = solved
+            alphas.update(_unity_group(k if c == 1 else 2 * k))
     alphas = tuple(sorted(alphas))
     lam = max(k for k, _ in alphas)
     if lam % base.lambda0 != 0:
@@ -369,16 +333,19 @@ def _principal_root(k: int, c: Fraction) -> complex:
     return r * cmath.exp(1j * cmath.pi / k)
 
 
-def _scaling_condition(spec_a: FuncSpec, spec_b: FuncSpec, weights) -> tuple | None:
+def _scaling_condition(spec_a: FuncSpec, spec_b: FuncSpec) -> tuple | None:
     """(k, c) with phi_a(s^w . x) = phi_b(x) exactly for the roots of s^k = c,
-    where x are the class variables with weights w; None when no s works.
+    where x are the class variables with weights w = 1 on u or (2, 3) on
+    (p, q); None when no s works.  phi_a may also carry a half-period's e,
+    reduced below the degree of its minimal polynomial m; the condition is
+    split in e too, so it holds at every root of m.
 
     The roots form a coset of phi_a's multiplier group, so the square-free
     gcd of the conditions is a binomial (docs/decisions.md section 9)."""
-    names = spec_a.uniformizer
-    ring = ("s",) + names
+    ring = ("s",) + spec_a.numerator.variables
     s = MPoly.var(ring, "s")
-    scale = {n: s**w * MPoly.var(ring, n) for n, w in zip(names, weights)}
+    weights = (2, 3) if spec_a.cls is FunctionClass.ELLIPTIC else (1,)
+    scale = {n: s**w * MPoly.var(ring, n) for n, w in zip(spec_a.uniformizer, weights)}
     na, da = (p.embed(ring).substitute(scale) for p in (spec_a.numerator, spec_a.denominator))
     nb, db = (p.embed(ring) for p in (spec_b.numerator, spec_b.denominator))
     conditions = [na * db - nb * da]
@@ -387,7 +354,7 @@ def _scaling_condition(spec_a: FuncSpec, spec_b: FuncSpec, weights) -> tuple | N
         curve = curve_polynomial(spec_b.g2, spec_b.g3).embed(ring)
         conditions = [rem_monic(conditions[0], curve, "q"),
                       spec_b.g2 * s**4 - spec_a.g2, spec_b.g3 * s**6 - spec_a.g3]
-    for n in names:
+    for n in ring[1:]:
         conditions = [c for poly in conditions for c in poly.coeffs_in(n)]
     g = reduce(mgcd, [c for c in conditions if c])
     if g.is_constant():
@@ -413,7 +380,7 @@ def _exact_alpha(spec_a: FuncSpec, spec_b: FuncSpec) -> complex | None:
         n = r / (c * c + d * d)
         return complex(n * (a * c + b * d), n * (b * c - a * d))
     elliptic = spec_a.cls is FunctionClass.ELLIPTIC
-    solved = _scaling_condition(spec_a, spec_b, (2, 3) if elliptic else (1,))
+    solved = _scaling_condition(spec_a, spec_b)
     if solved is None:
         return None
     k, c = solved

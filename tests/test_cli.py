@@ -25,9 +25,8 @@ BUNDLED_G = sorted(name for name in GOLDEN_G if ":" not in name)
 def run_cli(*args, expect_code=0):
     """cli.main(args) in this process, its exit code and output returned as
     from a fresh process: for tests whose subject is a command's stdout,
-    stderr or exit code.  No assertion reads the two lru_caches (numeric's
-    series table, laws' cyclotomic polynomials), which are pure, so they are
-    not cleared."""
+    stderr or exit code.  No assertion reads numeric's lru_cache of the
+    series table, which is pure, so it is not cleared."""
     import addtheo.cli as cli
 
     out, err = io.StringIO(), io.StringIO()
@@ -279,6 +278,17 @@ def test_symmetry_lines(tmp_path):
     proc = run_cli("symmetry", spec_path("exp-t.spec"), "--json")
     report = validate_report(proc.stdout)
     assert report["result"]["symmetry"]["lambda0"] == 1
+
+
+def test_symmetry_half_period_coset_of_minus_one(tmp_path):
+    # phi = q/p + 2/3 has only the multiplier 1, but u -> -u + b fixes it for
+    # the half-period b with wp(b) = 0: the translate's scaling condition is
+    # s = -1, the coset k = 1, c = -1, so the group is mu_2
+    spec = tmp_path / "coset.spec"
+    spec.write_text("class: elliptic\ng2: 4\ng3: 0\nphi: (3*q + 2*p)/(3*p)\n", encoding="utf-8")
+    assert run_cli("symmetry", str(spec)).stdout == (
+        "multipliers=1 lambda0=1 group=1,-1 lambda=2 beta_search=2-division\n"
+    )
 
 
 def test_krel_exp_and_rational():

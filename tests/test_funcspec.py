@@ -56,6 +56,30 @@ def test_missing_g2_rejected():
         parse_spec("class: elliptic\ng3: 1\nphi: p\n")
 
 
+@pytest.mark.parametrize("text,error,message", [
+    ("class: rational\nphi u\n", ExprSyntaxError, "line 2, column 1: expected 'key: value'"),
+    ("class: rational\nphi: u\nphi: u^2\n", ExprSyntaxError,
+     "line 3, column 1: duplicate key 'phi'"),
+    ("phi: u\n", SpecValidationError, "missing 'class' line"),
+    ("class: trig\nphi: u\n", SpecValidationError,
+     "unknown class 'trig' (expected rational, exp, or elliptic)"),
+    ("class: rational\n", SpecValidationError, "missing 'phi' line"),
+    ("class: rational\nphi: u\ng2: 1\n", ExprSyntaxError,
+     "line 3, column 1: unexpected key 'g2' for class rational"),
+    ("class: exp\nphi: t\nmu: abc\n", ExprSyntaxError, "line 3, column 1: invalid mu value 'abc'"),
+    ("class: elliptic\ng2: x\ng3: 0\nphi: p\n", ExprSyntaxError,
+     "line 2, column 1: invalid rational for g2: 'x'"),
+    ("class: elliptic\ng2: 4\ng3: 0\nphi: 1/(q^2 - 4*p^3 + 4*p)\n", SpecValidationError,
+     "denominator vanishes on the curve"),
+])
+def test_spec_validation_errors(text, error, message):
+    # each is a parse error, so the CLI exits 2 with this message
+    with pytest.raises(error) as excinfo:
+        parse_spec(text)
+    assert str(excinfo.value) == message
+    assert excinfo.value.code == 2
+
+
 def test_mu_parsing_and_value():
     spec = parse_spec("class: exp\nphi: t\nmu: i\n")
     assert spec.mu == (Q(0), Q(1))

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from addtheo import laws, numeric
 from addtheo.errors import AddTheoError, DegreeLawError, SpecValidationError
@@ -26,6 +26,7 @@ from conftest import spec_text
 from oracles import alpha_complex, check_rational_expressibility
 
 CFG = EvalConfig()
+E = "class: elliptic\n"
 
 LAMBDA0_TABLE = [
     ("class: elliptic\ng2: 4\ng3: 0\nphi: p\n", 2),
@@ -67,22 +68,23 @@ def test_multipliers_verified_numerically(text, expected):
             checked += 1
 
 
+def _product(a, b):
+    """The product of two roots of unity, as (order, index) descriptors."""
+    ka, ja = a
+    kb, jb = b
+    k = ka * kb // math.gcd(ka, kb)
+    j = (ja * (k // ka) + jb * (k // kb)) % k
+    d = math.gcd(j, k)
+    return (k // d, j // d)
+
+
 @pytest.mark.parametrize("text,_", LAMBDA0_TABLE)
 def test_multipliers_form_group(text, _):
     spec = parse_spec(text)
     mults = set(multiplier_group(spec).multipliers)
-
-    def compose(a, b):
-        ka, ja = a
-        kb, jb = b
-        k = ka * kb // math.gcd(ka, kb)
-        j = (ja * (k // ka) + jb * (k // kb)) % k
-        d = math.gcd(j, k)
-        return (k // d, j // d)
-
     for a in mults:
         for b in mults:
-            assert compose(a, b) in mults
+            assert _product(a, b) in mults
         ka, ja = a
         assert (ka, (-ja) % ka if ka > 1 else 0) in mults
 
@@ -96,17 +98,6 @@ def test_lambda0_class_constraints():
         elif spec.cls.value == "elliptic":
             assert lam0 in (1, 2, 3, 4, 6)
         assert order(spec) % lam0 == 0
-
-
-def test_cyclotomic_products():
-    w = MPoly.var(("w",), "w")
-    for n in range(1, 13):
-        prod = MPoly.const(("w",), 1)
-        for d in range(1, n + 1):
-            if n % d == 0:
-                prod = prod * laws._cyclotomic(d)
-        assert prod == w**n - 1
-    assert laws._cyclotomic(12) == w**4 - w**2 + 1
 
 
 def test_predicted_degree():
@@ -161,6 +152,24 @@ def test_half_period_minimal_polys_split_the_cubic(g2, g3, degrees):
         assert f.leading_coefficient() == 1
         product = product * f
     assert product == e**3 - Q(g2, 4) * e - Q(g3, 4)
+
+
+@pytest.mark.parametrize("g2,g3,degrees", [
+    pytest.param(8, 0, [1, 2], id="rational-and-quadratic"),  # e and e^2 - 2
+    pytest.param(4, 1, [3], id="irreducible"),  # e^3 - e - 1/4
+])
+def test_every_half_period_translate_of_wp_2u_solves_to_plus_minus_one(g2, g3, degrees):
+    # wp(2u) is fixed by u -> +-u + b for every half-period b, so the scaling
+    # condition between phi(u + b) and phi is s^2 = 1 whether e is rational
+    # or stays a symbol modulo its quadratic or cubic minimal polynomial
+    spec = parse_spec(
+        f"{E}g2: {g2}\ng3: {g3}\n"
+        f"phi: ((p^2 + {g2}/4)^2 + 2*{g3}*p)/(4*p^3 - {g2}*p - {g3})\n"
+    )
+    minpolys = laws._half_period_minimal_polys(spec.g2, spec.g3)
+    assert sorted(m.degree_in("e") for m in minpolys) == degrees
+    for m in minpolys:
+        assert laws._scaling_condition(laws._half_period_translate(spec, m), spec) == (2, 1)
 
 
 def test_full_group_half_period_raises_lambda():
@@ -395,7 +404,6 @@ def test_degree_report_with_derivation(theorems):
     assert (report.predicted, report.lambda0) == (2, 2)
 
 
-E = "class: elliptic\n"
 # (phi_a, phi_b, the printed alpha): phi_a(alpha*u) = phi_b(u), with r = +1
 # first in the exp class and the least argument in [0, 2*pi) otherwise
 SAME_TABLE = [
@@ -491,18 +499,26 @@ def test_exact_alpha_of_a_scaled_function(base, num, denom):
 
 
 def _numerically_invariant(spec, alpha, radius):
-    """phi(alpha*u) = phi(u) at six complex points with |u| in radius."""
+    """phi(alpha*u) = phi(u) at six complex points with |u| in radius.
+
+    The difference is measured against |phi| and against phi's variation
+    |phi(u) - phi(v)| to a second point v, whichever is smaller: a phi that
+    is nearly constant on the window, such as 1 + O(u^6), varies far less
+    than its size, and so does its difference from phi(alpha*u)."""
     rng = random.Random(53)
+
+    def draw():
+        r = radius[0] + (radius[1] - radius[0]) * rng.random()
+        return r * cmath.exp(2j * cmath.pi * rng.random())
+
     checked = 0
     while checked < 6:
-        u = (radius[0] + (radius[1] - radius[0]) * rng.random()) * cmath.exp(
-            2j * cmath.pi * rng.random()
-        )
+        u, v = draw(), draw()
         try:
-            a, b = phi_eval(spec, alpha * u), phi_eval(spec, u)
+            a, b, c = phi_eval(spec, alpha * u), phi_eval(spec, u), phi_eval(spec, v)
         except AddTheoError:
             continue
-        if abs(a - b) > 1e-8 * max(abs(a), abs(b)):
+        if abs(a - b) > 1e-8 * min(max(abs(a), abs(b)), abs(b - c)):
             return False
         checked += 1
     return True
@@ -534,12 +550,12 @@ def test_rational_multipliers_match_numeric_invariance(m, r, a_coeffs, b_coeffs)
         assert (root in mults) == _numerically_invariant(spec, alpha_complex(root), (0.5, 1.0))
 
 
-@settings(max_examples=40, deadline=2000)
-@given(st.sampled_from([(4, 0), (Q(1, 2), 0), (0, 1), (0, -3), (4, 1), (1, 2)]),
-       monomial_sums, monomial_sums)
-def test_elliptic_multipliers_match_numeric_invariance(curve, num_terms, den_terms):
-    # every root of unity that preserves the lattice: order 4 for g3 = 0,
-    # order 6 for g2 = 0, else order 2
+ELLIPTIC_CURVES = st.sampled_from([(4, 0), (Q(1, 2), 0), (0, 1), (0, -3), (4, 1), (1, 2)])
+
+
+def _elliptic_spec(curve, num_terms, den_terms):
+    """The spec of sum(c*p^i*q^j) over sum(c*p^i*q^j) on curve (g2, g3); an
+    invalid one is rejected as a hypothesis example."""
     ring = ("p", "q")
     p, q = MPoly.var(ring, "p"), MPoly.var(ring, "q")
 
@@ -548,14 +564,39 @@ def test_elliptic_multipliers_match_numeric_invariance(curve, num_terms, den_ter
 
     g2, g3 = (Q(g) for g in curve)
     try:
-        spec = make_spec(FunctionClass.ELLIPTIC, poly(num_terms), poly(den_terms), g2=g2, g3=g3)
+        return make_spec(FunctionClass.ELLIPTIC, poly(num_terms), poly(den_terms), g2=g2, g3=g3)
     except SpecValidationError:
         assume(False)
+
+
+@settings(max_examples=40, deadline=2000)
+@given(ELLIPTIC_CURVES, monomial_sums, monomial_sums)
+# phi = (3p^3q + q + p)/(3p^3q + p) is 1 + O(u^6), and phi(-u) - phi(u) is
+# O(u^13): below 1e-8*|phi| on the window, though -1 is not a multiplier
+@example(curve=(4, 0), num_terms=[(1, 0, 1), (1, 1, 0), (3, 3, 1)],
+         den_terms=[(1, 1, 0), (3, 3, 1)])
+def test_elliptic_multipliers_match_numeric_invariance(curve, num_terms, den_terms):
+    # every root of unity that preserves the lattice: order 4 for g3 = 0,
+    # order 6 for g2 = 0, else order 2
+    spec = _elliptic_spec(curve, num_terms, den_terms)
+    g2, g3 = spec.g2, spec.g3
     mults = set(multiplier_group(spec).multipliers)
     lattice = laws._unity_group(4 if g3 == 0 else 6 if g2 == 0 else 2)
     assert mults <= set(lattice)
     for root in lattice:
         assert (root in mults) == _numerically_invariant(spec, alpha_complex(root), (0.1, 0.25))
+
+
+@settings(max_examples=40, deadline=2000)
+@given(ELLIPTIC_CURVES, monomial_sums, monomial_sums)
+def test_elliptic_substitution_group_is_mu_lambda(curve, num_terms, den_terms):
+    # the a of the substitutions fixing phi: a group that holds the
+    # multipliers and has exactly lambda elements, so it is mu_lambda
+    report = full_substitution_group(_elliptic_spec(curve, num_terms, den_terms))
+    alphas = set(report.group_alphas)
+    assert set(report.multipliers) <= alphas
+    assert len(alphas) == report.lam
+    assert all(_product(a, b) in alphas for a in alphas for b in alphas)
 
 
 # wp(u - c) on g2 = 1, g3 = 2 with (wp(c), wp'(c)) = (1, 1): fixed by the
