@@ -119,7 +119,7 @@ def _pivot_eliminant(r, pivot, monic_pivot, sym, content_first=False):
             return None  # a multiple of the pivot adds no constraint
         raise DegenerateEliminationError(
             f"degenerate elimination: common factor eliminating {sym} "
-            f"between [{r.to_text()}] and [{pivot.to_text()}]"
+            f"between relations of {len(r)} and {len(pivot)} terms"
         )
     # content normalization only: square-free reduction of intermediates costs
     # more (multivariate gcd) than factoring the final eliminant ever does

@@ -10,9 +10,9 @@ them.  Both searches are exact:
   nontrivial finite group of maps a*u + b on a rational phi fixes one point
   u0, the centroid of any finite fiber, so lambda is the multiplier count of
   phi(u + u0);
-* exponential class: a = -1 acts by t -> c/t, and phi(c/t) = phi(t) holds
-  for some c != 0 exactly when the t-coefficients of the condition's
-  numerator share a root c != 0; c = 1 is the multiplier test;
+* exponential class: a = -1 acts by t -> c/t, and phi(c/t) = phi(t) is the
+  scaling condition between phi(1/t) and phi, whose one root is s = 1/c;
+  c = 1 is the multiplier test;
 * elliptic translations: for each minimal polynomial m(e) of the half-period
   p-coordinates, phi(u + b) is built once over (p, q, e) by the chord law,
   and phi(a*u + b) = phi(u) is the scaling condition between it and phi,
@@ -78,40 +78,17 @@ class SameTheoremResult(NamedTuple):
 # ----------------------------------------------------------------------
 
 
-def _exp_inversion_condition(spec: FuncSpec, other: FuncSpec | None = None) -> MPoly:
-    """The numerator of phi(c/t) - psi(t) over Q[t, c], where psi is other's
-    phi (default: phi itself): phi(c/t) = psi(t) exactly where it vanishes
-    identically in t."""
-    ring = ("t", "c")
-    other = other or spec
-
-    def twisted(poly):  # t^deg * poly(c/t)
-        deg = poly.total_degree()
-        return MPoly(ring, {(deg - m[0], m[0]): coeff for m, coeff in poly.items()})
-
-    num, den = other.numerator.embed(ring), other.denominator.embed(ring)
-    shift = spec.denominator.total_degree() - spec.numerator.total_degree()
-    lhs = num * twisted(spec.denominator)
-    rhs = twisted(spec.numerator) * den
-    t = MPoly.var(ring, "t")
-    if shift >= 0:
-        rhs = rhs * t**shift
-    else:
-        lhs = lhs * t**-shift
-    return lhs - rhs
-
-
 def multiplier_group(spec: FuncSpec) -> SymmetryReport:
     """All constants a with phi(a*u) = phi(u), found exactly; lambda0 is
     their count."""
     if spec.cls is FunctionClass.RATIONAL_OF_EXP:
-        if _exp_inversion_condition(spec).substitute({"c": 1}).is_zero():
-            return SymmetryReport(multipliers=((1, 0), (2, 1)), lambda0=2)
-        return SymmetryReport(multipliers=((1, 0),), lambda0=1)
-    # the reflexive scaling condition: its roots are the multiplier group
-    # itself, so the square-free gcd is s^lambda0 - 1 (docs/decisions.md
-    # section 9)
-    k, _ = _scaling_condition(spec, spec)
+        # a = -1 is t -> 1/t, the only multiplier besides 1
+        k = 2 if _inversion(spec, spec) == 1 else 1
+    else:
+        # the reflexive scaling condition: its roots are the multiplier group
+        # itself, so the square-free gcd is s^lambda0 - 1 (docs/decisions.md
+        # section 9)
+        k, _ = _scaling_condition(spec, spec)
     return SymmetryReport(multipliers=_unity_group(k), lambda0=k)
 
 
@@ -193,14 +170,10 @@ def full_substitution_group(spec: FuncSpec) -> SymmetryReport:
             beta_search="none (translation-free class)",
         )
     if spec.cls is FunctionClass.RATIONAL_OF_EXP:
-        # phi(c/t) = phi(t) for some c != 0 when the t-coefficients of the
-        # condition share a root other than 0: their gcd c^k*h has a
-        # nonconstant h, that is, more than one term
-        coeffs = (co for co in _exp_inversion_condition(spec).coeffs_in("t") if co)
-        inverted = len(reduce(mgcd, coeffs)) > 1
+        # a = -1 with b != 0 is t -> c/t
+        lam = 2 if _inversion(spec, spec) is not None else 1
         return base._replace(
-            group_alphas=((1, 0), (2, 1)) if inverted else ((1, 0),),
-            lam=2 if inverted else 1,
+            group_alphas=_unity_group(lam), lam=lam,
             beta_search="roots of unity of order dividing the exponent gcd",
         )
     # phi(a*u + b) = phi(u) is the scaling condition between phi(u + b) and
@@ -366,13 +339,29 @@ def _scaling_condition(spec_a: FuncSpec, spec_b: FuncSpec) -> tuple | None:
     return k, -coeffs[0].constant_value() / coeffs[k].constant_value()
 
 
+def _inversion(spec_a: FuncSpec, spec_b: FuncSpec) -> Fraction | None:
+    """The c with phi_a(c/t) = phi_b(t) for exp specs, or None: the root
+    s = 1/c of the scaling condition between phi_a(1/t) and phi_b.  Its roots
+    are a coset of the multipliers t -> zeta*t of phi_a(1/t), and only
+    zeta = 1 fixes a coprime N/D of exponent gcd 1, so there is one root."""
+    nu = order(spec_a)
+
+    def reverse(poly):  # t^nu * poly(1/t)
+        return MPoly(("t",), {(nu - m[0],): co for m, co in poly.items()})
+
+    flipped = spec_a._replace(numerator=reverse(spec_a.numerator),
+                              denominator=reverse(spec_a.denominator))
+    solved = _scaling_condition(flipped, spec_b)
+    return None if solved is None else 1 / solved[1]
+
+
 def _exact_alpha(spec_a: FuncSpec, spec_b: FuncSpec) -> complex | None:
     """An alpha with phi_a(alpha*u) = phi_b(u), or None when there is none."""
     if spec_a.cls is FunctionClass.RATIONAL_OF_EXP:
         # minimal uniformizers force t_a(alpha*u) = t_b(u)^r with r = +-1
         if spec_a.numerator * spec_b.denominator == spec_b.numerator * spec_a.denominator:
             r = 1
-        elif _exp_inversion_condition(spec_a, spec_b).substitute({"c": 1}).is_zero():
+        elif _inversion(spec_a, spec_b) == 1:
             r = -1
         else:
             return None

@@ -291,6 +291,17 @@ def test_symmetry_half_period_coset_of_minus_one(tmp_path):
     )
 
 
+def test_degenerate_elimination_message_counts_terms(tmp_path):
+    # N and D share the curve point (0, 0); the message gives the two
+    # relations' sizes, not their whole text
+    spec = tmp_path / "coset.spec"
+    spec.write_text("class: elliptic\ng2: 4\ng3: 0\nphi: (3*q + 2*p)/(3*p)\n", encoding="utf-8")
+    report = validate_report(run_cli("derive", str(spec), "--json", expect_code=3).stdout)
+    assert report["status"] == "degenerate"
+    assert "eliminating p2" in report["message"]
+    assert len(report["message"]) < 200
+
+
 def test_krel_exp_and_rational():
     proc = run_cli("krel", spec_path("exp-t.spec"))
     assert proc.stdout.splitlines()[0] == "x1*x2 - x3*x4"

@@ -256,6 +256,30 @@ def test_inversion_symmetric_exp_functions_have_lambda_2(outer, c, denom):
     report = full_substitution_group(spec)
     assert report.lam == 2
     assert report.group_alphas == ((1, 0), (2, 1))
+    # the solved c makes phi(c/t) - phi(t) vanish exactly at rational t
+    solved = laws._inversion(spec, spec)
+
+    def phi(x):  # None at a pole
+        num, den = (sum(co * x ** m[0] for m, co in p.items())
+                    for p in (spec.numerator, spec.denominator))
+        return num / den if den else None
+
+    points = [x for x in (Q(k, 7) for k in range(2, 40))
+              if phi(x) is not None and phi(solved / x) is not None]
+    assert len(points) >= 3
+    assert all(phi(solved / x) == phi(x) for x in points[:3])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(small, min_size=2, max_size=5).filter(lambda a: a[-1] != 0))
+def test_polynomial_exp_functions_have_no_inversion(coeffs):
+    # phi(c/t) is a polynomial in 1/t, never the polynomial phi(t)
+    t = MPoly.var(("t",), "t")
+    num = sum((c * t**i for i, c in enumerate(coeffs)), MPoly.zero(("t",)))
+    spec = make_spec(FunctionClass.RATIONAL_OF_EXP, num, MPoly.const(("t",), 1))
+    assert laws._inversion(spec, spec) is None
+    assert full_substitution_group(spec).lam == 1
+    assert multiplier_group(spec).lambda0 == 1
 
 
 @settings(max_examples=30, deadline=None)
