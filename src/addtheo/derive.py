@@ -34,7 +34,6 @@ from . import factor, numeric
 from .errors import (
     AddTheoError,
     DegenerateEliminationError,
-    DegenerateSpecializationError,
     DegreeLawError,
     PruningError,
 )
@@ -236,9 +235,12 @@ def graph_factor(eliminant: MPoly, names, pairs, what: str) -> MPoly:
     pairs yields (prime, points), the points exact mod prime as value tuples
     in `names` order (numeric.exact_points).  A factor survives a prime when
     it vanishes mod prime at every point; the pairs are taken in turn until
-    exactly one factor survives.
+    exactly one factor survives.  Only the primitive part in the last used
+    variable, the one squarefree splits on, is factored: the relation sought
+    involves that variable, so no factor of the content is it.
     """
-    candidates = [f for f, _ in factor.factor(eliminant)]
+    primitive = content_and_primitive(eliminant, eliminant.used_variables()[-1])[1]
+    candidates = [f for f, _ in factor.factor(primitive)]
     survivors = []
     for prime, pts in pairs:
         pts = [dict(zip(names, pt)) for pt in pts]
@@ -256,9 +258,6 @@ def prune(eliminant: MPoly, spec: FuncSpec, cfg: numeric.EvalConfig, law: Degree
     """Select the unique irreducible factor vanishing on the graph, check its
     z-degree against the degree law `law` (a DegreeReport of spec) and its x
     and y degrees against z's, then certify it on complex graph samples."""
-    if eliminant.is_zero():
-        raise PruningError("eliminant is zero")
-
     pairs = numeric.exact_points(spec, cfg, 101, 2, numeric.graph_point)
     g = graph_factor(eliminant, ("x", "y", "z"), pairs, "graph component")
     actual = tuple(g.degree_in(v) for v in ("x", "y", "z"))
@@ -285,38 +284,28 @@ def reduce_f_to_g(F: MPoly, x0, y0) -> MPoly:
 
     x0 and y0 are base values phi(a), psi(b) supplied by the caller; the
     specialization can degenerate for unlucky choices, in which case the
-    caller should retry with perturbed values.
+    caller should retry with perturbed values.  With z1 = chi(u+b),
+    z2 = chi(a+v) and z3 = chi(u+v), fold_eliminate takes Y out of
+    F(x0, Y, z2) and F(X, Y, z3), then X against F(X, y0, z1).
     """
     for name in ("X", "Y", "Z"):
         if name not in F.variables or F.degree_in(name) < 1:
             raise AddTheoError(f"F must be non-constant in {name}")
-    x0 = Q(x0)
-    y0 = Q(y0)
     ring = ("z3", "z2", "z1", "X", "Y")
-    a_spec = F.substitute({"X": x0})
-    b_spec = F.substitute({"Y": y0})
+    a_spec = F.substitute({"X": Q(x0)})
+    b_spec = F.substitute({"Y": Q(y0)})
     if a_spec.is_zero() or a_spec.degree_in("Y") < 1:
-        raise DegenerateSpecializationError(
+        raise DegenerateEliminationError(
             "degenerate specialization: F(x0, Y, Z) carries no Y dependence"
         )
     if b_spec.is_zero() or b_spec.degree_in("X") < 1:
-        raise DegenerateSpecializationError(
+        raise DegenerateEliminationError(
             "degenerate specialization: F(X, y0, Z) carries no X dependence"
         )
-    a_emb = a_spec.rename({"Z": "z2"}).embed(ring)
-    f_emb = F.rename({"Z": "z3"}).embed(ring)
-    b_emb = b_spec.rename({"Z": "z1"}).embed(ring)
-    inner = resultant(a_emb, f_emb, "Y")
-    if inner.is_zero():
-        raise DegenerateSpecializationError("inner resultant vanished identically")
-    if inner.degree_in("X") < 1:
-        raise DegenerateSpecializationError(
-            "degenerate specialization: inner eliminant lost its X dependence"
-        )
-    outer = resultant(b_emb, inner, "X")
-    if outer.is_zero() or outer.is_constant():
-        raise DegenerateSpecializationError("final eliminant degenerated")
-    return squarefree_part(outer).restrict(("z3", "z2", "z1")).canonicalize()
+    relations = [a_spec.rename({"Z": "z2"}).embed(ring), F.rename({"Z": "z3"}).embed(ring),
+                 b_spec.rename({"Z": "z1"}).embed(ring)]
+    final = fold_eliminate(relations, ("Y", "X"))
+    return squarefree_part(final).restrict(("z3", "z2", "z1")).canonicalize()
 
 
 # ----------------------------------------------------------------------

@@ -37,13 +37,8 @@ class SpecValidationError(AddTheoError):
 
 
 class DegenerateEliminationError(AddTheoError):
-    """An intermediate resultant collapsed to zero (shared factor)."""
-
-    status, code = "degenerate", 3
-
-
-class DegenerateSpecializationError(AddTheoError):
-    """Base-point specialization produced an identity instead of a relation."""
+    """An elimination collapsed: a resultant was zero (shared factor) or
+    constant, or a base-point specialization lost the symbol to eliminate."""
 
     status, code = "degenerate", 3
 

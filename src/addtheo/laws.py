@@ -34,7 +34,7 @@ from functools import reduce
 from typing import NamedTuple
 
 from . import derive, factor, numeric
-from .errors import AddTheoError, DegreeLawError, PruningError
+from .errors import AddTheoError, DegreeLawError
 from .funcspec import FuncSpec, FunctionClass, curve_polynomial, order
 from .poly import MPoly, rem_monic
 from .resultants import mgcd, resultant, squarefree_part
@@ -254,10 +254,9 @@ def k_relation(
     ring = ("x4", "x3", "x2", "x1", "s")
     g12 = theorem.G.rename({"x": "x1", "y": "x2", "z": "s"}).embed(ring)
     g34 = theorem.G.rename({"x": "x3", "y": "x4", "z": "s"}).embed(ring)
-    eliminant = resultant(g12, g34, "s")
-    if eliminant.is_zero():
-        raise PruningError("K eliminant vanished identically")
-    eliminant = eliminant.restrict(("x4", "x3", "x2", "x1"))
+    # nonzero: a common factor of the two would lie in s alone, and the
+    # irreducible G, of equal positive degrees, has none
+    eliminant = resultant(g12, g34, "s").restrict(("x4", "x3", "x2", "x1"))
 
     def point(u, v, w):
         """u, v, w and x1..x4 = phi(u), phi(v), phi(w), phi(t) with u + v = w + t."""

@@ -9,7 +9,8 @@ MPoly.evaluate_with_magnitude, the grlex sort key and the finite difference
 of phi are the references for the term order and for derivatives, the term-by-term
 product of powers is the reference for MPoly.substitute, the eager fold,
 which eliminates every symbol from every relation, is the reference for
-derive.fold_eliminate, and the exact count of the preimages of a seeded
+derive.fold_eliminate, the chain of two resultants is the reference for
+derive.reduce_f_to_g, and the exact count of the preimages of a seeded
 value is the reference for funcspec.order.  The last three are test
 predicates over the package's results: the complex value of a root-of-unity
 descriptor, irreducibility by factoring, and rational expressibility by the
@@ -124,6 +125,40 @@ def eager_fold_eliminate(relations, elim_order) -> MPoly:
             if res is not None:
                 return res
     raise DegenerateEliminationError("elimination consumed every relation")
+
+
+def reduce_f_reference(F: MPoly, x0, y0) -> MPoly:
+    """derive.reduce_f_to_g as two resultants: Y out of F(x0, Y, z2) and
+    F(X, Y, z3), then X out of F(X, y0, z1) and that result; a zero or
+    constant result, or an inner one free of X, raises."""
+    for name in ("X", "Y", "Z"):
+        if name not in F.variables or F.degree_in(name) < 1:
+            raise AddTheoError(f"F must be non-constant in {name}")
+    ring = ("z3", "z2", "z1", "X", "Y")
+    a_spec = F.substitute({"X": Fraction(x0)})
+    b_spec = F.substitute({"Y": Fraction(y0)})
+    if a_spec.is_zero() or a_spec.degree_in("Y") < 1:
+        raise DegenerateEliminationError(
+            "degenerate specialization: F(x0, Y, Z) carries no Y dependence"
+        )
+    if b_spec.is_zero() or b_spec.degree_in("X") < 1:
+        raise DegenerateEliminationError(
+            "degenerate specialization: F(X, y0, Z) carries no X dependence"
+        )
+    a_emb = a_spec.rename({"Z": "z2"}).embed(ring)
+    f_emb = F.rename({"Z": "z3"}).embed(ring)
+    b_emb = b_spec.rename({"Z": "z1"}).embed(ring)
+    inner = resultant(a_emb, f_emb, "Y")
+    if inner.is_zero():
+        raise DegenerateEliminationError("inner resultant vanished identically")
+    if inner.degree_in("X") < 1:
+        raise DegenerateEliminationError(
+            "degenerate specialization: inner eliminant lost its X dependence"
+        )
+    outer = resultant(b_emb, inner, "X")
+    if outer.is_zero() or outer.is_constant():
+        raise DegenerateEliminationError("final eliminant degenerated")
+    return squarefree_part(outer).restrict(("z3", "z2", "z1")).canonicalize()
 
 
 def preimage_count(spec, seed=20260808) -> int:

@@ -475,7 +475,6 @@ ERROR_STATUS = {
     "SpecValidationError": ("parse-error", 2),
     "MonomialOverflowError": ("parse-error", 2),
     "DegenerateEliminationError": ("degenerate", 3),
-    "DegenerateSpecializationError": ("degenerate", 3),
     "SamplingError": ("degenerate", 3),
     "PruningError": ("verification-failed", 1),
     "VerificationError": ("verification-failed", 1),

@@ -20,7 +20,6 @@ from addtheo.derive import (
 from addtheo.errors import (
     AddTheoError,
     DegenerateEliminationError,
-    DegenerateSpecializationError,
     DegreeLawError,
     MonomialOverflowError,
     PruningError,
@@ -45,7 +44,12 @@ from addtheo.poly import MPoly, divide_exact
 from addtheo.resultants import content_and_primitive
 
 from conftest import ROOT, spec_text
-from oracles import eager_fold_eliminate, phi_derivative_numeric, sylvester_resultant
+from oracles import (
+    eager_fold_eliminate,
+    phi_derivative_numeric,
+    reduce_f_reference,
+    sylvester_resultant,
+)
 
 CFG = EvalConfig()
 
@@ -229,6 +233,18 @@ def test_last_resultant_of_wp_prime_reads_the_primitive_partner(monkeypatch):
     partner, _, name = counted[-1]
     assert name == "p1" and len(partner) == 25
     assert content_and_primitive(partner, "p1")[0].is_constant()
+
+
+def test_wp_prime_factors_only_the_primitive_part_in_z(monkeypatch):
+    # the eliminant is (y - x)^9 * G, 470 terms; its content in z, (y - x)^9,
+    # is no candidate, so factor reads G itself, 188 terms
+    spec = parse_spec(spec_text("wp-prime.spec"))
+    inputs, real = [], derive.factor.factor
+    monkeypatch.setattr(derive.factor, "factor", lambda p: inputs.append(p) or real(p))
+    raw = eliminate(spec)
+    theorem = prune(raw, spec, CFG, degree_report(spec), verify_samples=20)
+    assert len(raw) == 470
+    assert inputs == [theorem.G] and len(theorem.G) == 188
 
 
 @st.composite
@@ -475,8 +491,37 @@ def test_reduce_f_examples():
 
 def test_reduce_f_degenerate():
     F = parse_polynomial("Z - X*Y", ("X", "Y", "Z"))
-    with pytest.raises(DegenerateSpecializationError):
+    with pytest.raises(DegenerateEliminationError, match="carries no Y dependence"):
         reduce_f_to_g(F, 0, 1)
+
+
+def _reduced_text(reduce, F, x0, y0):
+    """The relation's text, or "degenerate" for an error of that status."""
+    try:
+        return reduce(F, x0, y0).to_text()
+    except AddTheoError as err:
+        if err.status != "degenerate":
+            raise
+        return "degenerate"
+
+
+@st.composite
+def small_mixed_relations(draw):
+    """(F, x0, y0): F of 2-5 terms, degree at most 2 in each of X, Y and Z
+    and positive in all three, with base values in [-2, 2]."""
+    ring = ("X", "Y", "Z")
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                                 st.integers(-3, 3).filter(bool), min_size=2, max_size=5))
+    F = MPoly(ring, terms)
+    assume(all(F.degree_in(v) >= 1 for v in ring))
+    base = st.fractions(-2, 2, max_denominator=2)
+    return F, draw(base), draw(base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_mixed_relations())
+def test_reduce_f_matches_the_two_resultant_chain(case):
+    assert _reduced_text(reduce_f_to_g, *case) == _reduced_text(reduce_f_reference, *case)
 
 
 def test_derivative_relation_golden():
@@ -621,9 +666,10 @@ def test_exact_derivative_relation_matches_finite_differences(text):
 def test_graph_factor_tries_the_next_prime_then_reports_ambiguity():
     ring = ("x", "y", "z")
     x, y, z = (MPoly.var(ring, n) for n in ring)
-    first, second = x - y, x + y - 2 * z
+    first, second = z - 4 * x + 3, x + y - 2 * z
     eliminant = first * second
-    # both factors vanish at (1, 1, 1); only the first at (2, 2, 5)
+    # both factors vanish at (1, 1, 1); only the first at (2, 2, 5); both
+    # involve z, as only the primitive part in z is factored
     tried = []
 
     def pairs():
